@@ -64,7 +64,7 @@
 //!   (mixed interactive/batch LoRA traffic),
 //! * [`sweep`] — multi-replica fleets, the p99-SLO capacity search that
 //!   reports requests/sec per socket for DECA versus software
-//!   decompression (generalized by [`capacity_search_with`] to any cost
+//!   decompression (generalized by [`capacity_search_warm`] to any cost
 //!   model, any admission policy — including the paged one — and any
 //!   workload family), and the sharding sweep (`deca_llm::parallel` TP/PP
 //!   plans over an interconnect model) that finds the minimum socket count
@@ -129,13 +129,13 @@ pub use scheduler::{
     DEFAULT_BLOCK_SIZE,
 };
 pub use sweep::{
-    best_pool_split, capacity_search, capacity_search_warm, capacity_search_with,
-    chunk_budget_capacity_sweep_with, disagg_capacity_search_with, fleet_capacity_search_with,
-    hbm_kv_budget_tokens, min_sockets_for_slo, qos_capacity_search_with, sharded_kv_budget_tokens,
-    sharding_sweep, simulate_disaggregated, simulate_disaggregated_with, simulate_fleet,
-    simulate_fleet_with, speculation_goodput_curve_with, CapacityResult, CapacitySpec,
-    ChunkBudgetPoint, ClassOutcome, DisaggReport, DisaggSpec, FleetReport, PoolSplitResult,
-    QosCapacityResult, ShardingPlanResult, ShardingSearchSpec, SpeculationPoint,
+    best_pool_split, capacity_search, capacity_search_warm, chunk_budget_capacity_sweep_with,
+    disagg_capacity_search_with, fleet_capacity_search_with, hbm_kv_budget_tokens,
+    min_sockets_for_slo, qos_capacity_search_with, sharded_kv_budget_tokens, sharding_sweep,
+    simulate_disaggregated, simulate_disaggregated_with, simulate_fleet, simulate_fleet_with,
+    speculation_goodput_curve_with, CapacityResult, CapacitySpec, ChunkBudgetPoint, ClassOutcome,
+    DisaggReport, DisaggSpec, FleetReport, PoolSplitResult, QosCapacityResult, ShardingPlanResult,
+    ShardingSearchSpec, SpeculationPoint,
 };
 pub use tenant::{
     AgentLoopSpec, MultiTenantSpec, QosAdmission, QosClass, QosPick, QosStats, RagSpec,

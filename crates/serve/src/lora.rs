@@ -15,7 +15,7 @@
 //! penalty, so policy comparisons isolate the admission axis.
 //!
 //! Everything here is deterministic and shared verbatim between the event
-//! cores and the test-only reference loops, so trace equivalence holds bit
+//! core and the test-only reference loops, so trace equivalence holds bit
 //! for bit on adapter-carrying workloads too.
 
 /// Identity of one LoRA adapter. `AdapterId::BASE` (the `Default`) is the
@@ -124,7 +124,7 @@ impl AdapterModel {
 
 /// Adapter-cache counters of one serving run, reported in
 /// [`crate::ServingReport`]. All fields are exact counts, so the event
-/// cores and the reference loops must (and do) agree on them bit for bit.
+/// core and the reference loops must (and do) agree on them bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct AdapterStats {
     /// Batch-step adapter activations served from the cache.
@@ -161,7 +161,7 @@ impl AdapterStats {
 /// adapter (evicting the coldest resident when full) and reports `false`
 /// so the scheduler can price the load. Linear scans are deliberate — the
 /// slot count is a handful, and the flat `Vec` keeps iteration order (and
-/// therefore every counter) identical between the event cores and the
+/// therefore every counter) identical between the event core and the
 /// reference loops.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdapterCache {

@@ -2,21 +2,22 @@
 //! (PagedAttention-style) variant on the block allocator, and the classic
 //! static (run-to-completion) batching baseline.
 //!
-//! All run on one discrete-event core ([`crate::event`]): simulation time
-//! advances by popping typed events — request arrivals, prefill/decode
-//! step completions, preemption re-queues — off a binary-heap event queue
-//! instead of the old step-and-rescan loop. The engine still alternates
-//! *prefill steps* (process the prompts of newly admitted requests —
-//! prefill-prioritized, as in vLLM's default policy) and *decode steps*
-//! (one token for every running sequence); what changed is the
-//! bookkeeping around them:
+//! All three run on one discrete-event core ([`crate::event`]): simulation
+//! time advances by popping typed events — request arrivals, KV transfers,
+//! prefill/decode step completions, preemption re-queues, swap I/O — off a
+//! binary-heap event queue. The engine alternates *prefill steps* (process
+//! the prompts of newly admitted requests — prefill-prioritized, as in
+//! vLLM's default policy) and *decode steps* (one token for every running
+//! sequence), optionally fused into chunked batch steps or
+//! draft-and-verify bursts, and the bookkeeping around them is incremental:
 //!
 //! * arrivals are heap events pulled lazily — one at a time — from the
 //!   request source, which can be a materialized [`RequestTrace`] or any
-//!   arrival-ordered iterator ([`ServingSimulator::run_streamed`]), so a
-//!   multi-million-request workload streams through in O(batch + queue)
-//!   memory (no per-step `next_arrival` probing, and idle spans are one
-//!   pop, not a scan),
+//!   arrival-ordered iterator ([`ServingSimulator::run_streamed`]); retired
+//!   request slots are recycled, so the live request store stays
+//!   O(batch + queue) however long the workload runs (each completed
+//!   request still leaves one [`RequestRecord`], which keeps the
+//!   percentiles exact),
 //! * occupancy, block utilization and fragmentation come from running
 //!   counters maintained at admit/grow/preempt/retire time (no per-step
 //!   stamp walk over every sequence's block list),
@@ -24,13 +25,16 @@
 //!   intervals — including idle gaps and the partial intervals an arrival
 //!   splits a step into — via [`crate::metrics::TimeWeightedMean`].
 //!
-//! The reserve-up-front policies admit against a request's whole
-//! `prompt + output` footprint, so the KV-cache budget can never be
-//! exceeded and no preemption is needed;
-//! [`SchedulerKind::PagedContinuous`] admits on *current* need, allocates
-//! [`crate::kv`] blocks on demand as sequences grow, shares prompt
-//! prefixes through the [`crate::prefix`] radix cache, and preempts by
-//! recompute when the pool runs dry.
+//! The policies differ only in three rules the core derives from
+//! [`ServingConfig::scheduler`]. *Admission*: the reserve-up-front
+//! policies charge a request's whole `prompt + output` footprint against
+//! the token budget, so it can never be exceeded;
+//! [`SchedulerKind::PagedContinuous`] admits on *current* need and shares
+//! prompt prefixes through the [`crate::prefix`] radix cache. *Growth*:
+//! paged sequences allocate [`crate::kv`] blocks on demand and preempt
+//! when the pool runs dry; reserved ones never grow or preempt.
+//! *Retirement*: static batching admits only into an empty batch and
+//! releases its slots only once the whole batch has drained.
 //!
 //! The pre-event-core step loop survives as a test-only reference
 //! implementation (`scheduler::reference`); the equivalence property
@@ -403,33 +407,6 @@ impl PagedStats {
     }
 }
 
-/// A request resident in the running batch.
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    /// Slot id of the request in the run's slot store.
-    idx: usize,
-    /// Whether the prompt has been processed.
-    prefilled: bool,
-    /// Prompt tokens prefilled so far — the chunk cursor of chunked
-    /// prefill (equals the prompt once `prefilled`; unused, and left at
-    /// zero, when whole prompts prefill in dedicated waves).
-    prefilled_tokens: usize,
-    /// Draft-and-verify bursts this sequence has decoded through — the
-    /// per-sequence counter feeding the deterministic acceptance draws.
-    spec_bursts: u64,
-    /// Time the first output token was produced (valid once prefilled).
-    first_token_s: f64,
-    /// Tokens currently in the KV cache (prompt + generated so far).
-    context_tokens: usize,
-    /// Decode tokens still to generate (the prefill emits the first).
-    remaining_decode: usize,
-    /// KV tokens reserved against the budget at admission.
-    reserved_tokens: usize,
-    /// Time the last output token was produced (set once generation
-    /// finishes; under static batching the slot may stay blocked longer).
-    done_s: Option<f64>,
-}
-
 /// Everything one serving run produced. `PartialEq` so determinism is
 /// directly assertable: two runs of the same trace compare equal.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -607,10 +584,13 @@ impl<C: ServingCostModel> ServingSimulator<C> {
 
     /// Simulates serving a stream of requests to drain without ever
     /// materializing them: arrivals are pulled from the iterator lazily,
-    /// one at a time, and retired request slots are recycled, so memory
-    /// stays O(batch + queue) however long the workload runs. Requests
-    /// must arrive in non-decreasing `arrival_s` order with ids assigned
-    /// in that order — exactly what [`RequestTrace`] holds and
+    /// one at a time, and retired request slots are recycled, so the live
+    /// request store stays O(batch + queue) however long the workload
+    /// runs. The report still keeps one [`RequestRecord`] per completed
+    /// request (its percentiles are exact), so total memory grows with
+    /// the completed count. Requests must arrive in non-decreasing
+    /// `arrival_s` order with ids assigned in that order — exactly what
+    /// [`RequestTrace`] holds and
     /// [`crate::workload::SharedPrefixChatStream`] emits — and on the same
     /// request sequence this produces bit-identical reports to
     /// [`ServingSimulator::run`].
@@ -618,538 +598,15 @@ impl<C: ServingCostModel> ServingSimulator<C> {
     where
         I: IntoIterator<Item = Request>,
     {
-        if self.config.scheduler == SchedulerKind::PagedContinuous {
-            let mut core = PagedRunCore::new(self.config, requests.into_iter());
-            core.drive(&mut self.cost);
-            core.into_report()
-        } else {
-            let mut core = RunCore::new(self.config, requests.into_iter());
-            core.drive(&mut self.cost);
-            core.into_report()
-        }
+        let mut core = RunCore::new(self.config, requests.into_iter());
+        core.drive(&mut self.cost);
+        core.into_report()
     }
 }
 
-/// The event-driven state of one reserve-up-front serving run.
-///
-/// Engine steps are *computed at their start*: the step's per-request
-/// progress is applied and its completion event scheduled `dt` ahead, so
-/// the arithmetic (and therefore every timestamp) is identical to the
-/// reference step loop's, while arrivals landing inside the step interval
-/// merely join the admission queue until the completion event fires.
-struct RunCore<I> {
-    config: ServingConfig,
-    /// Arrival-ordered request source; pulled lazily, one outstanding
-    /// arrival event at a time.
-    source: I,
-    /// Requests currently alive in the run (queued or running), indexed by
-    /// the slot ids that `queue`/`running` carry. Slots are recycled as
-    /// requests retire or reject, so the store stays O(batch + queue)
-    /// even on an unbounded source.
-    slots: Vec<Request>,
-    /// Recycled slot indices available for the next arrival.
-    free_slots: Vec<usize>,
-    /// Arrival time of the last request pulled from the source (the
-    /// trace-duration lower bound of the makespan).
-    last_arrival_s: f64,
-    events: EventQueue,
-    queue: VecDeque<usize>,
-    running: Vec<Active>,
-    records: Vec<RequestRecord>,
-    now: f64,
-    /// Whether a step-completion event is pending in the heap.
-    step_in_flight: bool,
-    /// KV tokens currently reserved against the budget.
-    reserved: usize,
-    /// Running Σ of `context_tokens` over the batch (the occupancy
-    /// counter the old loop recomputed by scanning every step).
-    sum_context: usize,
-    /// Admitted-but-not-yet-prefilled sequences in the batch.
-    pending_prefill: usize,
-    admitted: usize,
-    rejected: usize,
-    /// The QoS priority-admission policy and its per-class counters.
-    qos: QosAdmission,
-    /// LRU of resident LoRA adapters; misses price a weight load into the
-    /// step that activates them. Held outside the KV budget here — the
-    /// reserve-up-front policies have no block pool to carve.
-    adapter_cache: AdapterCache,
-    peak_reserved: usize,
-    peak_occupied: usize,
-    peak_batch: usize,
-    peak_queue: usize,
-    decode_steps: u64,
-    prefill_steps: u64,
-    chunk_steps: u64,
-    chunked_prefill_tokens: u64,
-    queue_depth: TimeWeightedMean,
-    occupancy: TimeWeightedMean,
-}
-
-impl<I: Iterator<Item = Request>> RunCore<I> {
-    fn new(config: ServingConfig, source: I) -> Self {
-        RunCore {
-            config,
-            source,
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            last_arrival_s: 0.0,
-            events: EventQueue::new(),
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            records: Vec::new(),
-            now: 0.0,
-            step_in_flight: false,
-            reserved: 0,
-            sum_context: 0,
-            pending_prefill: 0,
-            admitted: 0,
-            rejected: 0,
-            qos: QosAdmission::new(),
-            adapter_cache: AdapterCache::new(config.adapters.cache_slots),
-            peak_reserved: 0,
-            peak_occupied: 0,
-            peak_batch: 0,
-            peak_queue: 0,
-            decode_steps: 0,
-            prefill_steps: 0,
-            chunk_steps: 0,
-            chunked_prefill_tokens: 0,
-            queue_depth: TimeWeightedMean::new(),
-            occupancy: TimeWeightedMean::new(),
-        }
-    }
-
-    /// Pulls the next request from the source (if any), stores it in a
-    /// recycled slot, and schedules its arrival event.
-    fn schedule_next_arrival(&mut self) {
-        if let Some(request) = self.source.next() {
-            self.last_arrival_s = request.arrival_s;
-            let slot = if let Some(slot) = self.free_slots.pop() {
-                self.slots[slot] = request;
-                slot
-            } else {
-                self.slots.push(request);
-                self.slots.len() - 1
-            };
-            self.events
-                .push(request.arrival_s, Event::Arrival { request: slot });
-        }
-    }
-
-    /// Integrates the time-weighted signals over `[now, t)` and advances
-    /// the clock. The signals are piecewise constant between events, so
-    /// the integration is exact.
-    fn advance_to(&mut self, t: f64) {
-        let dt = t - self.now;
-        if dt > 0.0 {
-            self.queue_depth.observe(self.queue.len() as f64, dt);
-            self.occupancy.observe(
-                self.sum_context as f64 / self.config.kv_budget_tokens as f64,
-                dt,
-            );
-        }
-        self.now = t;
-    }
-
-    /// Applies one fired event; returns whether it was a step completion
-    /// (a batch boundary).
-    fn apply(&mut self, event: Event) -> bool {
-        match event {
-            Event::Arrival { request } => {
-                if self.config.kv_ship.enabled() {
-                    // Disaggregated decode pool: the request's prefilled
-                    // KV must cross the interconnect before admission.
-                    let prompt = self.slots[request].prompt_tokens;
-                    let at = self.now + self.config.kv_ship.transfer_seconds(prompt);
-                    self.events.push(at, Event::KvTransferDone { request });
-                } else {
-                    self.queue.push_back(request);
-                }
-                self.schedule_next_arrival();
-                false
-            }
-            Event::KvTransferDone { request } => {
-                self.queue.push_back(request);
-                false
-            }
-            Event::PrefillDone | Event::DecodeDone | Event::ChunkDone => true,
-            // The reserve-up-front policies never preempt or swap.
-            Event::Preemption { .. } | Event::SwapOutDone { .. } | Event::SwapInDone { .. } => {
-                unreachable!("reserve-up-front runs schedule no preemption or swap I/O")
-            }
-        }
-    }
-
-    /// Drives the run to drain: pop events, drain co-timed ones, process
-    /// batch boundaries.
-    fn drive<C: ServingCostModel>(&mut self, cost: &mut C) {
-        self.schedule_next_arrival();
-        while let Some(scheduled) = self.events.pop() {
-            self.advance_to(scheduled.at_s);
-            let mut step_done = self.apply(scheduled.event);
-            // Drain everything co-timed with this event before touching
-            // the batch: two arrivals at the same instant must both be
-            // admissible in the same wave, exactly as the reference loop's
-            // pull-then-admit ordering guarantees.
-            while let Some(next) = self.events.pop_due(self.now) {
-                step_done |= self.apply(next.event);
-            }
-            if step_done || !self.step_in_flight {
-                self.boundary(cost);
-            }
-        }
-    }
-
-    /// One batch boundary: retire the finished step (if any), admit from
-    /// the queue, and launch the next step.
-    fn boundary<C: ServingCostModel>(&mut self, cost: &mut C) {
-        if self.step_in_flight {
-            self.step_in_flight = false;
-            self.retire();
-        }
-        self.peak_queue = self.peak_queue.max(self.queue.len());
-        self.admit();
-        if self.running.is_empty() {
-            // Admission is always open on an empty batch (both policies),
-            // and an empty batch can reserve against an empty budget, so
-            // the queue must have drained into admissions or rejections.
-            debug_assert!(self.queue.is_empty());
-        } else {
-            self.start_step(cost);
-            self.step_in_flight = true;
-        }
-    }
-
-    /// Admission at this batch boundary: QoS-prioritized FIFO
-    /// ([`QosAdmission::pick`] — plain FIFO on single-class queues), gated
-    /// by the batch limit and the KV reservation budget. Requests whose
-    /// whole footprint exceeds the budget outright are rejected (they
-    /// could never run).
-    fn admit(&mut self) {
-        let admission_open = match self.config.scheduler {
-            // The paged policy has its own run core; this state machine
-            // only ever sees the reserve-up-front kinds.
-            SchedulerKind::ContinuousBatching | SchedulerKind::PagedContinuous => true,
-            SchedulerKind::StaticBatching => self.running.is_empty(),
-        };
-        if !admission_open {
-            return;
-        }
-        while self.running.len() < self.config.max_batch {
-            let Some(pick) = self.qos.pick(
-                self.queue.iter().map(|&s| self.slots[s].qos),
-                self.config.qos_aging,
-            ) else {
-                break;
-            };
-            let head = self.queue[pick.position];
-            let class = self.slots[head].qos;
-            let need = self.slots[head].kv_tokens_at_completion();
-            if need > self.config.kv_budget_tokens {
-                // Could never run on this replica, even alone.
-                self.queue.remove(pick.position);
-                self.rejected += 1;
-                self.qos.record_reject(class);
-                self.free_slots.push(head);
-                continue;
-            }
-            if self.reserved + need > self.config.kv_budget_tokens {
-                // Head-of-line wait for residents to finish. The pick is
-                // not committed, so the aging clock does not advance.
-                break;
-            }
-            self.queue.remove(pick.position);
-            self.qos.record_admit(class, pick);
-            self.reserved += need;
-            self.admitted += 1;
-            self.pending_prefill += 1;
-            self.running.push(Active {
-                idx: head,
-                prefilled: false,
-                prefilled_tokens: 0,
-                spec_bursts: 0,
-                first_token_s: 0.0,
-                context_tokens: 0,
-                remaining_decode: 0,
-                reserved_tokens: need,
-                done_s: None,
-            });
-        }
-        self.peak_reserved = self.peak_reserved.max(self.reserved);
-    }
-
-    /// Launches one engine step — prefill-prioritized, then decode. The
-    /// step's progress is applied now (identical arithmetic to the
-    /// reference loop) and its completion event scheduled `dt` ahead.
-    /// Chunked prefill and speculation branch into their own step kinds;
-    /// with both off, the classic wave/decode paths run unchanged.
-    fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) {
-        self.peak_batch = self.peak_batch.max(self.running.len());
-        let (completion, dt) = if self.pending_prefill > 0 {
-            if self.config.chunk_budget_tokens.is_some() {
-                (Event::ChunkDone, self.chunked_step(cost))
-            } else {
-                (Event::PrefillDone, self.prefill_wave(cost))
-            }
-        } else if self.config.speculation.enabled() {
-            (Event::DecodeDone, self.speculative_decode_step(cost))
-        } else {
-            (Event::DecodeDone, self.decode_step(cost))
-        };
-        let dt = dt + self.adapter_switch_seconds(cost);
-        self.peak_occupied = self.peak_occupied.max(self.sum_context);
-        self.events.push(self.now + dt, completion);
-    }
-
-    /// Adapter-load seconds this step pays: each distinct non-base adapter
-    /// of the batch (in batch order) touches the LRU, and every miss
-    /// streams its weights in via
-    /// [`ServingCostModel::adapter_load_seconds`]. Zero — and no cache
-    /// traffic at all — when adapter paging is disabled or the batch is
-    /// all base-model, which keeps those runs bit-identical.
-    fn adapter_switch_seconds<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        if !self.config.adapters.enabled() {
-            return 0.0;
-        }
-        let weight_tokens = self.config.adapters.weight_tokens;
-        let mut wait = 0.0;
-        let mut seen: Vec<AdapterId> = Vec::new();
-        let slots = &self.slots;
-        let cache = &mut self.adapter_cache;
-        for active in &self.running {
-            let adapter = slots[active.idx].adapter;
-            if adapter.is_base() || seen.contains(&adapter) {
-                continue;
-            }
-            seen.push(adapter);
-            if !cache.touch(adapter) {
-                wait += cost.adapter_load_seconds(weight_tokens);
-            }
-        }
-        wait
-    }
-
-    /// The classic prefill wave: the new prompts run back to back; each
-    /// request's first token appears as its own prefill finishes.
-    fn prefill_wave<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.prefill_steps += 1;
-        let mut cursor = self.now;
-        for active in self.running.iter_mut().filter(|a| !a.prefilled) {
-            let request = &self.slots[active.idx];
-            cursor += cost.prefill_seconds(request.prompt_tokens);
-            active.prefilled = true;
-            active.first_token_s = cursor;
-            active.context_tokens = request.prompt_tokens + 1;
-            // Saturating: a deserialized trace can bypass
-            // `RequestTrace::new`'s output_tokens ≥ 1 normalization, and
-            // an underflow here would wedge the run.
-            active.remaining_decode = request.output_tokens.saturating_sub(1);
-            self.sum_context += active.context_tokens;
-        }
-        self.pending_prefill = 0;
-        cursor - self.now
-    }
-
-    /// One plain decode step: every running sequence gains a token.
-    fn decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.decode_steps += 1;
-        let batch = self.running.len();
-        let max_context = self
-            .running
-            .iter()
-            .map(|a| a.context_tokens)
-            .fold(0, usize::max);
-        let dt = cost.decode_step_seconds(batch, max_context);
-        for active in &mut self.running {
-            if active.remaining_decode > 0 {
-                active.remaining_decode -= 1;
-                active.context_tokens += 1;
-                self.sum_context += 1;
-            }
-        }
-        dt
-    }
-
-    /// One chunked batch step: each unprefilled sequence contributes its
-    /// next prompt chunk, FIFO against the shared token budget, while the
-    /// already-prefilled sequences decode one token alongside — the whole
-    /// [`StepMix`] priced as one unit. A sequence whose last chunk lands
-    /// here emits its first token at the step's end and starts decoding
-    /// *next* step (its token does not ride the decode batch it was not
-    /// part of).
-    fn chunked_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.chunk_steps += 1;
-        let budget = self
-            .config
-            .chunk_budget_tokens
-            .expect("chunked dispatch requires a budget");
-        let mut budget_left = budget;
-        // (running index, chunk tokens) of this step's prefill side.
-        let mut chunks: Vec<(usize, usize)> = Vec::new();
-        let mut mix = StepMix::default();
-        let mut decoders: Vec<usize> = Vec::new();
-        for (pos, active) in self.running.iter().enumerate() {
-            if active.prefilled {
-                if active.remaining_decode > 0 {
-                    decoders.push(pos);
-                    mix.max_context_tokens = mix.max_context_tokens.max(active.context_tokens);
-                }
-            } else if budget_left > 0 {
-                let prompt = self.slots[active.idx].prompt_tokens;
-                let take = (prompt - active.prefilled_tokens).min(budget_left);
-                budget_left -= take;
-                chunks.push((pos, take));
-                mix.prefill_chunks.push(ChunkWork {
-                    suffix_tokens: take,
-                    cached_tokens: 0,
-                    committed_tokens: active.prefilled_tokens,
-                });
-            }
-        }
-        mix.decode_batch = decoders.len();
-        let dt = cost.step_seconds(&mix);
-        let end = self.now + dt;
-        // Decode progress first, so a prefill completing in this step does
-        // not also decode in it.
-        for &pos in &decoders {
-            let active = &mut self.running[pos];
-            active.remaining_decode -= 1;
-            active.context_tokens += 1;
-            self.sum_context += 1;
-        }
-        for (pos, take) in chunks {
-            self.chunked_prefill_tokens += take as u64;
-            let active = &mut self.running[pos];
-            active.prefilled_tokens += take;
-            let request = &self.slots[active.idx];
-            if active.prefilled_tokens == request.prompt_tokens {
-                active.prefilled = true;
-                active.first_token_s = end;
-                active.context_tokens = request.prompt_tokens + 1;
-                active.remaining_decode = request.output_tokens.saturating_sub(1);
-                self.sum_context += active.context_tokens;
-                self.pending_prefill -= 1;
-            }
-        }
-        dt
-    }
-
-    /// One draft-and-verify burst: the step is priced as `draft_tokens`
-    /// draft steps plus one verify, and every decoding sequence retires
-    /// its accepted draft prefix plus the verify step's own token.
-    fn speculative_decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.decode_steps += 1;
-        let spec = self.config.speculation;
-        let batch = self.running.len();
-        let max_context = self
-            .running
-            .iter()
-            .map(|a| a.context_tokens)
-            .fold(0, usize::max);
-        let dt = cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context);
-        let slots = &self.slots;
-        for active in &mut self.running {
-            if active.remaining_decode > 0 {
-                let accepted =
-                    spec.accepted_tokens(slots[active.idx].id as u64, active.spec_bursts);
-                active.spec_bursts += 1;
-                let gained = (accepted + 1).min(active.remaining_decode);
-                active.remaining_decode -= gained;
-                active.context_tokens += gained;
-                self.sum_context += gained;
-            }
-        }
-        dt
-    }
-
-    /// Stamps generation-finish times and retires finished sequences.
-    /// Under static batching a finished request's record closes at its own
-    /// last token, but its slot (and KV reservation) stays blocked until
-    /// the whole batch drains — the padding cost of the baseline.
-    fn retire(&mut self) {
-        // A single-token output is done at the end of its prefill,
-        // everything else at the end of the decode step that produced its
-        // last token.
-        let now = self.now;
-        for active in &mut self.running {
-            if active.prefilled && active.remaining_decode == 0 && active.done_s.is_none() {
-                let request = &self.slots[active.idx];
-                active.done_s = Some(if request.output_tokens == 1 {
-                    active.first_token_s
-                } else {
-                    now
-                });
-            }
-        }
-
-        let batch_done = self.running.iter().all(|a| a.done_s.is_some());
-        let scheduler = self.config.scheduler;
-        let slots = &self.slots;
-        let free_slots = &mut self.free_slots;
-        let records = &mut self.records;
-        let reserved = &mut self.reserved;
-        let sum_context = &mut self.sum_context;
-        self.running.retain(|active| {
-            let release = match scheduler {
-                SchedulerKind::ContinuousBatching | SchedulerKind::PagedContinuous => {
-                    active.done_s.is_some()
-                }
-                SchedulerKind::StaticBatching => batch_done,
-            };
-            if let (true, Some(done_s)) = (release, active.done_s) {
-                let request = &slots[active.idx];
-                records.push(RequestRecord {
-                    id: request.id,
-                    arrival_s: request.arrival_s,
-                    first_token_s: active.first_token_s,
-                    completion_s: done_s,
-                    prompt_tokens: request.prompt_tokens,
-                    output_tokens: request.output_tokens,
-                    qos: request.qos,
-                });
-                *reserved -= active.reserved_tokens;
-                *sum_context -= active.context_tokens;
-                free_slots.push(active.idx);
-                return false;
-            }
-            true
-        });
-    }
-
-    /// Finalizes the report once the source has drained.
-    fn into_report(mut self) -> ServingReport {
-        self.records.sort_by_key(|r| r.id);
-        let makespan = self
-            .records
-            .iter()
-            .map(|r| r.completion_s)
-            .fold(self.now.min(self.last_arrival_s), f64::max);
-        ServingReport {
-            scheduler: self.config.scheduler,
-            records: self.records,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            makespan_s: makespan,
-            kv_budget_tokens: self.config.kv_budget_tokens,
-            peak_kv_reserved_tokens: self.peak_reserved,
-            peak_kv_occupied_tokens: self.peak_occupied,
-            mean_kv_occupancy: self.occupancy.mean(),
-            peak_batch: self.peak_batch,
-            peak_queue_depth: self.peak_queue,
-            mean_queue_depth: self.queue_depth.mean(),
-            decode_steps: self.decode_steps,
-            prefill_steps: self.prefill_steps,
-            chunk_steps: self.chunk_steps,
-            chunked_prefill_tokens: self.chunked_prefill_tokens,
-            qos: self.qos.stats(),
-            adapters: self.adapter_cache.stats(),
-            paged: None,
-        }
-    }
-}
-
-/// A sequence resident in the paged running batch.
+/// A sequence resident in the running batch. Under the reserve-up-front
+/// rule it holds no blocks and never swaps: its KV was charged whole
+/// against the token budget at admission.
 #[derive(Debug, Clone)]
 struct PagedActive {
     /// Slot id of the request in the run's slot store.
@@ -1182,8 +639,36 @@ struct PagedActive {
     /// KV blocks this sequence holds a reference to, in sequence order.
     blocks: Vec<BlockId>,
     /// Time the last output token was produced (set once generation
-    /// finishes).
+    /// finishes; under static batching the slot may stay blocked longer).
     done_s: Option<f64>,
+}
+
+impl PagedActive {
+    /// A freshly admitted sequence whose first `cached_prefix_tokens +
+    /// promoted_tokens` prompt tokens are already committed context
+    /// (chunked prefill resumes after them).
+    fn admitted(
+        idx: usize,
+        cached_prefix_tokens: usize,
+        promoted_tokens: usize,
+        promote_wait_s: f64,
+        blocks: Vec<BlockId>,
+    ) -> Self {
+        PagedActive {
+            idx,
+            prefilled: false,
+            prefilled_tokens: cached_prefix_tokens + promoted_tokens,
+            spec_bursts: 0,
+            context_tokens: 0,
+            remaining_decode: 0,
+            cached_prefix_tokens,
+            promoted_tokens,
+            promote_wait_s,
+            swapping: false,
+            blocks,
+            done_s: None,
+        }
+    }
 }
 
 /// Where a swap-preempted sequence's KV sits while it waits to re-enter
@@ -1201,15 +686,15 @@ struct SwappedSeq {
     tier: TierKind,
 }
 
-/// A request alive in a paged run (queued or running) plus the per-request
-/// side state that must survive preemption: a victim's blocks are freed
-/// and it re-queues at the front, but its first-token timestamp is stamped
-/// only once (the token was already streamed) and its re-prefill resumes
-/// from `prompt + generated` tokens — the recompute includes everything it
-/// had produced. The slot is recycled once the request retires or
-/// rejects, so the store stays O(batch + queue) on an unbounded source.
+/// A request alive in a run (queued or running) plus the per-request side
+/// state that must survive preemption: a victim's blocks are freed and it
+/// re-queues at the front, but its first-token timestamp is stamped only
+/// once (the token was already streamed) and its re-prefill resumes from
+/// `prompt + generated` tokens — the recompute includes everything it had
+/// produced. The slot is recycled once the request retires or rejects, so
+/// the store stays O(batch + queue) on an unbounded source.
 #[derive(Debug, Clone, Copy)]
-struct PagedSlot {
+struct Slot {
     request: Request,
     /// Time of the first output token (survives preemption).
     first_token: Option<f64>,
@@ -1221,9 +706,9 @@ struct PagedSlot {
     was_admitted: bool,
 }
 
-impl PagedSlot {
+impl Slot {
     fn new(request: Request) -> Self {
-        PagedSlot {
+        Slot {
             request,
             first_token: None,
             generated_before: 0,
@@ -1232,7 +717,22 @@ impl PagedSlot {
     }
 }
 
-/// The event-driven state of one paged serving run.
+/// The event-driven state of one serving run, under any of the three
+/// policies.
+///
+/// Engine steps are *computed at their start*: the step's per-request
+/// progress is applied and its completion event scheduled `dt` ahead, so
+/// the arithmetic (and therefore every timestamp) is identical to the
+/// reference step loop's, while arrivals landing inside the step interval
+/// merely join the admission queue until the completion event fires.
+///
+/// The policy is read off the configured [`SchedulerKind`] in two rules.
+/// [`RunCore::reserve`] swaps paged admission for a charge of the whole
+/// `prompt + output` footprint against the `reserved` token counter: no
+/// blocks, no prefix cache, no tiers, no adapter carve, no growth and no
+/// preemption, and reports keep the configured token budget as their
+/// capacity. [`RunCore::static_batch`] admits only into an empty batch and
+/// releases slots only once every member has finished.
 ///
 /// Occupancy and fragmentation come from running counters instead of the
 /// old per-step stamp walk over every sequence's block list: `run_refs`
@@ -1242,14 +742,14 @@ impl PagedSlot {
 /// de-duplicates shared prefix blocks exactly like the walk did — a
 /// shared block is always a full block fully covered by every sharer's
 /// context, so each extra sharer over-counts exactly `block_size` tokens.
-struct PagedRunCore<I> {
+struct RunCore<I> {
     config: ServingConfig,
     /// Arrival-ordered request source; pulled lazily, one outstanding
     /// arrival event at a time.
     source: I,
     /// Live request slots, indexed by the ids `queue`/`running` carry;
     /// recycled on retire/reject.
-    slots: Vec<PagedSlot>,
+    slots: Vec<Slot>,
     /// Recycled slot indices available for the next arrival.
     free_slots: Vec<usize>,
     /// Arrival time of the last request pulled from the source.
@@ -1257,6 +757,9 @@ struct PagedRunCore<I> {
     events: EventQueue,
     queue: VecDeque<usize>,
     running: Vec<PagedActive>,
+    /// Sequences leaving the batch at this boundary, in batch order (kept
+    /// between boundaries so retiring allocates nothing).
+    retired: Vec<PagedActive>,
     records: Vec<RequestRecord>,
     allocator: BlockAllocator,
     cache: Option<PrefixCache>,
@@ -1270,12 +773,14 @@ struct PagedRunCore<I> {
     /// swap-in transfer completes.
     swapped: HashMap<usize, SwappedSeq>,
     now: f64,
+    /// Whether a step-completion event is pending in the heap.
     step_in_flight: bool,
     admitted: usize,
     rejected: usize,
     /// The QoS priority-admission policy and its per-class counters.
     qos: QosAdmission,
-    /// LRU of resident LoRA adapters, backed by `adapter_blocks`.
+    /// LRU of resident LoRA adapters, backed by `adapter_blocks` (held
+    /// outside the KV budget under the reserve rule).
     adapter_cache: AdapterCache,
     /// Blocks carved out of the pool up front for the adapter cache
     /// (empty when adapter paging is disabled). Held for the whole run:
@@ -1300,6 +805,9 @@ struct PagedRunCore<I> {
     sum_context: usize,
     /// Admitted-but-not-yet-prefilled sequences in the batch.
     pending_prefill: usize,
+    /// KV tokens the reserve rule has charged against the budget.
+    reserved: usize,
+    peak_reserved: usize,
     preemptions: u64,
     prefix_hit_tokens: u64,
     prefix_uncached_tokens: u64,
@@ -1326,31 +834,37 @@ struct PagedRunCore<I> {
     disk_occupancy: TimeWeightedMean,
 }
 
-impl<I: Iterator<Item = Request>> PagedRunCore<I> {
+impl<I: Iterator<Item = Request>> RunCore<I> {
     fn new(config: ServingConfig, source: I) -> Self {
-        let mut allocator =
-            BlockAllocator::from_token_budget(config.block_size, config.kv_budget_tokens);
+        let reserve = config.scheduler != SchedulerKind::PagedContinuous;
+        // The reserve rule charges a token counter, not blocks: an empty
+        // pool leaves every block path inert.
+        let mut allocator = if reserve {
+            BlockAllocator::new(1, 0)
+        } else {
+            BlockAllocator::from_token_budget(config.block_size, config.kv_budget_tokens)
+        };
         let total_blocks = allocator.total_blocks();
-        let cache = config
-            .prefix_sharing
-            .then(|| PrefixCache::new(config.block_size));
+        let cache =
+            (!reserve && config.prefix_sharing).then(|| PrefixCache::new(config.block_size));
         let mut adapter_cache = AdapterCache::new(config.adapters.cache_slots);
         let mut adapter_blocks = Vec::new();
-        if config.adapters.enabled() {
+        // Reserved runs hold the adapter cache outside the KV budget.
+        if !reserve && config.adapters.enabled() {
             // The adapter cache's weights live *inside* the KV pool
             // (the S-LoRA unified-paging scheme): carve its blocks out up
             // front so sequence admission competes against the remainder.
-            let reserve = config.adapters.reserved_blocks(config.block_size);
+            let carve = config.adapters.reserved_blocks(config.block_size);
             assert!(
-                reserve < total_blocks,
+                carve < total_blocks,
                 "the adapter cache reservation must leave KV blocks for sequences"
             );
-            for _ in 0..reserve {
+            for _ in 0..carve {
                 adapter_blocks.push(allocator.alloc().expect("reservation fits the pool"));
             }
-            adapter_cache.set_reserved_blocks(reserve);
+            adapter_cache.set_reserved_blocks(carve);
         }
-        PagedRunCore {
+        RunCore {
             config,
             source,
             slots: Vec::new(),
@@ -1359,11 +873,12 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             events: EventQueue::new(),
             queue: VecDeque::new(),
             running: Vec::new(),
+            retired: Vec::new(),
             records: Vec::new(),
             allocator,
             cache,
             residency: TierResidency::new(config.tiers),
-            tiers_enabled: config.tiers.enabled(),
+            tiers_enabled: !reserve && config.tiers.enabled(),
             swapped: HashMap::new(),
             now: 0.0,
             step_in_flight: false,
@@ -1379,6 +894,8 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             distinct_blocks: 0,
             sum_context: 0,
             pending_prefill: 0,
+            reserved: 0,
+            peak_reserved: 0,
             preemptions: 0,
             prefix_hit_tokens: 0,
             prefix_uncached_tokens: 0,
@@ -1404,6 +921,17 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             ddr_occupancy: TimeWeightedMean::new(),
             disk_occupancy: TimeWeightedMean::new(),
         }
+    }
+
+    /// Whether admission reserves each request's whole footprint up front
+    /// (continuous and static batching) instead of paging it.
+    fn reserve(&self) -> bool {
+        self.config.scheduler != SchedulerKind::PagedContinuous
+    }
+
+    /// Whether the batch runs to completion before the next one forms.
+    fn static_batch(&self) -> bool {
+        self.config.scheduler == SchedulerKind::StaticBatching
     }
 
     /// A running sequence took a reference to `block`.
@@ -1450,6 +978,17 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         self.distinct_blocks * self.config.block_size
     }
 
+    /// The KV capacity occupancy is measured against: the configured
+    /// token budget under the reserve rule, the whole-block pool under
+    /// paging.
+    fn kv_capacity_tokens(&self) -> usize {
+        if self.reserve() {
+            self.config.kv_budget_tokens
+        } else {
+            self.allocator.total_tokens()
+        }
+    }
+
     /// The prompt a (possibly resumed) request must prefill: its original
     /// prompt plus everything it had generated before preemption.
     fn effective_prompt(&self, idx: usize) -> usize {
@@ -1463,10 +1002,10 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         if let Some(request) = self.source.next() {
             self.last_arrival_s = request.arrival_s;
             let slot = if let Some(slot) = self.free_slots.pop() {
-                self.slots[slot] = PagedSlot::new(request);
+                self.slots[slot] = Slot::new(request);
                 slot
             } else {
-                self.slots.push(PagedSlot::new(request));
+                self.slots.push(Slot::new(request));
                 self.slots.len() - 1
             };
             self.events
@@ -1474,25 +1013,28 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         }
     }
 
-    /// Integrates the time-weighted signals over `[now, t)` — all four are
-    /// O(1) reads of running counters — and advances the clock.
+    /// Integrates the time-weighted signals over `[now, t)` — all are O(1)
+    /// reads of running counters — and advances the clock. The block and
+    /// tier gauges exist only under paging.
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.now;
         if dt > 0.0 {
             let occupied = self.occupied_tokens();
-            let seq_slots = self.sequence_slots();
             self.queue_depth.observe(self.queue.len() as f64, dt);
             self.occupancy
-                .observe(occupied as f64 / self.allocator.total_tokens() as f64, dt);
-            self.block_util.observe(self.allocator.utilization(), dt);
-            // Internal fragmentation over the sequence-held slots only
-            // (cache-only blocks are full of cached tokens, not waste).
-            let frag = if seq_slots > 0 {
-                1.0 - occupied as f64 / seq_slots as f64
-            } else {
-                0.0
-            };
-            self.fragmentation.observe(frag, dt);
+                .observe(occupied as f64 / self.kv_capacity_tokens() as f64, dt);
+            if !self.reserve() {
+                self.block_util.observe(self.allocator.utilization(), dt);
+                // Internal fragmentation over the sequence-held slots only
+                // (cache-only blocks are full of cached tokens, not waste).
+                let seq_slots = self.sequence_slots();
+                let frag = if seq_slots > 0 {
+                    1.0 - occupied as f64 / seq_slots as f64
+                } else {
+                    0.0
+                };
+                self.fragmentation.observe(frag, dt);
+            }
             if self.tiers_enabled {
                 let model = self.residency.model();
                 let ddr_cap = model.ddr.capacity_blocks;
@@ -1566,12 +1108,17 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         }
     }
 
-    /// Drives the run to drain.
+    /// Drives the run to drain: pop events, drain co-timed ones, process
+    /// batch boundaries.
     fn drive<C: ServingCostModel>(&mut self, cost: &mut C) {
         self.schedule_next_arrival();
         while let Some(scheduled) = self.events.pop() {
             self.advance_to(scheduled.at_s);
             let mut step_done = self.apply(scheduled.event);
+            // Drain everything co-timed with this event before touching
+            // the batch: two arrivals at the same instant must both be
+            // admissible in the same wave, exactly as the reference loop's
+            // pull-then-admit ordering guarantees.
             while let Some(next) = self.events.pop_due(self.now) {
                 step_done |= self.apply(next.event);
             }
@@ -1590,10 +1137,10 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         self.peak_queue = self.peak_queue.max(self.queue.len());
         self.admit();
         if self.running.is_empty() {
-            // With no sequences running, every resident block belongs
-            // solely to the prefix cache, so admission can always evict
-            // its way to room for the queue head (whose footprint fits
-            // the pool outright, or it was rejected above).
+            // An empty batch holds no KV of its own: nothing is reserved
+            // and every resident block belongs solely to the prefix
+            // cache, so admission can always make room for the queue head
+            // (whose footprint fits outright, or it was rejected above).
             debug_assert!(self.queue.is_empty());
         } else if self.has_steppable_work() {
             self.start_step(cost);
@@ -1607,7 +1154,8 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
     /// Whether a step launched now would make progress: something to
     /// prefill, or at least one running sequence that can actually gain a
     /// token. Without tiers this is always true of a non-empty batch
-    /// (finished sequences retire at the boundary and unprefilled ones
+    /// (finished sequences retire at the boundary — static batching holds
+    /// them only beside members still decoding — and unprefilled ones
     /// count as pending prefill); only swap-in waits can make it false.
     fn has_steppable_work(&self) -> bool {
         self.pending_prefill > 0
@@ -1646,15 +1194,18 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         (promoted_tokens, promote_wait_s)
     }
 
-    /// Paged admission: QoS-prioritized FIFO ([`QosAdmission::pick`] —
-    /// plain FIFO on single-class queues), gated by the batch limit and by
-    /// *current* need — enough free blocks for the prompt and the first
-    /// output token, after prefix-cache hits and cold-block eviction —
-    /// instead of the whole lifetime footprint. Requests whose completed
-    /// footprint exceeds the sequence-usable pool (the adapter cache's
-    /// carve excluded) are rejected outright (they could never run, even
-    /// alone with the cache flushed).
+    /// Admission at this batch boundary: QoS-prioritized FIFO
+    /// ([`QosAdmission::pick`] — plain FIFO on single-class queues), gated
+    /// by the batch limit and the policy's KV rule ([`RunCore::claim`]);
+    /// static batching admits only into an empty batch. Requests whose
+    /// completed footprint exceeds the token budget (reserve rule) or the
+    /// sequence-usable pool (paging; the adapter cache's carve excluded)
+    /// are rejected outright: they could never run, even alone with the
+    /// cache flushed.
     fn admit(&mut self) {
+        if self.static_batch() && !self.running.is_empty() {
+            return;
+        }
         while self.running.len() < self.config.max_batch {
             let Some(pick) = self.qos.pick(
                 self.queue.iter().map(|&s| self.slots[s].request.qos),
@@ -1673,103 +1224,90 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 }
                 continue;
             }
-            let request = self.slots[head].request;
-            let full_need = self
-                .allocator
-                .blocks_for_tokens(request.kv_tokens_at_completion());
-            if full_need > self.allocator.total_blocks() - self.adapter_blocks.len() {
+            let footprint = self.slots[head].request.kv_tokens_at_completion();
+            let never_fits = if self.reserve() {
+                footprint > self.config.kv_budget_tokens
+            } else {
+                self.allocator.blocks_for_tokens(footprint)
+                    > self.allocator.total_blocks() - self.adapter_blocks.len()
+            };
+            if never_fits {
                 self.queue.remove(pick.position);
                 self.rejected += 1;
                 self.qos.record_reject(class);
                 self.free_slots.push(head);
                 continue;
             }
-            let prompt = self.effective_prompt(head);
-            // At least one prompt token must be prefilled to produce the
-            // next output token, so the lookup stops one short of the
-            // prompt end.
-            let ids = if self.cache.is_some() {
-                request.stream.token_ids(prompt.saturating_sub(1))
-            } else {
-                Vec::new()
-            };
-            let matched = match &mut self.cache {
-                Some(cache) => cache.lookup(&ids, &mut self.allocator),
-                None => Vec::new(),
-            };
-            let cached_tokens = matched.len() * self.config.block_size;
-            // Blocks for the post-prefill context (prompt + first token).
-            let target = self.allocator.blocks_for_tokens(prompt + 1);
-            let need_now = target - matched.len();
-            // Check feasibility *before* evicting: a head request that
-            // cannot be admitted even with the cache fully drained must
-            // not flush resident blocks for nothing (later same-prefix
-            // arrivals would lose their hits to a failed admission). The
-            // O(cache nodes) evictable scan only runs when the free list
-            // alone cannot cover the need.
-            if self.allocator.free_blocks() < need_now {
-                let evictable = self
-                    .cache
-                    .as_ref()
-                    .map_or(0, |cache| cache.evictable_blocks(&self.allocator));
-                if self.allocator.free_blocks() + evictable < need_now {
-                    // Head-of-line wait: hand the shared references back.
-                    for block in matched {
-                        self.release_block(block);
-                    }
-                    break;
-                }
-            }
-            let mut starved = false;
-            while self.allocator.free_blocks() < need_now {
-                if !self.evict_one() {
-                    // Defense in depth: the feasibility count above is the
-                    // cascade-deliverable total, but if eviction ever
-                    // under-delivers, fall back to head-of-line waiting
-                    // rather than spinning on an unevictable cache.
-                    starved = true;
-                    break;
-                }
-            }
-            if starved {
-                for block in matched {
-                    self.release_block(block);
-                }
+            // Head-of-line wait for residents to finish. The pick is not
+            // committed, so the aging clock does not advance.
+            let Some(active) = self.claim(head, footprint) else {
                 break;
-            }
-            let (promoted_tokens, promote_wait_s) =
-                self.promote_demoted_suffix(&ids, cached_tokens);
+            };
             self.queue.remove(pick.position);
             self.qos.record_admit(class, pick);
-            let mut blocks = matched;
-            for _ in 0..need_now {
-                blocks.push(self.allocator.alloc().expect("free blocks checked"));
-            }
-            for &block in &blocks {
-                self.add_run_ref(block);
-            }
             if !self.slots[head].was_admitted {
                 self.slots[head].was_admitted = true;
                 self.admitted += 1;
             }
             self.pending_prefill += 1;
-            self.running.push(PagedActive {
-                idx: head,
-                prefilled: false,
-                // The cached and promoted prefix is already committed
-                // context: chunked prefill resumes after it.
-                prefilled_tokens: cached_tokens + promoted_tokens,
-                spec_bursts: 0,
-                context_tokens: 0,
-                remaining_decode: 0,
-                cached_prefix_tokens: cached_tokens,
-                promoted_tokens,
-                promote_wait_s,
-                swapping: false,
-                blocks,
-                done_s: None,
-            });
+            self.running.push(active);
         }
+        self.peak_reserved = self.peak_reserved.max(self.reserved);
+    }
+
+    /// Claims KV for the queue head under the policy's rule, or `None`
+    /// when it must wait. The reserve rule charges the whole lifetime
+    /// `footprint` against the token budget. Paging needs only enough
+    /// free blocks for the prompt and the first output token, after
+    /// prefix-cache hits and cold-block eviction, and promotes demoted
+    /// continuations of a cached prefix back from the lower tiers.
+    fn claim(&mut self, head: usize, footprint: usize) -> Option<PagedActive> {
+        if self.reserve() {
+            if self.reserved + footprint > self.config.kv_budget_tokens {
+                return None;
+            }
+            self.reserved += footprint;
+            return Some(PagedActive::admitted(head, 0, 0, 0.0, Vec::new()));
+        }
+        let request = self.slots[head].request;
+        let prompt = self.effective_prompt(head);
+        // At least one prompt token must be prefilled to produce the next
+        // output token, so the lookup stops one short of the prompt end.
+        let ids = if self.cache.is_some() {
+            request.stream.token_ids(prompt.saturating_sub(1))
+        } else {
+            Vec::new()
+        };
+        let matched = match &mut self.cache {
+            Some(cache) => cache.lookup(&ids, &mut self.allocator),
+            None => Vec::new(),
+        };
+        let cached_tokens = matched.len() * self.config.block_size;
+        // Blocks for the post-prefill context (prompt + first token).
+        let target = self.allocator.blocks_for_tokens(prompt + 1);
+        let need_now = target - matched.len();
+        if !self.make_room(need_now) {
+            // Head-of-line wait: hand the shared references back.
+            for block in matched {
+                self.release_block(block);
+            }
+            return None;
+        }
+        let (promoted_tokens, promote_wait_s) = self.promote_demoted_suffix(&ids, cached_tokens);
+        let mut blocks = matched;
+        for _ in 0..need_now {
+            blocks.push(self.allocator.alloc().expect("free blocks checked"));
+        }
+        for &block in &blocks {
+            self.add_run_ref(block);
+        }
+        Some(PagedActive::admitted(
+            head,
+            cached_tokens,
+            promoted_tokens,
+            promote_wait_s,
+            blocks,
+        ))
     }
 
     /// Re-admits a swapped-out sequence: finds it `blocks_needed` free
@@ -1781,19 +1319,8 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
     fn admit_swap_in(&mut self, head: usize, pick: crate::tenant::QosPick) -> bool {
         let swapped = self.swapped[&head];
         let need = swapped.blocks_needed;
-        if self.allocator.free_blocks() < need {
-            let evictable = self
-                .cache
-                .as_ref()
-                .map_or(0, |cache| cache.evictable_blocks(&self.allocator));
-            if self.allocator.free_blocks() + evictable < need {
-                return false;
-            }
-        }
-        while self.allocator.free_blocks() < need {
-            if !self.evict_one() {
-                return false; // defense in depth, as in `admit`
-            }
+        if !self.make_room(need) {
+            return false;
         }
         self.queue.remove(pick.position);
         // A resumed victim re-enters the batch: that is a per-class batch
@@ -1827,6 +1354,33 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             blocks,
             done_s: None,
         });
+        true
+    }
+
+    /// Frees at least `need` blocks by evicting cold cache blocks, or
+    /// returns `false` (admission waits head-of-line). Feasibility is
+    /// checked *before* evicting: a head request that cannot be admitted
+    /// even with the cache fully drained must not flush resident blocks
+    /// for nothing (later same-prefix arrivals would lose their hits to a
+    /// failed admission). The O(cache nodes) evictable scan only runs when
+    /// the free list alone cannot cover the need. The count is the
+    /// cascade-deliverable total, but if eviction ever under-delivers,
+    /// this gives up rather than spinning on an unevictable cache.
+    fn make_room(&mut self, need: usize) -> bool {
+        if self.allocator.free_blocks() < need {
+            let evictable = self
+                .cache
+                .as_ref()
+                .map_or(0, |cache| cache.evictable_blocks(&self.allocator));
+            if self.allocator.free_blocks() + evictable < need {
+                return false;
+            }
+        }
+        while self.allocator.free_blocks() < need {
+            if !self.evict_one() {
+                return false;
+            }
+        }
         true
     }
 
@@ -1899,11 +1453,14 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         self.events.push(end, completion);
     }
 
-    /// Adapter-load seconds this step pays — the [`RunCore`] rule verbatim
-    /// (distinct non-base adapters in batch order, misses priced by
-    /// [`ServingCostModel::adapter_load_seconds`]), except that swap-in
-    /// waiters contribute nothing: they gain no token this step, so their
-    /// adapter is not activated.
+    /// Adapter-load seconds this step pays: each distinct non-base adapter
+    /// of the batch (in batch order) touches the LRU, and every miss
+    /// streams its weights in via
+    /// [`ServingCostModel::adapter_load_seconds`]. Swap-in waiters
+    /// contribute nothing: they gain no token this step, so their adapter
+    /// is not activated. Zero — and no cache traffic at all — when adapter
+    /// paging is disabled or the batch is all base-model, which keeps
+    /// those runs bit-identical.
     fn adapter_switch_seconds<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         if !self.config.adapters.enabled() {
             return 0.0;
@@ -1947,8 +1504,9 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             active.prefilled = true;
             active.context_tokens = prompt + 1;
             self.sum_context += active.context_tokens;
-            // Saturating for the same reason as the reserve-up-front path:
-            // a denormalized zero-output request must not underflow.
+            // Saturating: a streamed request can bypass `RequestTrace::new`'s
+            // output_tokens ≥ 1 normalization, and an underflow here would
+            // wedge the run.
             active.remaining_decode = request
                 .output_tokens
                 .saturating_sub(1 + slot.generated_before);
@@ -1971,10 +1529,7 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         cursor - self.now
     }
 
-    /// One decode step: every running sequence gains a token, allocating a
-    /// fresh block at each block boundary. Allocation failure resolves by
-    /// evicting cold cache blocks first and preempting the latest-admitted
-    /// sequence (recompute) second.
+    /// One decode step: every running sequence gains a token.
     fn decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.decode_steps += 1;
         let batch = self.running.len();
@@ -1984,18 +1539,25 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             .map(|a| a.context_tokens)
             .fold(0, usize::max);
         let dt = cost.decode_step_seconds(batch, max_context);
+        self.decode_one_token_each(cost);
+        dt
+    }
+
+    /// Gives every decoding sequence one token. Swap-in waiters hold their
+    /// batch slot but gain no token until the transfer lands. A paged
+    /// sequence allocates a fresh block at each block boundary; allocation
+    /// failure resolves by evicting cold cache blocks first and preempting
+    /// the latest-admitted sequence second.
+    fn decode_one_token_each<C: ServingCostModel>(&mut self, cost: &mut C) {
+        let paged = !self.reserve();
         let mut i = 0;
         while i < self.running.len() {
-            // Swap-in waiters hold their batch slot but gain no token
-            // until the transfer lands.
-            if self.running[i].remaining_decode == 0 || self.running[i].swapping {
+            let active = &self.running[i];
+            if active.remaining_decode == 0 || active.swapping {
                 i += 1;
                 continue;
             }
-            let active = &self.running[i];
-            let needs_block =
-                self.allocator.blocks_for_tokens(active.context_tokens + 1) > active.blocks.len();
-            if needs_block {
+            if paged && self.needs_block(i) {
                 match self.grow(i, cost) {
                     Some(at) => i = at,
                     None => continue, // self-preempted; `i` now names the next sequence
@@ -2007,7 +1569,14 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             self.sum_context += 1;
             i += 1;
         }
-        dt
+    }
+
+    /// Whether the paged sequence at `i` must grow a block before its
+    /// next token. (Reserved sequences never grow: admission charged
+    /// their whole footprint.)
+    fn needs_block(&self, i: usize) -> bool {
+        let active = &self.running[i];
+        self.allocator.blocks_for_tokens(active.context_tokens + 1) > active.blocks.len()
     }
 
     /// One chunked batch step: each unprefilled sequence contributes its
@@ -2059,30 +1628,10 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         mix.decode_batch = decode_batch;
         let dt = cost.step_seconds(&mix) + promote_wait;
         let end = self.now + dt;
-        // Decode progress first (so a prefill completing in this step does
-        // not also decode in it), mirroring the plain decode step's
-        // grow-and-preempt loop.
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].remaining_decode == 0 || self.running[i].swapping {
-                i += 1;
-                continue;
-            }
-            let active = &self.running[i];
-            let needs_block =
-                self.allocator.blocks_for_tokens(active.context_tokens + 1) > active.blocks.len();
-            if needs_block {
-                match self.grow(i, cost) {
-                    Some(at) => i = at,
-                    None => continue, // self-preempted; `i` names the next sequence
-                }
-            }
-            let active = &mut self.running[i];
-            active.context_tokens += 1;
-            active.remaining_decode -= 1;
-            self.sum_context += 1;
-            i += 1;
-        }
+        // Decode progress first, so a prefill completing in this step does
+        // not also decode in it.
+        self.decode_one_token_each(cost);
+        let reserve = self.reserve();
         for (slot, take) in chunks {
             self.chunked_prefill_tokens += take as u64;
             let pos = self
@@ -2092,19 +1641,21 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 .expect("mid-prefill sequences are never preempted");
             let active = &mut self.running[pos];
             active.prefilled_tokens += take;
-            // Committed context is resident context: growing it with the
-            // cursor keeps the shared-block occupancy arithmetic exact
-            // while the document streams in.
-            let before = active.context_tokens;
-            active.context_tokens = active.prefilled_tokens;
-            self.sum_context += active.context_tokens - before;
+            if !reserve {
+                // Committed context is resident context: growing it with
+                // the cursor keeps the shared-block occupancy arithmetic
+                // exact while the document streams in. (A reserved prompt
+                // counts as resident only once its last chunk lands.)
+                self.sum_context += active.prefilled_tokens - active.context_tokens;
+                active.context_tokens = active.prefilled_tokens;
+            }
             let slot_state = &mut self.slots[slot];
             let request = slot_state.request;
             let prompt = request.prompt_tokens + slot_state.generated_before;
             if active.prefilled_tokens == prompt {
                 active.prefilled = true;
+                self.sum_context += prompt + 1 - active.context_tokens;
                 active.context_tokens = prompt + 1;
-                self.sum_context += 1;
                 active.remaining_decode = request
                     .output_tokens
                     .saturating_sub(1 + slot_state.generated_before);
@@ -2147,6 +1698,7 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             .map(|a| a.context_tokens)
             .fold(0, usize::max);
         let dt = cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context);
+        let paged = !self.reserve();
         let mut i = 0;
         while i < self.running.len() {
             if self.running[i].remaining_decode == 0 || self.running[i].swapping {
@@ -2163,10 +1715,7 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             let gained = (accepted + 1).min(self.running[i].remaining_decode);
             let mut preempted_self = false;
             for _ in 0..gained {
-                let active = &self.running[i];
-                let needs_block = self.allocator.blocks_for_tokens(active.context_tokens + 1)
-                    > active.blocks.len();
-                if needs_block {
+                if paged && self.needs_block(i) {
                     if let Some(at) = self.grow(i, cost) {
                         i = at;
                     } else {
@@ -2275,9 +1824,13 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         self.pending_preemptions.push(victim.idx);
     }
 
-    /// Retires finished sequences: publishes their full blocks (prompt +
-    /// output) into the prefix cache so later conversation turns hit, then
-    /// releases every block reference.
+    /// Stamps generation-finish times and retires finished sequences:
+    /// publishes their full blocks (prompt + output) into the prefix cache
+    /// so later conversation turns hit, then releases every block
+    /// reference (the token reservation, under the reserve rule). Static
+    /// batching closes a finished request's record at its own last token
+    /// but holds its slot (and KV) until the whole batch drains — the
+    /// padding cost of the baseline.
     fn retire(&mut self) {
         let now = self.now;
         for active in &mut self.running {
@@ -2285,22 +1838,28 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 active.done_s = Some(now);
             }
         }
-        let mut retired = Vec::new();
-        self.running.retain(|active| {
-            if active.done_s.is_some() {
-                retired.push(active.clone());
-                false
-            } else {
-                true
+        if self.static_batch() && self.running.iter().any(|a| a.done_s.is_none()) {
+            return;
+        }
+        let mut retired = std::mem::take(&mut self.retired);
+        self.running.retain_mut(|active| {
+            if active.done_s.is_none() {
+                return true;
             }
+            let blocks = std::mem::take(&mut active.blocks);
+            retired.push(PagedActive { blocks, ..*active });
+            false
         });
-        for active in retired {
+        for active in retired.drain(..) {
             let done_s = active.done_s.expect("retired implies done");
             let slot = self.slots[active.idx];
             let request = slot.request;
             if let Some(cache) = &mut self.cache {
                 let ids = request.stream.token_ids(active.context_tokens);
                 cache.insert(&ids, &active.blocks, &mut self.allocator);
+            }
+            if self.reserve() {
+                self.reserved -= request.kv_tokens_at_completion();
             }
             self.sum_context -= active.context_tokens;
             for &block in &active.blocks {
@@ -2318,9 +1877,11 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             });
             self.free_slots.push(active.idx);
         }
+        self.retired = retired;
     }
 
-    /// Finalizes the report once the source has drained.
+    /// Finalizes the report once the source has drained. Reserved runs
+    /// report their token-exact reservation peak and no paged counters.
     fn into_report(mut self) -> ServingReport {
         self.records.sort_by_key(|r| r.id);
         let makespan = self
@@ -2334,26 +1895,10 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             .as_ref()
             .map(PrefixCache::stats)
             .unwrap_or_default();
-        ServingReport {
-            scheduler: self.config.scheduler,
-            records: self.records,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            makespan_s: makespan,
-            kv_budget_tokens: self.allocator.total_tokens(),
-            peak_kv_reserved_tokens: allocator_stats.peak_allocated_blocks * self.config.block_size,
-            peak_kv_occupied_tokens: self.peak_occupied,
-            mean_kv_occupancy: self.occupancy.mean(),
-            peak_batch: self.peak_batch,
-            peak_queue_depth: self.peak_queue,
-            mean_queue_depth: self.queue_depth.mean(),
-            decode_steps: self.decode_steps,
-            prefill_steps: self.prefill_steps,
-            chunk_steps: self.chunk_steps,
-            chunked_prefill_tokens: self.chunked_prefill_tokens,
-            qos: self.qos.stats(),
-            adapters: self.adapter_cache.stats(),
-            paged: Some(PagedStats {
+        let (peak_kv_reserved_tokens, paged) = if self.reserve() {
+            (self.peak_reserved, None)
+        } else {
+            let paged = PagedStats {
                 block_size: self.config.block_size,
                 total_blocks: allocator_stats.total_blocks,
                 peak_allocated_blocks: allocator_stats.peak_allocated_blocks,
@@ -2374,7 +1919,32 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 peak_disk_blocks: self.peak_disk_blocks,
                 mean_ddr_occupancy: self.ddr_occupancy.mean(),
                 mean_disk_occupancy: self.disk_occupancy.mean(),
-            }),
+            };
+            (
+                allocator_stats.peak_allocated_blocks * self.config.block_size,
+                Some(paged),
+            )
+        };
+        ServingReport {
+            scheduler: self.config.scheduler,
+            kv_budget_tokens: self.kv_capacity_tokens(),
+            records: self.records,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            makespan_s: makespan,
+            peak_kv_reserved_tokens,
+            peak_kv_occupied_tokens: self.peak_occupied,
+            mean_kv_occupancy: self.occupancy.mean(),
+            peak_batch: self.peak_batch,
+            peak_queue_depth: self.peak_queue,
+            mean_queue_depth: self.queue_depth.mean(),
+            decode_steps: self.decode_steps,
+            prefill_steps: self.prefill_steps,
+            chunk_steps: self.chunk_steps,
+            chunked_prefill_tokens: self.chunked_prefill_tokens,
+            qos: self.qos.stats(),
+            adapters: self.adapter_cache.stats(),
+            paged,
         }
     }
 }
@@ -2751,6 +2321,39 @@ mod tests {
         let stats = paged.paged.expect("paged stats");
         assert!(stats.prefix_hit_tokens > 0, "cache must hit");
         assert!(stats.preemptions > 0, "pool must run dry");
+    }
+
+    /// What stays O(batch + queue) in a streamed run is the live request
+    /// store: slots recycle as requests retire, so under every policy the
+    /// store never outgrows `peak_batch + peak_queue_depth + 1` (the `+ 1`
+    /// is the arrival pulled ahead of its event), however many requests
+    /// stream through. The completed records are kept in full.
+    #[test]
+    fn streamed_slot_store_stays_within_batch_plus_queue() {
+        let spec = SharedPrefixChatSpec::fleet(0.5, 400, 29);
+        let requests = spec.requests();
+        for config in [
+            ServingConfig::continuous(16, 30_000),
+            ServingConfig::static_batching(16, 30_000),
+            ServingConfig::paged(16, 30_000, 16).with_prefix_sharing(true),
+        ] {
+            let mut core = RunCore::new(config, spec.stream());
+            core.drive(&mut LinearCostModel::default_70b());
+            let store = core.slots.len();
+            let report = core.into_report();
+            assert_eq!(report.completed(), requests, "{}", config.scheduler);
+            let bound = report.peak_batch + report.peak_queue_depth + 1;
+            assert!(
+                store <= bound,
+                "{}: {store} slots exceed batch + queue bound {bound}",
+                config.scheduler
+            );
+            assert!(
+                store * 4 < requests,
+                "{}: {store} slots for {requests} requests do not recycle",
+                config.scheduler
+            );
+        }
     }
 
     #[test]

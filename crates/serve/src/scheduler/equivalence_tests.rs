@@ -39,7 +39,8 @@ fn canon(mut report: ServingReport) -> ServingReport {
     report
 }
 
-/// Runs `trace` through both cores and asserts canonical equality.
+/// Runs `trace` through the event core and the reference loop of its
+/// policy and asserts canonical equality.
 fn assert_equivalent(config: ServingConfig, trace: &RequestTrace) {
     let mut sim = ServingSimulator::new(LinearCostModel::default_70b(), config);
     let event_core = sim.run(trace);
@@ -249,8 +250,8 @@ proptest! {
 
     /// Multi-tenant equivalence: QoS priority admission (with aging) and
     /// adapter-cache pricing — including the paged policy's block carve —
-    /// come out identical on both cores across mixed interactive/batch
-    /// LoRA traces.
+    /// come out identical in the event core and the reference loops across
+    /// mixed interactive/batch LoRA traces.
     #[test]
     fn multi_tenant_runs_are_trace_equivalent(
         seed in 0u64..10_000,
@@ -279,8 +280,9 @@ proptest! {
     }
 
     /// The tenant workload families — shared-document RAG and tool-call
-    /// agent loops — are trace-equivalent on both cores, with the prefix
-    /// cache absorbing the shared documents / growing transcripts.
+    /// agent loops — are trace-equivalent between the event core and the
+    /// reference loop, with the prefix cache absorbing the shared
+    /// documents / growing transcripts.
     #[test]
     fn tenant_workloads_are_trace_equivalent(
         seed in 0u64..10_000,

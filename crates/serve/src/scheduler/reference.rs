@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use super::{Active, PagedActive, PagedStats, SchedulerKind, ServingConfig, ServingReport};
+use super::{PagedActive, PagedStats, SchedulerKind, ServingConfig, ServingReport};
 use crate::cost::{ChunkWork, ServingCostModel, StepMix};
 use crate::kv::BlockAllocator;
 use crate::lora::{AdapterCache, AdapterId};
@@ -22,6 +22,33 @@ use crate::metrics::RequestRecord;
 use crate::prefix::PrefixCache;
 use crate::tenant::QosAdmission;
 use crate::workload::RequestTrace;
+
+/// A request resident in the running batch.
+#[derive(Debug, Clone, Copy)]
+struct Active {
+    /// Slot id of the request in the run's slot store.
+    idx: usize,
+    /// Whether the prompt has been processed.
+    prefilled: bool,
+    /// Prompt tokens prefilled so far — the chunk cursor of chunked
+    /// prefill (equals the prompt once `prefilled`; unused, and left at
+    /// zero, when whole prompts prefill in dedicated waves).
+    prefilled_tokens: usize,
+    /// Draft-and-verify bursts this sequence has decoded through — the
+    /// per-sequence counter feeding the deterministic acceptance draws.
+    spec_bursts: u64,
+    /// Time the first output token was produced (valid once prefilled).
+    first_token_s: f64,
+    /// Tokens currently in the KV cache (prompt + generated so far).
+    context_tokens: usize,
+    /// Decode tokens still to generate (the prefill emits the first).
+    remaining_decode: usize,
+    /// KV tokens reserved against the budget at admission.
+    reserved_tokens: usize,
+    /// Time the last output token was produced (set once generation
+    /// finishes; under static batching the slot may stay blocked longer).
+    done_s: Option<f64>,
+}
 
 /// Runs a reserve-up-front trace through the old step loop.
 pub(super) fn run_reference<C: ServingCostModel>(

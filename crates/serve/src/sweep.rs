@@ -544,42 +544,44 @@ pub struct CapacityResult {
     pub goodput_rps: f64,
 }
 
-/// One replica under test: reuses a single memoized cost model across all
-/// probed rates (its latencies are pure functions of (batch, context),
-/// independent of the arrival rate).
-struct CapacityProbe<'a, F> {
-    cost: &'a mut EstimatorCostModel,
-    config: ServingConfig,
-    spec: CapacitySpec,
-    trace_for_rate: F,
-}
-
-impl<F: FnMut(f64) -> RequestTrace> CapacityProbe<'_, F> {
-    fn run(&mut self, rate: f64) -> (bool, CapacityResult) {
-        let trace = (self.trace_for_rate)(rate);
-        let mut simulator = ServingSimulator::new(self.cost.clone(), self.config);
-        let report = simulator.run(&trace);
-        *self.cost = simulator.into_cost_model();
-        judge_probe(&report, &self.spec, rate)
-    }
-}
-
-/// Judges one probed rate's report against the capacity spec's p99 SLO —
-/// the feasibility rule every capacity search shares.
-fn judge_probe(report: &ServingReport, spec: &CapacitySpec, rate: f64) -> (bool, CapacityResult) {
-    let ttft: Vec<f64> = report.records.iter().map(RequestRecord::ttft_s).collect();
-    let tpot: Vec<f64> = report.records.iter().map(RequestRecord::tpot_s).collect();
+/// Judges one probe's completed `records` against `slo` at the 99th
+/// percentile — the feasibility rule every capacity search shares: no
+/// rejections, and p99 TTFT and p99 TPOT within the objective.
+/// `goodput_rps` is the probe's SLO goodput, which a fleet or a
+/// disaggregated pool computes over its own span.
+fn judge_probe(
+    records: &[RequestRecord],
+    rejected: usize,
+    goodput_rps: f64,
+    slo: &SloTarget,
+    rate: f64,
+) -> (bool, CapacityResult) {
+    let ttft: Vec<f64> = records.iter().map(RequestRecord::ttft_s).collect();
+    let tpot: Vec<f64> = records.iter().map(RequestRecord::tpot_s).collect();
     let p99_ttft = percentile(&ttft, 99.0);
     let p99_tpot = percentile(&tpot, 99.0);
-    let feasible =
-        report.rejected == 0 && p99_ttft <= spec.slo.ttft_s && p99_tpot <= spec.slo.tpot_s;
+    let feasible = rejected == 0 && p99_ttft <= slo.ttft_s && p99_tpot <= slo.tpot_s;
     let result = CapacityResult {
         max_rate_rps: rate,
         p99_ttft_s: p99_ttft,
         p99_tpot_s: p99_tpot,
-        goodput_rps: report.goodput_rps(&spec.slo),
+        goodput_rps,
     };
     (feasible, result)
+}
+
+/// Runs one probe on a replica, handing the cost model back with its
+/// memoized latencies warm for the next probe (they are pure functions of
+/// (batch, context), independent of the arrival rate).
+fn run_probe<C: ServingCostModel + Clone>(
+    cost: &mut C,
+    config: ServingConfig,
+    trace: &RequestTrace,
+) -> ServingReport {
+    let mut simulator = ServingSimulator::new(cost.clone(), config);
+    let report = simulator.run(trace);
+    *cost = simulator.into_cost_model();
+    report
 }
 
 /// Finds the highest Poisson arrival rate one replica sustains while its
@@ -597,8 +599,8 @@ pub fn capacity_search(
 ) -> CapacityResult {
     let requests = spec.requests;
     let seed = spec.seed;
-    capacity_search_with(
-        EstimatorCostModel::new(machine.clone(), model.clone(), *scheme, engine),
+    capacity_search_warm(
+        &mut EstimatorCostModel::new(machine.clone(), model.clone(), *scheme, engine),
         config,
         spec,
         move |rate| WorkloadSpec::chat(rate, requests, seed).generate(),
@@ -611,36 +613,27 @@ pub fn capacity_search(
 /// `trace_for_rate` maps a probed arrival rate to the trace offered at
 /// that rate (e.g. [`crate::SharedPrefixChatSpec::with_rate`], so paged +
 /// prefix-sharing replicas are searched on the shared-prefix workload they
-/// exist for). Same bracketing/bisection as [`capacity_search`].
+/// exist for). Same bracketing/bisection as [`capacity_search`]. The cost
+/// model is borrowed and left with its memoized latency caches warm — the
+/// shape for sweeping several configurations of the *same* replica (e.g.
+/// the three admission policies of `bench_paged`), where every search asks
+/// the estimator the same (batch, context) questions.
 #[must_use]
-pub fn capacity_search_with<F: FnMut(f64) -> RequestTrace>(
-    mut cost: EstimatorCostModel,
+pub fn capacity_search_warm<C, F>(
+    cost: &mut C,
     config: &ServingConfig,
     spec: &CapacitySpec,
-    trace_for_rate: F,
-) -> CapacityResult {
-    capacity_search_warm(&mut cost, config, spec, trace_for_rate)
-}
-
-/// [`capacity_search_with`], but borrowing the cost model and leaving its
-/// memoized latency caches warm — the shape for sweeping several
-/// configurations of the *same* replica (e.g. the three admission policies
-/// of `bench_paged`), where every search asks the estimator the same
-/// (batch, context) questions.
-#[must_use]
-pub fn capacity_search_warm<F: FnMut(f64) -> RequestTrace>(
-    cost: &mut EstimatorCostModel,
-    config: &ServingConfig,
-    spec: &CapacitySpec,
-    trace_for_rate: F,
-) -> CapacityResult {
-    let mut probe = CapacityProbe {
-        cost,
-        config: *config,
-        spec: *spec,
-        trace_for_rate,
-    };
-    bracket_and_bisect(spec, &mut |rate| probe.run(rate))
+    mut trace_for_rate: F,
+) -> CapacityResult
+where
+    C: ServingCostModel + Clone,
+    F: FnMut(f64) -> RequestTrace,
+{
+    bracket_and_bisect(spec, &mut |rate| {
+        let report = run_probe(cost, *config, &trace_for_rate(rate));
+        let goodput = report.goodput_rps(&spec.slo);
+        judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
+    })
 }
 
 /// The knee-finding core shared by every capacity search: double out of
@@ -705,7 +698,7 @@ pub struct PoolSplitResult {
 /// partitioning `sockets` into a non-empty prefill pool and a non-empty
 /// decode pool, finds the highest arrival rate the disaggregated
 /// deployment sustains within the p99 SLO (same bracketing/bisection as
-/// [`capacity_search_with`], feasibility judged on the stitched
+/// [`capacity_search_warm`], feasibility judged on the stitched
 /// end-to-end records). Pick the winner with [`best_pool_split`].
 pub fn disagg_capacity_search_with<C, F, T>(
     mut cost: F,
@@ -731,20 +724,8 @@ where
             let capacity = bracket_and_bisect(spec, &mut |rate| {
                 let trace = trace_for_rate(rate);
                 let report = simulate_disaggregated_with(&mut cost, config, &split, &trace);
-                let ttft: Vec<f64> = report.records.iter().map(RequestRecord::ttft_s).collect();
-                let tpot: Vec<f64> = report.records.iter().map(RequestRecord::tpot_s).collect();
-                let p99_ttft = percentile(&ttft, 99.0);
-                let p99_tpot = percentile(&tpot, 99.0);
-                let feasible = report.rejected == 0
-                    && p99_ttft <= spec.slo.ttft_s
-                    && p99_tpot <= spec.slo.tpot_s;
-                let result = CapacityResult {
-                    max_rate_rps: rate,
-                    p99_ttft_s: p99_ttft,
-                    p99_tpot_s: p99_tpot,
-                    goodput_rps: report.goodput_rps(&spec.slo),
-                };
-                (feasible, result)
+                let goodput = report.goodput_rps(&spec.slo);
+                judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
             });
             PoolSplitResult {
                 prefill_replicas,
@@ -758,7 +739,7 @@ where
 /// The capacity search over a *colocated* fleet: the highest arrival rate
 /// `replicas` identical prefill+decode replicas sustain within the p99
 /// SLO — the same-socket-count baseline a disaggregated pool split must
-/// beat. Same bracketing/bisection as [`capacity_search_with`],
+/// beat. Same bracketing/bisection as [`capacity_search_warm`],
 /// feasibility judged on the fleet's pooled records.
 pub fn fleet_capacity_search_with<C, F, T>(
     mut cost: F,
@@ -775,20 +756,8 @@ where
     bracket_and_bisect(spec, &mut |rate| {
         let trace = trace_for_rate(rate);
         let fleet = simulate_fleet_with(&mut cost, config, replicas, &trace);
-        let records = fleet.records();
-        let ttft: Vec<f64> = records.iter().map(RequestRecord::ttft_s).collect();
-        let tpot: Vec<f64> = records.iter().map(RequestRecord::tpot_s).collect();
-        let p99_ttft = percentile(&ttft, 99.0);
-        let p99_tpot = percentile(&tpot, 99.0);
-        let feasible =
-            fleet.rejected() == 0 && p99_ttft <= spec.slo.ttft_s && p99_tpot <= spec.slo.tpot_s;
-        let result = CapacityResult {
-            max_rate_rps: rate,
-            p99_ttft_s: p99_ttft,
-            p99_tpot_s: p99_tpot,
-            goodput_rps: fleet.goodput_rps(&spec.slo),
-        };
-        (feasible, result)
+        let goodput = fleet.goodput_rps(&spec.slo);
+        judge_probe(&fleet.records(), fleet.rejected(), goodput, &spec.slo, rate)
     })
 }
 
@@ -809,7 +778,7 @@ pub struct ChunkBudgetPoint {
 /// budgets bound the decode stall a long-document prefill inflicts on
 /// co-resident chats (better p99 TPOT) but pay per-chunk step overhead;
 /// the sweep locates the knee. Same bracketing/bisection as
-/// [`capacity_search_with`].
+/// [`capacity_search_warm`].
 pub fn chunk_budget_capacity_sweep_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -825,13 +794,7 @@ where
         .iter()
         .map(|&chunk_budget_tokens| {
             let chunked = config.with_chunked_prefill(chunk_budget_tokens);
-            let capacity = bracket_and_bisect(spec, &mut |rate| {
-                let trace = trace_for_rate(rate);
-                let mut simulator = ServingSimulator::new(cost.clone(), chunked);
-                let report = simulator.run(&trace);
-                *cost = simulator.into_cost_model();
-                judge_probe(&report, spec, rate)
-            });
+            let capacity = capacity_search_warm(cost, &chunked, spec, &mut trace_for_rate);
             ChunkBudgetPoint {
                 chunk_budget_tokens,
                 capacity,
@@ -865,16 +828,23 @@ pub struct QosCapacityResult {
     pub batch: ClassOutcome,
 }
 
-/// One class's slice of a report, judged against that class's SLO.
-fn class_outcome(report: &ServingReport, class: QosClass, slo: &SloTarget) -> ClassOutcome {
+/// One class's slice of a probe's report, judged against that class's
+/// SLO (any rejection, in either class, fails the probe).
+fn class_outcome(
+    report: &ServingReport,
+    class: QosClass,
+    slo: &SloTarget,
+    rate: f64,
+) -> (bool, ClassOutcome) {
+    let goodput = report.class_goodput_rps(class, slo);
     let records = report.class_records(class);
-    let ttft: Vec<f64> = records.iter().map(RequestRecord::ttft_s).collect();
-    let tpot: Vec<f64> = records.iter().map(RequestRecord::tpot_s).collect();
-    ClassOutcome {
-        p99_ttft_s: percentile(&ttft, 99.0),
-        p99_tpot_s: percentile(&tpot, 99.0),
-        goodput_rps: report.class_goodput_rps(class, slo),
-    }
+    let (feasible, tail) = judge_probe(&records, report.rejected, goodput, slo, rate);
+    let outcome = ClassOutcome {
+        p99_ttft_s: tail.p99_ttft_s,
+        p99_tpot_s: tail.p99_tpot_s,
+        goodput_rps: tail.goodput_rps,
+    };
+    (feasible, outcome)
 }
 
 /// The per-class QoS capacity search: the highest arrival rate one replica
@@ -882,7 +852,7 @@ fn class_outcome(report: &ServingReport, class: QosClass, slo: &SloTarget) -> Cl
 /// Interactive class judged against `spec.slo`, the Batch class against
 /// the (typically much looser) `batch_slo` — with no rejections in either
 /// lane. On a single-class trace the batch side is vacuous and the search
-/// degenerates to [`capacity_search_with`]'s rule exactly. Same
+/// degenerates to [`capacity_search_warm`]'s rule exactly. Same
 /// bracketing/bisection as every other capacity search.
 pub fn qos_capacity_search_with<C, F>(
     cost: &mut C,
@@ -899,17 +869,10 @@ where
     // breakdown can be recovered after the search.
     let mut outcomes: Vec<(f64, ClassOutcome, ClassOutcome)> = Vec::new();
     let capacity = bracket_and_bisect(spec, &mut |rate| {
-        let trace = trace_for_rate(rate);
-        let mut simulator = ServingSimulator::new(cost.clone(), *config);
-        let report = simulator.run(&trace);
-        *cost = simulator.into_cost_model();
-        let interactive = class_outcome(&report, QosClass::Interactive, &spec.slo);
-        let batch = class_outcome(&report, QosClass::Batch, batch_slo);
-        let feasible = report.rejected == 0
-            && interactive.p99_ttft_s <= spec.slo.ttft_s
-            && interactive.p99_tpot_s <= spec.slo.tpot_s
-            && batch.p99_ttft_s <= batch_slo.ttft_s
-            && batch.p99_tpot_s <= batch_slo.tpot_s;
+        let report = run_probe(cost, *config, &trace_for_rate(rate));
+        let (interactive_ok, interactive) =
+            class_outcome(&report, QosClass::Interactive, &spec.slo, rate);
+        let (batch_ok, batch) = class_outcome(&report, QosClass::Batch, batch_slo, rate);
         outcomes.push((rate, interactive, batch));
         let result = CapacityResult {
             max_rate_rps: rate,
@@ -917,7 +880,7 @@ where
             p99_tpot_s: interactive.p99_tpot_s,
             goodput_rps: report.goodput_rps(&spec.slo),
         };
-        (feasible, result)
+        (interactive_ok && batch_ok, result)
     });
     let (_, interactive, batch) = *outcomes
         .iter()
@@ -972,17 +935,15 @@ where
         .iter()
         .map(|&acceptance_rate| {
             let speculation = SpeculationSpec::new(draft_tokens, acceptance_rate, draw_seed);
-            let mut simulator =
-                ServingSimulator::new(cost.clone(), config.with_speculation(speculation));
-            let report = simulator.run(trace);
-            *cost = simulator.into_cost_model();
-            let ttft: Vec<f64> = report.records.iter().map(RequestRecord::ttft_s).collect();
-            let tpot: Vec<f64> = report.records.iter().map(RequestRecord::tpot_s).collect();
+            let report = run_probe(cost, config.with_speculation(speculation), trace);
+            // The curve probes acceptance on one trace, not an arrival rate.
+            let goodput = report.goodput_rps(slo);
+            let (_, tail) = judge_probe(&report.records, report.rejected, goodput, slo, 0.0);
             SpeculationPoint {
                 acceptance_rate,
-                p99_ttft_s: percentile(&ttft, 99.0),
-                p99_tpot_s: percentile(&tpot, 99.0),
-                goodput_rps: report.goodput_rps(slo),
+                p99_ttft_s: tail.p99_ttft_s,
+                p99_tpot_s: tail.p99_tpot_s,
+                goodput_rps: tail.goodput_rps,
                 decode_steps: report.decode_steps,
             }
         })
@@ -1064,7 +1025,8 @@ mod tests {
         let baseline = bracket_and_bisect(&spec, &mut |rate| {
             let trace = mix.with_rate(rate).generate();
             let report = ServingSimulator::new(cost, config).run(&trace);
-            judge_probe(&report, &spec, rate)
+            let goodput = report.goodput_rps(&spec.slo);
+            judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
         });
         assert_eq!(points[0].capacity, baseline);
         for point in &points {
@@ -1128,7 +1090,8 @@ mod tests {
         let plain = bracket_and_bisect(&spec, &mut |rate| {
             let trace = WorkloadSpec::chat(rate, spec.requests, spec.seed).generate();
             let report = ServingSimulator::new(blind, config).run(&trace);
-            judge_probe(&report, &spec, rate)
+            let goodput = report.goodput_rps(&spec.slo);
+            judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
         });
         assert_eq!(qos.max_rate_rps, plain.max_rate_rps);
     }

@@ -62,7 +62,7 @@ impl std::fmt::Display for QosClass {
 
 /// Per-class admission and fairness counters of one serving run, reported
 /// in [`crate::ServingReport`]. Every field is an exact count, computed
-/// identically by the event cores and the reference loops.
+/// identically by the event core and the reference loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct QosStats {
     /// Interactive requests admitted.
@@ -108,7 +108,7 @@ pub struct QosPick {
 }
 
 /// The deterministic QoS admission policy, shared verbatim by
-/// [`crate::scheduler`]'s event cores and the test-only reference loops so
+/// [`crate::scheduler`]'s event core and the test-only reference loops so
 /// their reports stay bit-identical.
 ///
 /// Selection rule, applied per admission attempt:

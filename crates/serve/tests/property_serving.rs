@@ -470,7 +470,9 @@ proptest! {
     /// equivalence story rests on: a zero-capacity DDR tier reproduces
     /// the plain recompute-only paged run *bit for bit*, and a zero-cost
     /// (infinite-bandwidth, zero-latency) KV ship leaves every record
-    /// untouched — only the transfer counter moves.
+    /// untouched under every policy — on the paged policy only the
+    /// transfer counter moves, and the reserve-up-front policies, which
+    /// report no such counter, reproduce the whole report.
     #[test]
     fn degenerate_tiers_and_free_shipping_reproduce_the_plain_paged_run(
         seed in 0u64..10_000,
@@ -478,6 +480,7 @@ proptest! {
         max_batch in 1usize..12,
         blocks in 24usize..160,
         sharing in proptest::prop::bool::ANY,
+        policy in 0usize..3,
     ) {
         let spec = SharedPrefixChatSpec {
             turns_per_session: 2,
@@ -494,7 +497,17 @@ proptest! {
         let mut sim = ServingSimulator::new(LinearCostModel::default_70b(), tiered);
         prop_assert_eq!(sim.run(&trace), plain_report.clone());
 
-        let shipped = base.with_kv_ship(KvShipSpec {
+        let ship_base = match policy {
+            0 => base,
+            1 => base.with_scheduler(SchedulerKind::ContinuousBatching),
+            _ => base.with_scheduler(SchedulerKind::StaticBatching),
+        };
+        let plain_report = if policy == 0 {
+            plain_report
+        } else {
+            ServingSimulator::new(LinearCostModel::default_70b(), ship_base).run(&trace)
+        };
+        let shipped = ship_base.with_kv_ship(KvShipSpec {
             bytes_per_token: 300.0 * 1024.0,
             bandwidth_gbps: f64::INFINITY,
             latency_us: 0.0,
@@ -503,10 +516,11 @@ proptest! {
         let ship_report = sim.run(&trace);
         prop_assert_eq!(&ship_report.records, &plain_report.records);
         prop_assert_eq!(ship_report.rejected, plain_report.rejected);
-        prop_assert_eq!(
-            ship_report.paged.expect("paged run").kv_transfers,
-            trace.len() as u64
-        );
+        if let Some(paged) = ship_report.paged {
+            prop_assert_eq!(paged.kv_transfers, trace.len() as u64);
+        } else {
+            prop_assert_eq!(ship_report, plain_report);
+        }
     }
 
     /// Invariant 12: speculation changes *when* tokens retire, never *what*
