@@ -119,18 +119,17 @@ fn bench_engines_matrix(c: &mut Criterion) {
     group.finish();
 }
 
-/// SIMD-focused group: the AVX2 path against its forced portable fallback
-/// and the word-parallel incumbent, per scheme family, so a vector-path
-/// regression is visible even when the auto-tuner would mask it.
+/// SIMD-focused group: the AVX2 path against its forced portable word
+/// loop, per scheme family, so a regression on either path is visible even
+/// on hosts where the other one runs.
 fn bench_engine_simd(c: &mut Criterion) {
-    use deca_compress::{DecompressEngine, SimdEngine, WordParallelEngine};
+    use deca_compress::{DecompressEngine, SimdEngine};
 
     let mut group = c.benchmark_group("engine_simd");
     let tile = WeightGenerator::new(46).dense_matrix(16, 32).tile(0, 0);
-    let engines: [(&str, Box<dyn DecompressEngine>); 3] = [
+    let engines: [(&str, Box<dyn DecompressEngine>); 2] = [
         ("simd", Box::new(SimdEngine::new())),
         ("simd-portable", Box::new(SimdEngine::portable())),
-        ("word-parallel", Box::new(WordParallelEngine::new())),
     ];
     for scheme in [
         CompressionScheme::bf8_dense(),

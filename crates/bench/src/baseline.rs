@@ -2730,8 +2730,9 @@ mod tests {
         let names = crate::drift::experiment_names(&refreshed);
         assert_eq!(names, ["bench_paged", "bench_multitenant"]);
 
-        // The counters those artifacts predate default to empty, so a
-        // report deserialized without them equals one built with them.
+        // Nothing deserializes reports (the serde derives expand to
+        // nothing); the counters those artifacts predate only need to
+        // start at zero.
         assert_eq!(deca_serve::QosStats::default().admitted(), 0);
         let adapters = deca_serve::AdapterStats::default();
         assert_eq!(adapters.cache_loads, 0);

@@ -174,7 +174,7 @@ impl Bitmask {
     /// `i % 64` of word `i / 64`). Bits past `len` are always zero.
     ///
     /// This is the view DECA's POPCNT + parallel-prefix-sum circuitry
-    /// consumes, and what the word-parallel decompression engine iterates.
+    /// consumes, and what the SIMD engine's portable word loop iterates.
     #[must_use]
     pub fn words(&self) -> &[u64] {
         &self.words

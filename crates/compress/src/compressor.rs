@@ -132,9 +132,15 @@ impl Compressor {
     ///
     /// # Errors
     ///
-    /// Returns [`CompressError::CorruptTile`] if the assembled tile fails
+    /// Returns [`CompressError::NonFiniteWeight`] if any weight is NaN or
+    /// ±Inf, and [`CompressError::CorruptTile`] if the assembled tile fails
     /// validation (this indicates an internal bug rather than bad input).
     pub fn compress_tile(&self, tile: &DenseTile) -> Result<CompressedTile, CompressError> {
+        // Pruning, scale selection and quantization all assume finite
+        // weights; reject the others once, up front, under every scheme.
+        if let Some(position) = tile.elements().iter().position(|v| !v.to_f32().is_finite()) {
+            return Err(CompressError::NonFiniteWeight { position });
+        }
         let values = self.pruned_values(tile);
         let scales = self.group_scales(&values);
 
@@ -317,6 +323,30 @@ mod tests {
         assert_eq!(codes.len(), 2);
         assert_eq!(Bf16::from_bits(codes[0]).to_f32(), 1.0);
         assert_eq!(Bf16::from_bits(codes[1]).to_f32(), -2.0);
+    }
+
+    #[test]
+    fn non_finite_weights_are_an_error_under_every_scheme_kind() {
+        // One scheme per code path that assumes finite input: the plain
+        // encoder, the magnitude sort and the group-scale search.
+        for scheme in [
+            CompressionScheme::bf8_dense(),
+            CompressionScheme::bf8_sparse(0.5),
+            CompressionScheme::mxfp4(),
+        ] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut values = vec![0.5f32; TILE_ELEMS];
+                values[137] = bad;
+                let err = Compressor::new(scheme)
+                    .compress_tile(&DenseTile::from_f32(&values))
+                    .expect_err("non-finite weights must be rejected");
+                assert_eq!(
+                    err,
+                    CompressError::NonFiniteWeight { position: 137 },
+                    "{scheme} with {bad}"
+                );
+            }
+        }
     }
 
     #[test]

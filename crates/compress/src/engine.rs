@@ -3,8 +3,8 @@
 //! The paper's central observation is that *online weight decompression is
 //! the hot loop of compressed LLM inference*: every weight tile fetched from
 //! memory must be dequantized, expanded and scaled before the TMUL can
-//! consume it. This module turns the single hardcoded scalar path into an
-//! enumerable backend axis behind one trait.
+//! consume it. This module keeps one scalar reference and one fast tile
+//! kernel behind one trait, plus two whole-matrix drivers over that kernel.
 //!
 //! # The streaming, zero-copy contract
 //!
@@ -21,24 +21,21 @@
 //! * [`ScalarEngine`] — the functional ground truth: one dense position at a
 //!   time, a running nonzero counter standing in for the prefix sum. This is
 //!   the per-element loop a naive CPU implementation executes.
-//! * [`WordParallelEngine`] — the software analogue of DECA's POPCNT +
-//!   parallel-prefix-sum + crossbar datapath (§6.1): it walks the bitmask as
-//!   64-bit words, skips zero words entirely, locates nonzeros with
-//!   count-trailing-zeros, and dequantizes through a precomputed per-format
-//!   LUT array instead of re-deriving tables.
+//! * [`SimdEngine`] — the fast tile kernel. On AVX2 hosts it vectorizes the
+//!   datapath: LUT dequantization as 8-lane gathers, sparse expansion as one
+//!   byte-shuffle per 8 mask bits, and the MX scale multiply as 8-lane f32
+//!   multiplies rounded back to BF16 in the integer domain. Its portable
+//!   path is the software analogue of DECA's POPCNT + parallel-prefix-sum +
+//!   crossbar datapath (§6.1): it walks the bitmask as 64-bit words, skips
+//!   zero words entirely, locates nonzeros with count-trailing-zeros, and
+//!   dequantizes through a precomputed per-format LUT array.
 //! * [`ParallelMatrixEngine`] — whole-matrix decompression fanned out over
 //!   OS threads with `std::thread::scope`, one disjoint band of tile rows
-//!   per worker: the software stand-in for one DECA PE per core working on a
-//!   Parlooper partition.
-//! * [`SimdEngine`] — explicit vectorization of the same datapath:
-//!   LUT dequantization as 8-lane gathers, sparse expansion as one
-//!   byte-shuffle per 8 mask bits, and the MX scale multiply as 8-lane f32
-//!   FMA-free multiplies rounded back to BF16 in the integer domain. The
-//!   software analogue of giving the decompress pipeline real SIMD lanes
-//!   instead of one ALU.
-//! * [`AutoTunedEngine`] — a dispatcher that micro-benchmarks the fixed
-//!   backends per tile class at construction and routes every tile/matrix to
-//!   the measured winner (see [`CalibrationTable`]).
+//!   per worker, each running [`SimdEngine`]: the software stand-in for one
+//!   DECA PE per core working on a Parlooper partition.
+//! * [`AutoTunedEngine`] — [`SimdEngine`] for every tile, plus a measured
+//!   choice between streaming a matrix in-thread and fanning it out (see
+//!   [`CalibrationTable`]).
 //!
 //! # Feature detection and the fallback contract
 //!
@@ -46,18 +43,17 @@
 //! is compiled only on `x86_64` and entered only when
 //! `is_x86_feature_detected!("avx2")` reports support at runtime. Every
 //! other combination — non-x86 hosts, x86 hosts without AVX2, or an engine
-//! constructed with [`SimdEngine::portable`] — takes the portable chunked
-//! fallback, which is written in safe Rust over `u64` bitmask words and
-//! 4-lane code chunks. Both paths are bit-exact against [`ScalarEngine`],
-//! and the fallback is itself regression-tested on AVX2 hosts by forcing it
-//! with [`SimdEngine::portable`]. Tiles whose scale metadata the vector
-//! kernels cannot reproduce exactly (non-finite forged scales, scale groups
-//! not divisible by the 16-lane chunk) are routed to the fallback per tile,
-//! so eligibility is a pure speed decision, never a correctness one.
+//! constructed with [`SimdEngine::portable`] — takes the portable word
+//! loop, written in safe Rust over `u64` bitmask words. Both paths are
+//! bit-exact against [`ScalarEngine`], and the portable path is itself
+//! regression-tested on AVX2 hosts by forcing it with
+//! [`SimdEngine::portable`]. Tiles whose scale metadata the vector kernels
+//! cannot reproduce exactly (non-finite forged scales, scale groups not
+//! divisible by the 16-lane chunk) are routed to the portable path per
+//! tile, so eligibility is a pure speed decision, never a correctness one.
 //!
-//! [`EngineKind`] names the backends so that higher layers (executor,
-//! simulator, LLM estimator, benchmarks) can record *which* engine produced
-//! or validated a result.
+//! [`EngineKind`] names the backends so that tests and benchmarks can
+//! enumerate them and report which one ran.
 
 use deca_numerics::{Bf16, DequantTable, QuantFormat};
 
@@ -175,10 +171,10 @@ pub struct DecompressScratch {
     codes: Vec<u16>,
     /// Per-group scale factors as BF16 (empty unless group-quantized).
     group_scales: Vec<Bf16>,
-    /// Dequantized nonzero values as raw BF16 bits ([`SimdEngine`] only),
+    /// Dequantized nonzero values as raw BF16 bits (AVX2 path only),
     /// zero-padded so vector loads past the last nonzero stay in bounds.
     values: Vec<u16>,
-    /// Whole-tile output staging as raw BF16 bits ([`SimdEngine`] only).
+    /// Whole-tile output staging as raw BF16 bits (AVX2 path only).
     bits: Vec<u16>,
 }
 
@@ -402,84 +398,13 @@ impl DecompressEngine for ScalarEngine {
     }
 }
 
-/// The word-parallel backend: the software analogue of DECA's POPCNT +
-/// prefix-sum + crossbar datapath. The bitmask is consumed as 64-bit words
-/// (zero words are skipped outright, nonzeros located with
-/// count-trailing-zeros), group scales are promoted to BF16 once per tile,
-/// and dequantization indexes the precomputed LUT array directly.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WordParallelEngine;
-
-impl WordParallelEngine {
-    /// Creates the engine (the per-format LUTs are shared process-wide).
-    #[must_use]
-    pub fn new() -> Self {
-        WordParallelEngine
-    }
-}
-
-impl DecompressEngine for WordParallelEngine {
-    fn name(&self) -> &'static str {
-        "word-parallel"
-    }
-
-    fn decompress_tile_into(
-        &self,
-        tile: &CompressedTile,
-        scratch: &mut DecompressScratch,
-        out: &mut DenseTile,
-    ) -> Result<(), CompressError> {
-        let plan = prepare(FormatLuts::shared(), tile, scratch)?;
-        let (table, group) = (plan.table, plan.group);
-        // Promote the group scales once per tile instead of once per element
-        // (bit-exact: the per-element multiply uses the same BF16 value).
-        scratch.group_scales.clear();
-        scratch
-            .group_scales
-            .extend(plan.scales.iter().map(|s| s.to_bf16()));
-        let group_scales = &scratch.group_scales[..];
-        let codes = &scratch.codes[..];
-        out.fill_zero();
-        let dst = out.elements_mut();
-        let value_of = |code: u16| match table {
-            Some(t) => t.lookup(code as u8),
-            None => Bf16::from_bits(code),
-        };
-        if let Some(mask) = tile.bitmask() {
-            let mut nz = 0usize;
-            for (wi, &word) in mask.words().iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let pos = wi * 64 + w.trailing_zeros() as usize;
-                    let mut value = value_of(codes[nz]);
-                    if !group_scales.is_empty() {
-                        value = value * group_scales[pos / group];
-                    }
-                    dst[pos] = value;
-                    nz += 1;
-                    w &= w - 1;
-                }
-            }
-        } else if group_scales.is_empty() {
-            for (slot, &code) in dst.iter_mut().zip(codes) {
-                *slot = value_of(code);
-            }
-        } else {
-            for (pos, (slot, &code)) in dst.iter_mut().zip(codes).enumerate() {
-                *slot = value_of(code) * group_scales[pos / group];
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Whole-matrix decompression fanned out over OS threads: tile rows are
 /// split into disjoint bands (each band is a contiguous row-major slice of
 /// the output) and each worker streams its bands through an inner
-/// [`WordParallelEngine`] with its own scratch and tile buffer.
+/// [`SimdEngine`] with its own scratch and tile buffer.
 #[derive(Debug, Default, Clone)]
 pub struct ParallelMatrixEngine {
-    inner: WordParallelEngine,
+    inner: SimdEngine,
     threads: Option<usize>,
 }
 
@@ -488,7 +413,7 @@ impl ParallelMatrixEngine {
     #[must_use]
     pub fn new() -> Self {
         ParallelMatrixEngine {
-            inner: WordParallelEngine::new(),
+            inner: SimdEngine::new(),
             threads: None,
         }
     }
@@ -605,9 +530,9 @@ impl DecompressEngine for ParallelMatrixEngine {
 ///
 /// Everywhere else — non-x86 hosts, x86 without AVX2, engines built with
 /// [`SimdEngine::portable`], or tiles whose scale metadata the vector scale
-/// pass cannot reproduce exactly — the portable chunked fallback runs: safe
-/// Rust over `u64` bitmask words with the dequantization loop processed in
-/// 4-lane chunks. Both paths satisfy the bit-exactness contract.
+/// pass cannot reproduce exactly — the portable word loop runs: safe Rust
+/// over `u64` bitmask words, skipping zero words and locating nonzeros with
+/// count-trailing-zeros. Both paths satisfy the bit-exactness contract.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimdEngine {
     force_portable: bool,
@@ -623,9 +548,9 @@ impl SimdEngine {
         }
     }
 
-    /// Creates the engine with the portable chunked fallback forced on,
-    /// regardless of host ISA support — the regression hook that keeps the
-    /// fallback path tested on hosts where AVX2 would normally win.
+    /// Creates the engine with the portable word loop forced on, regardless
+    /// of host ISA support — the regression hook that keeps that path
+    /// tested on hosts where AVX2 would normally win.
     #[must_use]
     pub fn portable() -> Self {
         SimdEngine {
@@ -678,78 +603,52 @@ impl DecompressEngine for SimdEngine {
         {
             return Ok(());
         }
-        portable::decompress_tile(tile, &plan, scratch, out);
+        decompress_words(tile, &plan, scratch, out);
         Ok(())
     }
 }
 
-/// The portable chunked fallback for [`SimdEngine`]: safe Rust over `u64`
-/// bitmask words, with dequantization unrolled into 4-lane chunks for ILP.
+/// The portable path of [`SimdEngine`]: the software analogue of DECA's
+/// POPCNT + prefix-sum + crossbar datapath. The bitmask is consumed as
+/// 64-bit words (zero words are skipped outright, nonzeros located with
+/// count-trailing-zeros), the group scales come pre-promoted to BF16 in
+/// `scratch`, and dequantization indexes the shared LUT array directly.
 /// Bit-exact with [`ScalarEngine`] on every scheme and every host.
-mod portable {
-    use deca_numerics::Bf16;
-
-    use super::{DecompressScratch, TilePlan};
-    use crate::{CompressedTile, DenseTile};
-
-    pub(super) fn decompress_tile(
-        tile: &CompressedTile,
-        plan: &TilePlan<'_>,
-        scratch: &mut DecompressScratch,
-        out: &mut DenseTile,
-    ) {
-        let DecompressScratch {
-            codes,
-            group_scales,
-            values,
-            ..
-        } = scratch;
-        // Stage 1: dequantize the packed codes, four lanes per step.
-        values.clear();
-        match plan.table {
-            Some(table) => {
-                let mut chunks = codes.chunks_exact(4);
-                for c in chunks.by_ref() {
-                    values.extend_from_slice(&[
-                        table.lookup(c[0] as u8).to_bits(),
-                        table.lookup(c[1] as u8).to_bits(),
-                        table.lookup(c[2] as u8).to_bits(),
-                        table.lookup(c[3] as u8).to_bits(),
-                    ]);
+fn decompress_words(
+    tile: &CompressedTile,
+    plan: &TilePlan<'_>,
+    scratch: &DecompressScratch,
+    out: &mut DenseTile,
+) {
+    let (codes, group_scales, group) = (&scratch.codes, &scratch.group_scales, plan.group);
+    let value_of = |code: u16| match plan.table {
+        Some(t) => t.lookup(code as u8),
+        None => Bf16::from_bits(code),
+    };
+    out.fill_zero();
+    let dst = out.elements_mut();
+    if let Some(mask) = tile.bitmask() {
+        let mut nz = 0usize;
+        for (wi, &word) in mask.words().iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                let pos = wi * 64 + w.trailing_zeros() as usize;
+                let mut value = value_of(codes[nz]);
+                if !group_scales.is_empty() {
+                    value = value * group_scales[pos / group];
                 }
-                for &c in chunks.remainder() {
-                    values.push(table.lookup(c as u8).to_bits());
-                }
+                dst[pos] = value;
+                nz += 1;
+                w &= w - 1;
             }
-            None => values.extend_from_slice(codes),
         }
-        // Stage 2 + 3: expand along u64 bitmask words and apply scales.
-        out.fill_zero();
-        let dst = out.elements_mut();
-        let group = plan.group;
-        if let Some(mask) = tile.bitmask() {
-            let mut nz = 0usize;
-            for (wi, &word) in mask.words().iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let pos = wi * 64 + w.trailing_zeros() as usize;
-                    let mut value = Bf16::from_bits(values[nz]);
-                    if !group_scales.is_empty() {
-                        value = value * group_scales[pos / group];
-                    }
-                    dst[pos] = value;
-                    nz += 1;
-                    w &= w - 1;
-                }
-            }
-        } else if group_scales.is_empty() {
-            for (slot, &bits) in dst.iter_mut().zip(values.iter()) {
-                *slot = Bf16::from_bits(bits);
-            }
-        } else {
-            for (pos, (slot, &bits)) in dst.iter_mut().zip(values.iter()).enumerate() {
-                *slot = Bf16::from_bits(bits) * group_scales[pos / group];
-            }
+    } else if group_scales.is_empty() {
+        for (slot, &code) in dst.iter_mut().zip(codes) {
+            *slot = value_of(code);
+        }
+    } else {
+        for (pos, (slot, &code)) in dst.iter_mut().zip(codes).enumerate() {
+            *slot = value_of(code) * group_scales[pos / group];
         }
     }
 }
@@ -1017,55 +916,33 @@ mod simd_x86 {
     }
 }
 
-/// The deterministic decision table behind [`AutoTunedEngine`]: which fixed
-/// backend decompresses each tile class, and how many workers fan out
-/// whole-matrix decompression.
+/// The one decision behind [`AutoTunedEngine`]: how many workers fan out
+/// whole-matrix decompression (1 = stream in-thread).
 ///
-/// Tile classes are keyed by three scheme properties that change which
-/// datapath stage dominates: whether dequantization goes through a LUT,
-/// whether the tile is sparse (expansion stage present), and whether it is
-/// group-quantized (scale stage present). [`CalibrationTable::calibrate`]
-/// fills the table by timing every fixed tile backend on one synthetic tile
-/// per class; [`CalibrationTable::fixed`] builds a fully deterministic
-/// override for tests. Because every backend is bit-exact, the choice only
-/// ever affects speed, never output.
+/// [`CalibrationTable::calibrate`] measures it by timing streamed against
+/// fanned-out decompression of one sample matrix;
+/// [`CalibrationTable::fixed`] pins it for deterministic tests. Every tile
+/// runs the same bit-exact kernel either way, so the choice only ever
+/// affects speed, never output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CalibrationTable {
-    /// Winning tile backend per `(lut, sparse, scaled)` class.
-    tile: [EngineKind; 8],
     /// Worker threads for whole-matrix fan-out (1 = stream in-thread).
     matrix_threads: usize,
 }
 
 impl CalibrationTable {
-    fn index(lut: bool, sparse: bool, scaled: bool) -> usize {
-        (usize::from(lut) << 2) | (usize::from(sparse) << 1) | usize::from(scaled)
-    }
-
-    /// A table routing every tile class to `kind` and fanning matrices out
-    /// over `threads` workers — the deterministic override for tests.
+    /// A table fanning matrices out over `threads` workers — the
+    /// deterministic override for tests.
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is [`EngineKind::AutoTuned`] (the dispatcher cannot
-    /// route to itself) or `threads` is zero.
+    /// Panics if `threads` is zero.
     #[must_use]
-    pub fn fixed(kind: EngineKind, threads: usize) -> Self {
-        assert!(
-            kind != EngineKind::AutoTuned,
-            "calibration table entries must be fixed backends"
-        );
+    pub fn fixed(threads: usize) -> Self {
         assert!(threads > 0, "at least one matrix worker is required");
         CalibrationTable {
-            tile: [kind; 8],
             matrix_threads: threads,
         }
-    }
-
-    /// The backend chosen for a tile class.
-    #[must_use]
-    pub fn tile_choice(&self, lut: bool, sparse: bool, scaled: bool) -> EngineKind {
-        self.tile[Self::index(lut, sparse, scaled)]
     }
 
     /// The tuned whole-matrix worker count.
@@ -1074,51 +951,12 @@ impl CalibrationTable {
         self.matrix_threads
     }
 
-    /// Micro-benchmarks every fixed tile backend on one synthetic tile per
-    /// class (and streamed vs. fanned-out whole-matrix decompression) and
-    /// records the winners. Timing-based, so the *choices* can vary across
-    /// hosts — outputs never do, since all backends are bit-exact.
+    /// Times streamed against fanned-out whole-matrix decompression on one
+    /// sample matrix and records the winner. Timing-based, so the *choice*
+    /// can vary across hosts — outputs never do.
     #[must_use]
     pub fn calibrate() -> Self {
         use crate::{generator::WeightGenerator, CompressionScheme, Compressor};
-
-        let class_scheme = |lut: bool, sparse: bool, scaled: bool| match (lut, sparse, scaled) {
-            // BF16 passthrough has no group-quantized variant; calibrate
-            // the scaled slot with the same scheme as the unscaled one.
-            (false, false, _) => CompressionScheme::bf16_dense(),
-            (false, true, _) => CompressionScheme::bf16_sparse(0.5),
-            (true, false, false) => CompressionScheme::bf8_dense(),
-            (true, true, false) => CompressionScheme::bf8_sparse(0.5),
-            (true, false, true) => CompressionScheme::mxfp4(),
-            (true, true, true) => CompressionScheme::mxfp4_sparse(0.5),
-        };
-        let candidates = [
-            EngineKind::Scalar,
-            EngineKind::WordParallel,
-            EngineKind::Simd,
-        ];
-        let engines: Vec<Box<dyn DecompressEngine>> =
-            candidates.iter().map(|k| k.build()).collect();
-        let sample_dense = WeightGenerator::new(0xDECA).dense_matrix(TILE_ROWS, TILE_COLS);
-        let mut tile = [EngineKind::WordParallel; 8];
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    let scheme = class_scheme(lut, sparse, scaled);
-                    let sample = Compressor::new(scheme)
-                        .compress_tile(&sample_dense.tile(0, 0))
-                        .expect("calibration tile compresses");
-                    let mut best = (f64::INFINITY, EngineKind::WordParallel);
-                    for (kind, engine) in candidates.iter().zip(&engines) {
-                        let secs = Self::time_tile(engine.as_ref(), &sample);
-                        if secs < best.0 {
-                            best = (secs, *kind);
-                        }
-                    }
-                    tile[Self::index(lut, sparse, scaled)] = best.1;
-                }
-            }
-        }
 
         let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let matrix_threads = if available <= 1 {
@@ -1127,7 +965,7 @@ impl CalibrationTable {
             let matrix = Compressor::new(CompressionScheme::bf8_sparse(0.5))
                 .compress_matrix(&WeightGenerator::new(0xDECA).dense_matrix(128, 128))
                 .expect("calibration matrix compresses");
-            let streamed = Self::time_matrix(&WordParallelEngine::new(), &matrix);
+            let streamed = Self::time_matrix(&SimdEngine::new(), &matrix);
             let fanned = Self::time_matrix(
                 &ParallelMatrixEngine::new().with_threads(available),
                 &matrix,
@@ -1138,10 +976,7 @@ impl CalibrationTable {
                 1
             }
         };
-        CalibrationTable {
-            tile,
-            matrix_threads,
-        }
+        CalibrationTable { matrix_threads }
     }
 
     /// The process-wide calibration, measured once on first use so that
@@ -1152,22 +987,6 @@ impl CalibrationTable {
         SHARED.get_or_init(CalibrationTable::calibrate)
     }
 
-    fn time_tile(engine: &dyn DecompressEngine, tile: &CompressedTile) -> f64 {
-        let mut out = DenseTile::zero();
-        let mut scratch = DecompressScratch::new();
-        let mut run = || {
-            engine
-                .decompress_tile_into(tile, &mut scratch, &mut out)
-                .expect("calibration decompression");
-        };
-        run(); // warm scratch buffers and lazy LUTs outside the timed loop
-        let start = std::time::Instant::now();
-        for _ in 0..64 {
-            run();
-        }
-        start.elapsed().as_secs_f64()
-    }
-
     fn time_matrix(engine: &dyn DecompressEngine, matrix: &CompressedMatrix) -> f64 {
         let mut out = WeightMatrix::zeros(matrix.rows(), matrix.cols());
         let mut run = || {
@@ -1175,7 +994,7 @@ impl CalibrationTable {
                 .decompress_matrix_into(matrix, &mut out)
                 .expect("calibration decompression");
         };
-        run();
+        run(); // warm scratch buffers and lazy LUTs outside the timed loop
         let start = std::time::Instant::now();
         for _ in 0..4 {
             run();
@@ -1184,21 +1003,17 @@ impl CalibrationTable {
     }
 }
 
-/// Calibration-driven dispatcher over the fixed backends: every tile is
-/// routed to the backend that won the micro-benchmark for its `(lut,
-/// sparse, scaled)` class, and whole matrices either stream in-thread
-/// through those per-tile winners or fan out over the tuned worker count.
+/// Calibration-driven whole-matrix dispatcher: every tile runs
+/// [`SimdEngine`], and whole matrices either stream in-thread or fan out
+/// over the calibrated worker count ([`ParallelMatrixEngine`]).
 ///
 /// Construction via [`AutoTunedEngine::new`] uses the process-wide
 /// [`CalibrationTable::shared`] measurement; [`AutoTunedEngine::with_table`]
 /// injects an explicit table for deterministic tests. Dispatch never
-/// affects results — all backends are bit-exact — so the tuner is purely a
-/// throughput decision.
+/// affects results, so the tuner is purely a throughput decision.
 #[derive(Debug, Clone)]
 pub struct AutoTunedEngine {
     table: CalibrationTable,
-    scalar: ScalarEngine,
-    word: WordParallelEngine,
     simd: SimdEngine,
 }
 
@@ -1214,8 +1029,6 @@ impl AutoTunedEngine {
     pub fn with_table(table: CalibrationTable) -> Self {
         AutoTunedEngine {
             table,
-            scalar: ScalarEngine::new(),
-            word: WordParallelEngine::new(),
             simd: SimdEngine::new(),
         }
     }
@@ -1224,23 +1037,6 @@ impl AutoTunedEngine {
     #[must_use]
     pub fn table(&self) -> &CalibrationTable {
         &self.table
-    }
-
-    fn tile_engine(&self, tile: &CompressedTile) -> &dyn DecompressEngine {
-        let scheme = tile.scheme();
-        let choice = self.table.tile_choice(
-            scheme.format() != QuantFormat::Bf16,
-            scheme.is_sparse(),
-            scheme.group_size().is_some(),
-        );
-        match choice {
-            EngineKind::Scalar => &self.scalar,
-            EngineKind::Simd => &self.simd,
-            // WordParallel, and ParallelMatrix's tile path, both route to
-            // the word-parallel tile kernel. AutoTuned is unconstructible
-            // in a table (`CalibrationTable::fixed` rejects it).
-            _ => &self.word,
-        }
     }
 }
 
@@ -1261,8 +1057,7 @@ impl DecompressEngine for AutoTunedEngine {
         scratch: &mut DecompressScratch,
         out: &mut DenseTile,
     ) -> Result<(), CompressError> {
-        self.tile_engine(tile)
-            .decompress_tile_into(tile, scratch, out)
+        self.simd.decompress_tile_into(tile, scratch, out)
     }
 
     fn decompress_matrix_into(
@@ -1275,42 +1070,30 @@ impl DecompressEngine for AutoTunedEngine {
                 .with_threads(self.table.matrix_threads())
                 .decompress_matrix_into(matrix, out);
         }
-        check_output_shape(matrix, out)?;
-        let mut tile = DenseTile::zero();
-        let mut scratch = DecompressScratch::new();
-        for tr in 0..matrix.tile_rows() {
-            for tc in 0..matrix.tile_cols() {
-                self.decompress_tile_into(matrix.tile(tr, tc), &mut scratch, &mut tile)?;
-                store_tile(out, tr, tc, &tile);
-            }
-        }
-        Ok(())
+        self.simd.decompress_matrix_into(matrix, out)
     }
 }
 
-/// The enumerable backend axis: names every provided engine so that higher
-/// layers can select one and report which one ran.
+/// Names every provided engine so that tests and benchmarks can enumerate
+/// them and report which one ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum EngineKind {
     /// [`ScalarEngine`] — the per-element functional reference.
     Scalar,
-    /// [`WordParallelEngine`] — u64 bitmask words + popcount prefix sums.
-    WordParallel,
-    /// [`SimdEngine`] — AVX2 vector kernels with a portable fallback.
+    /// [`SimdEngine`] — AVX2 vector kernels with a portable word loop.
     Simd,
     /// [`ParallelMatrixEngine`] — scoped-thread fan-out over tile rows.
     ParallelMatrix,
-    /// [`AutoTunedEngine`] — calibration-driven dispatch over the others.
+    /// [`AutoTunedEngine`] — SIMD tiles, calibrated matrix fan-out.
     AutoTuned,
 }
 
 impl EngineKind {
     /// Every provided backend, in reference-first order.
     #[must_use]
-    pub fn all() -> [EngineKind; 5] {
+    pub fn all() -> [EngineKind; 4] {
         [
             EngineKind::Scalar,
-            EngineKind::WordParallel,
             EngineKind::Simd,
             EngineKind::ParallelMatrix,
             EngineKind::AutoTuned,
@@ -1322,7 +1105,6 @@ impl EngineKind {
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Scalar => "scalar",
-            EngineKind::WordParallel => "word-parallel",
             EngineKind::Simd => "simd",
             EngineKind::ParallelMatrix => "parallel-matrix",
             EngineKind::AutoTuned => "auto-tuned",
@@ -1334,7 +1116,6 @@ impl EngineKind {
     pub fn build(self) -> Box<dyn DecompressEngine> {
         match self {
             EngineKind::Scalar => Box::new(ScalarEngine::new()),
-            EngineKind::WordParallel => Box::new(WordParallelEngine::new()),
             EngineKind::Simd => Box::new(SimdEngine::new()),
             EngineKind::ParallelMatrix => Box::new(ParallelMatrixEngine::new()),
             EngineKind::AutoTuned => Box::new(AutoTunedEngine::new()),
@@ -1394,20 +1175,22 @@ mod tests {
 
     #[test]
     fn output_tile_is_fully_overwritten() {
-        // A reused output buffer must not leak values from a previous tile.
-        let engine = WordParallelEngine::new();
-        let mut scratch = DecompressScratch::new();
-        let mut out = DenseTile::zero();
+        // A reused output buffer must not leak values from a previous tile,
+        // on either path of the SIMD engine.
         let dense = sample_tile(CompressionScheme::bf8_dense(), 5);
-        engine
-            .decompress_tile_into(&dense, &mut scratch, &mut out)
-            .expect("dense");
         let sparse = sample_tile(CompressionScheme::bf8_sparse(0.05), 6);
-        engine
-            .decompress_tile_into(&sparse, &mut scratch, &mut out)
-            .expect("sparse");
         let reference = Decompressor::new().decompress_tile(&sparse).expect("ref");
-        assert_eq!(out, reference);
+        for engine in [SimdEngine::new(), SimdEngine::portable()] {
+            let mut scratch = DecompressScratch::new();
+            let mut out = DenseTile::zero();
+            engine
+                .decompress_tile_into(&dense, &mut scratch, &mut out)
+                .expect("dense");
+            engine
+                .decompress_tile_into(&sparse, &mut scratch, &mut out)
+                .expect("sparse");
+            assert_eq!(out, reference);
+        }
     }
 
     #[test]
@@ -1494,9 +1277,9 @@ mod tests {
 
     #[test]
     fn simd_portable_fallback_matches_reference() {
-        // The forced fallback must stay bit-exact even on hosts where the
-        // AVX2 path would normally run — this is the regression test for
-        // the feature-detection contract.
+        // The forced portable path must stay bit-exact even on hosts where
+        // the AVX2 path would normally run — this is the regression test
+        // for the feature-detection contract.
         let engine = SimdEngine::portable();
         assert!(!engine.uses_avx2());
         let reference = Decompressor::new();
@@ -1518,7 +1301,7 @@ mod tests {
     fn simd_routes_forged_infinite_scales_to_the_fallback() {
         use deca_numerics::mx::ScaleE8M0;
         // E8M0 code 255 promotes to +inf; the vector scale pass multiplies
-        // zeros too, so such tiles must take the scalar-equivalent path.
+        // zeros too, so such tiles must take the portable word loop.
         let tile = sample_tile(CompressionScheme::mxfp4_sparse(0.4), 13);
         let forged = CompressedTile::new(
             *tile.scheme(),
@@ -1545,16 +1328,9 @@ mod tests {
 
     #[test]
     fn auto_tuned_table_override_is_deterministic_and_bit_exact() {
-        let table = CalibrationTable::fixed(EngineKind::Simd, 1);
+        let table = CalibrationTable::fixed(1);
         let engine = AutoTunedEngine::with_table(table.clone());
         assert_eq!(engine.table(), &table);
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    assert_eq!(table.tile_choice(lut, sparse, scaled), EngineKind::Simd);
-                }
-            }
-        }
         assert_eq!(table.matrix_threads(), 1);
         let m = WeightGenerator::new(21).dense_matrix(48, 64);
         let cm = Compressor::new(CompressionScheme::mxfp4_sparse(0.3))
@@ -1565,28 +1341,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fixed backends")]
-    fn calibration_table_rejects_the_dispatcher_itself() {
-        let _ = CalibrationTable::fixed(EngineKind::AutoTuned, 1);
-    }
-
-    #[test]
     fn shared_calibration_chooses_only_fixed_tile_backends() {
+        // The shared calibration decides only the matrix fan-out: a worker
+        // count the host can run, under which the auto-tuned engine (SIMD
+        // tiles, streamed or fanned out) stays bit-exact.
         let table = CalibrationTable::shared();
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    let choice = table.tile_choice(lut, sparse, scaled);
-                    assert!(
-                        matches!(
-                            choice,
-                            EngineKind::Scalar | EngineKind::WordParallel | EngineKind::Simd
-                        ),
-                        "unexpected calibration winner {choice}"
-                    );
-                }
-            }
+        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert!((1..=available).contains(&table.matrix_threads()));
+        let m = WeightGenerator::new(22).dense_matrix(80, 96);
+        for scheme in schemes() {
+            let cm = Compressor::new(scheme)
+                .compress_matrix(&m)
+                .expect("compress");
+            let expected = Decompressor::new().decompress_matrix(&cm).expect("ref");
+            let got = AutoTunedEngine::new()
+                .decompress_matrix(&cm)
+                .expect("engine");
+            assert_eq!(got, expected, "{scheme}");
         }
-        assert!(table.matrix_threads() >= 1);
     }
 }

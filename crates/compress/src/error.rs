@@ -22,6 +22,11 @@ pub enum CompressError {
         /// Explanation of the inconsistency.
         reason: String,
     },
+    /// A weight handed to the compressor is NaN or infinite.
+    NonFiniteWeight {
+        /// Row-major position of the first such weight within its tile.
+        position: usize,
+    },
     /// An underlying numeric-format error.
     Format(FormatError),
 }
@@ -36,6 +41,9 @@ impl std::fmt::Display for CompressError {
                 write!(f, "invalid matrix shape {rows}x{cols}: {reason}")
             }
             CompressError::CorruptTile { reason } => write!(f, "corrupt compressed tile: {reason}"),
+            CompressError::NonFiniteWeight { position } => {
+                write!(f, "non-finite weight at tile position {position}")
+            }
             CompressError::Format(e) => write!(f, "numeric format error: {e}"),
         }
     }
@@ -76,6 +84,9 @@ mod tests {
         }
         .to_string()
         .contains("popcount"));
+        assert!(CompressError::NonFiniteWeight { position: 37 }
+            .to_string()
+            .contains("37"));
     }
 
     #[test]

@@ -146,14 +146,6 @@ impl WeightGenerator {
         }
         m
     }
-
-    /// Generates a matrix shaped like one of the paper's "large FC layer"
-    /// GeMMs (≈250 M parameters): 8192 × 30720. Intended for the compressed
-    /// GeMM benchmarks; scaled-down variants should be preferred in tests.
-    #[must_use]
-    pub fn large_fc_matrix(&self, density: f64) -> WeightMatrix {
-        self.sparse_matrix(8192, 30720, density)
-    }
 }
 
 #[cfg(test)]

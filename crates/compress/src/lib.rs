@@ -16,12 +16,12 @@
 //! * [`WeightMatrix`] / [`CompressedMatrix`] — whole matrices tiled for AMX,
 //! * [`Compressor`] / [`Decompressor`] — offline compression and reference
 //!   online decompression,
-//! * [`engine`] — the pluggable streaming decompression backends
-//!   ([`DecompressEngine`]): scalar reference, word-parallel
-//!   (POPCNT/prefix-sum style), explicitly vectorized SIMD (AVX2 with a
-//!   portable chunked fallback), threaded whole-matrix fan-out and a
-//!   calibration-driven auto-tuned dispatcher, all bit-exact against each
-//!   other,
+//! * [`engine`] — the streaming decompression backends
+//!   ([`DecompressEngine`]): the scalar reference, one fast tile kernel
+//!   (SIMD: AVX2 with a portable POPCNT/prefix-sum style word loop),
+//!   threaded whole-matrix fan-out over that kernel and a calibrated
+//!   dispatcher choosing between streaming and fan-out, all bit-exact
+//!   against each other,
 //! * [`generator`] — synthetic weight matrices with controlled density.
 //!
 //! # Example
@@ -59,7 +59,7 @@ pub use compressor::{compress, Compressor};
 pub use decompressor::Decompressor;
 pub use engine::{
     AutoTunedEngine, CalibrationTable, DecompressEngine, DecompressScratch, EngineKind, FormatLuts,
-    ParallelMatrixEngine, ScalarEngine, SimdEngine, WordParallelEngine,
+    ParallelMatrixEngine, ScalarEngine, SimdEngine,
 };
 pub use error::CompressError;
 pub use matrix::{CompressedMatrix, WeightMatrix};

@@ -14,9 +14,15 @@ use deca_compress::{
 use deca_numerics::QuantFormat;
 use proptest::prelude::*;
 
-/// Every quantized format × dense/sparse combination the substrate
-/// supports, indexed for proptest.
-fn scheme_for(format_idx: usize, density: f64) -> CompressionScheme {
+/// Scale-group sizes drawn for the group-quantized formats. They cover both
+/// sides of the SIMD engine's vector rule: groups that are multiples of 16
+/// take the AVX2 scale pass, the others the portable word loop; 48 and 512
+/// also leave a partial last group or a single whole-tile group.
+const GROUP_SIZES: [usize; 6] = [8, 16, 24, 32, 48, 512];
+
+/// Every quantized format × dense/sparse × scale-group combination the
+/// substrate supports, indexed for proptest.
+fn scheme_for(format_idx: usize, density: f64, group_idx: usize) -> CompressionScheme {
     let formats = [
         QuantFormat::Bf16,
         QuantFormat::Bf8,
@@ -33,7 +39,9 @@ fn scheme_for(format_idx: usize, density: f64) -> CompressionScheme {
     // Group quantization for the formats that need an external scale
     // (MX-style 4-bit and integer codes), none otherwise.
     let group = match format {
-        QuantFormat::Fp4 | QuantFormat::Int8 | QuantFormat::Int4 => Some(32),
+        QuantFormat::Fp4 | QuantFormat::Int8 | QuantFormat::Int4 => {
+            Some(GROUP_SIZES[group_idx % GROUP_SIZES.len()])
+        }
         _ => None,
     };
     CompressionScheme::new(format, density, group).expect("valid scheme")
@@ -51,15 +59,17 @@ fn decompress_with(engine: &dyn DecompressEngine, tile: &CompressedTile) -> Dens
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All three engines produce bit-identical dense tiles to the scalar
-    /// reference across every scheme (dense + sparse, all formats).
+    /// Every engine produces bit-identical dense tiles to the scalar
+    /// reference across every scheme (dense + sparse, all formats, every
+    /// scale-group size).
     #[test]
     fn engines_are_bit_identical_to_the_reference(
         seed in 0u64..500,
         format_idx in 0usize..7,
         density_pct in 5u32..=100,
+        group_idx in 0usize..6,
     ) {
-        let scheme = scheme_for(format_idx, f64::from(density_pct) / 100.0);
+        let scheme = scheme_for(format_idx, f64::from(density_pct) / 100.0, group_idx);
         let tile = WeightGenerator::new(seed).dense_matrix(16, 32).tile(0, 0);
         let compressed = Compressor::new(scheme).compress_tile(&tile).expect("compress");
         let reference = Decompressor::new().decompress_tile(&compressed).expect("reference");
@@ -83,9 +93,10 @@ proptest! {
         cols in 1usize..70,
         format_idx in 0usize..7,
         sparse in any::<bool>(),
+        group_idx in 0usize..6,
     ) {
         let density = if sparse { 0.3 } else { 1.0 };
-        let scheme = scheme_for(format_idx, density);
+        let scheme = scheme_for(format_idx, density, group_idx);
         let m = WeightGenerator::new(seed).dense_matrix(rows, cols);
         let cm = Compressor::new(scheme).compress_matrix(&m).expect("compress");
         let reference = Decompressor::new().decompress_matrix(&cm).expect("reference");
@@ -103,9 +114,11 @@ proptest! {
         seed_b in 0u64..200,
         fmt_a in 0usize..7,
         fmt_b in 0usize..7,
+        group_a in 0usize..6,
+        group_b in 0usize..6,
     ) {
-        let dense = scheme_for(fmt_a, 1.0);
-        let sparse = scheme_for(fmt_b, 0.2);
+        let dense = scheme_for(fmt_a, 1.0, group_a);
+        let sparse = scheme_for(fmt_b, 0.2, group_b);
         let tile_a = WeightGenerator::new(seed_a).dense_matrix(16, 32).tile(0, 0);
         let tile_b = WeightGenerator::new(seed_b).dense_matrix(16, 32).tile(0, 0);
         let a = Compressor::new(dense).compress_tile(&tile_a).expect("compress");
@@ -122,7 +135,7 @@ proptest! {
     }
 
     /// The SIMD engine stays bit-identical whichever path runs: the
-    /// feature-detected vector kernels and the forced portable fallback
+    /// feature-detected vector kernels and the forced portable word loop
     /// (the path non-AVX2 hosts always take) agree with the reference on
     /// every scheme.
     #[test]
@@ -130,8 +143,9 @@ proptest! {
         seed in 0u64..500,
         format_idx in 0usize..7,
         density_pct in 5u32..=100,
+        group_idx in 0usize..6,
     ) {
-        let scheme = scheme_for(format_idx, f64::from(density_pct) / 100.0);
+        let scheme = scheme_for(format_idx, f64::from(density_pct) / 100.0, group_idx);
         let tile = WeightGenerator::new(seed).dense_matrix(16, 32).tile(0, 0);
         let compressed = Compressor::new(scheme).compress_tile(&tile).expect("compress");
         let reference = Decompressor::new().decompress_tile(&compressed).expect("reference");
@@ -148,29 +162,21 @@ proptest! {
     }
 
     /// Calibration tables built from a fixed override are fully
-    /// deterministic — identical tables, identical per-class choices — and
-    /// the auto-tuned engine they drive keeps the bit-exact contract for
-    /// every override and worker count.
+    /// deterministic — identical tables, identical worker counts — and the
+    /// auto-tuned engine they drive keeps the bit-exact contract for every
+    /// worker count.
     #[test]
     fn auto_tuner_fixed_override_is_deterministic(
-        kind_idx in 0usize..3,
         threads in 1usize..5,
         seed in 0u64..200,
         format_idx in 0usize..7,
+        group_idx in 0usize..6,
     ) {
-        let kind = [EngineKind::Scalar, EngineKind::WordParallel, EngineKind::Simd][kind_idx];
-        let table = CalibrationTable::fixed(kind, threads);
-        prop_assert_eq!(&table, &CalibrationTable::fixed(kind, threads));
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    prop_assert_eq!(table.tile_choice(lut, sparse, scaled), kind);
-                }
-            }
-        }
+        let table = CalibrationTable::fixed(threads);
+        prop_assert_eq!(&table, &CalibrationTable::fixed(threads));
         prop_assert_eq!(table.matrix_threads(), threads);
         let engine = AutoTunedEngine::with_table(table);
-        let scheme = scheme_for(format_idx, 0.4);
+        let scheme = scheme_for(format_idx, 0.4, group_idx);
         let m = WeightGenerator::new(seed).dense_matrix(40, 50);
         let cm = Compressor::new(scheme).compress_matrix(&m).expect("compress");
         let reference = Decompressor::new().decompress_matrix(&cm).expect("reference");

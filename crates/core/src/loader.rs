@@ -317,7 +317,7 @@ mod tests {
     fn validated_fetch_accepts_consistent_tiles() {
         let tile = sample_tile(CompressionScheme::bf8_sparse(0.3));
         let md = TileMetadata::for_tile(0x2000, &tile);
-        let engine = deca_compress::WordParallelEngine::new();
+        let engine = deca_compress::SimdEngine::new();
         let mut loader = Loader::new(0, 16);
         loader.start_fetch(md);
         loader

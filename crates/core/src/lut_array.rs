@@ -27,12 +27,6 @@ impl LutArray {
         LutArray { l, table: None }
     }
 
-    /// Number of big LUTs.
-    #[must_use]
-    pub fn lut_count(&self) -> usize {
-        self.l
-    }
-
     /// Programs every LUT with the dequantization table of `format`
     /// (a privileged-store sequence from the core in real hardware).
     pub fn program(&mut self, format: QuantFormat) {

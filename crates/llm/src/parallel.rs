@@ -215,8 +215,6 @@ pub struct ShardedNextTokenReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Functional decompression backend behind the modeled FC numbers.
-    pub decompress_engine: String,
     /// The sharding plan.
     pub spec: ShardSpec,
     /// Batch size.
@@ -291,8 +289,6 @@ pub struct ShardedPrefillReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Functional decompression backend behind the modeled FC numbers.
-    pub decompress_engine: String,
     /// The sharding plan.
     pub spec: ShardSpec,
     /// Prompt tokens processed by this prefill.
@@ -370,27 +366,6 @@ impl ShardedEstimator {
         }
     }
 
-    /// Wraps an existing single-socket estimator.
-    #[must_use]
-    pub fn from_estimator(
-        inner: InferenceEstimator,
-        spec: ShardSpec,
-        interconnect: InterconnectModel,
-    ) -> Self {
-        ShardedEstimator {
-            inner,
-            spec,
-            interconnect,
-        }
-    }
-
-    /// Selects the functional decompression backend behind the FC numbers.
-    #[must_use]
-    pub fn with_decompress_backend(mut self, backend: deca_compress::EngineKind) -> Self {
-        self.inner = self.inner.with_decompress_backend(backend);
-        self
-    }
-
     /// The sharding plan.
     #[must_use]
     pub fn spec(&self) -> ShardSpec {
@@ -423,8 +398,7 @@ impl ShardedEstimator {
         batch: usize,
         context_tokens: usize,
     ) -> ShardedNextTokenReport {
-        let (seconds_per_tile, decompress_engine) =
-            self.inner.decode_tile_seconds(scheme, engine, batch);
+        let seconds_per_tile = self.inner.decode_tile_seconds(scheme, engine, batch);
         let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
             model,
             batch,
@@ -437,7 +411,6 @@ impl ShardedEstimator {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine,
             spec: self.spec,
             batch,
             context_tokens,
@@ -467,9 +440,9 @@ impl ShardedEstimator {
         context_tokens: usize,
     ) -> ShardedPrefillReport {
         assert!(prompt_tokens > 0, "a prefill processes at least one token");
-        let (seconds_per_tile, decompress_engine) =
-            self.inner
-                .prefill_tile_seconds(scheme, engine, prompt_tokens);
+        let seconds_per_tile = self
+            .inner
+            .prefill_tile_seconds(scheme, engine, prompt_tokens);
         let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
             model,
             prompt_tokens,
@@ -487,7 +460,6 @@ impl ShardedEstimator {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine,
             spec: self.spec,
             prompt_tokens,
             context_tokens,
@@ -590,20 +562,6 @@ pub fn sharded_weight_bytes_per_socket(
     stage_weight_bytes(model, scheme, spec)
         .into_iter()
         .fold(0.0, f64::max)
-}
-
-/// HBM left for the KV cache on the *tightest* socket under a plan.
-/// Negative when some socket's weight shard alone overflows the 64 GB.
-#[must_use]
-pub fn sharded_hbm_headroom_bytes(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-) -> f64 {
-    stage_weight_bytes(model, scheme, spec)
-        .into_iter()
-        .map(|bytes| HBM_CAPACITY_BYTES as f64 - bytes)
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// The fleet-wide KV-token budget under a plan: a resident token stores

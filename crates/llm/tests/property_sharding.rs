@@ -73,7 +73,6 @@ proptest! {
             shard.total_seconds().to_bits(),
             base.total_seconds().to_bits()
         );
-        prop_assert_eq!(&shard.decompress_engine, &base.decompress_engine);
 
         let base_p = unsharded.prefill(&model, &scheme, engine, prompt, context);
         let shard_p = sharded.prefill(&model, &scheme, engine, prompt, context);

@@ -88,12 +88,6 @@ impl QuantFormat {
         }
     }
 
-    /// Whether elements of this format are floating point (vs integer) codes.
-    #[must_use]
-    pub fn is_float(self) -> bool {
-        !matches!(self, QuantFormat::Int8 | QuantFormat::Int4)
-    }
-
     /// Whether the format needs a per-group scale factor to be useful
     /// (MX-style group quantization).
     #[must_use]

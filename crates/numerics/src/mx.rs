@@ -161,16 +161,6 @@ impl MxCodec {
             })
             .collect()
     }
-
-    /// The worst-case relative quantization error of the element format
-    /// (half a ULP at the top of a binade), used by tests to bound end-to-end
-    /// error.
-    #[must_use]
-    pub fn relative_error_bound(&self) -> f32 {
-        // One mantissa step relative error at the bottom of a binade is
-        // 2^-man_bits; round-to-nearest halves it, plus scale granularity.
-        2f32.powi(-(i32::from(self.element.man_bits()))) * 0.75
-    }
 }
 
 #[cfg(test)]

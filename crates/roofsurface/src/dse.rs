@@ -56,13 +56,6 @@ impl DesignSpaceExploration {
         }
     }
 
-    /// Overrides the escape tolerance (default 2 %).
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
     /// The kernel set being evaluated.
     #[must_use]
     pub fn schemes(&self) -> &[CompressionScheme] {

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use deca_compress::{CompressionScheme, EngineKind};
+use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
 use deca_llm::{DraftSpec, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator};
 use deca_roofsurface::MachineConfig;
@@ -303,21 +303,6 @@ impl EstimatorCostModel {
             hits: self.memo_hits,
             misses: self.memo_misses,
         }
-    }
-
-    /// Selects the decompression backend driving the software GeMM pipeline
-    /// underneath (forwarded through [`ShardedEstimator`] to
-    /// `deca_llm::InferenceEstimator`), so serving sweeps inherit an engine
-    /// choice — e.g. [`EngineKind::AutoTuned`] — end-to-end. Clears the
-    /// memoized latencies so every subsequent answer reflects the backend.
-    #[must_use]
-    pub fn with_decompress_backend(mut self, backend: EngineKind) -> Self {
-        self.estimator = self.estimator.with_decompress_backend(backend);
-        self.decode_cache.clear();
-        self.prefill_cache.clear();
-        self.cached_prefill_cache.clear();
-        self.draft_cache.clear();
-        self
     }
 
     /// The LLM being served.
@@ -628,35 +613,6 @@ mod tests {
         let mut tp2 = build(ShardSpec::tp(2), InterconnectModel::spr_upi());
         assert_eq!(tp2.shard_spec().sockets(), 2);
         assert!(tp2.decode_step_seconds(4, 1000) < unsharded.decode_step_seconds(4, 1000));
-    }
-
-    #[test]
-    fn decompress_backend_threads_through_without_moving_latency() {
-        let build = || {
-            EstimatorCostModel::new(
-                MachineConfig::spr_hbm(),
-                LlmModel::llama2_70b(),
-                CompressionScheme::bf8_sparse(0.05),
-                Engine::deca_default(),
-            )
-        };
-        // All decompression backends are bit-exact, so switching the
-        // serving stack to the auto-tuned engine must not move a single
-        // modeled latency bit.
-        let mut base = build();
-        let mut tuned = build().with_decompress_backend(EngineKind::AutoTuned);
-        assert_eq!(
-            base.decode_step_seconds(4, 300).to_bits(),
-            tuned.decode_step_seconds(4, 300).to_bits()
-        );
-        assert_eq!(
-            base.prefill_seconds(128).to_bits(),
-            tuned.prefill_seconds(128).to_bits()
-        );
-        assert_eq!(
-            base.prefill_seconds_cached(256, 128).to_bits(),
-            tuned.prefill_seconds_cached(256, 128).to_bits()
-        );
     }
 
     #[test]

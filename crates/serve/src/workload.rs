@@ -1187,12 +1187,6 @@ impl RequestTrace {
         }
     }
 
-    /// Total output tokens the trace asks for.
-    #[must_use]
-    pub fn total_output_tokens(&self) -> u64 {
-        self.requests.iter().map(|r| r.output_tokens as u64).sum()
-    }
-
     /// Splits the trace round-robin across `replicas` servers (the
     /// front-end load balancer of a multi-replica fleet). Arrival times are
     /// preserved; every request lands on exactly one replica.

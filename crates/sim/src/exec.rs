@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn trace_replay_matches_uniform_run_for_uniform_tiles() {
         use deca_compress::{
-            generator::WeightGenerator, CompressionScheme, Compressor, WordParallelEngine,
+            generator::WeightGenerator, CompressionScheme, Compressor, SimdEngine,
         };
         let s = sim();
         // A dense BF8 matrix compresses every tile to exactly 512 bytes, so
@@ -467,7 +467,7 @@ mod tests {
         let cm = Compressor::new(CompressionScheme::bf8_dense())
             .compress_matrix(&m)
             .expect("compress");
-        let trace = MemoryTrace::from_matrix(&cm, &WordParallelEngine::new()).expect("trace");
+        let trace = MemoryTrace::from_matrix(&cm, &SimdEngine::new()).expect("trace");
         let model = base_model();
         let uniform = s.run(&model, trace.len());
         let traced = s.run_trace(&model, &trace);
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn lumpy_sparse_traces_shift_the_memory_time() {
         use deca_compress::{
-            generator::WeightGenerator, CompressionScheme, Compressor, WordParallelEngine,
+            generator::WeightGenerator, CompressionScheme, Compressor, SimdEngine,
         };
         let s = sim();
         let scheme = CompressionScheme::bf8_sparse(0.3);
@@ -486,7 +486,7 @@ mod tests {
         let cm = Compressor::new(scheme)
             .compress_matrix(&m)
             .expect("compress");
-        let trace = MemoryTrace::from_matrix(&cm, &WordParallelEngine::new()).expect("trace");
+        let trace = MemoryTrace::from_matrix(&cm, &SimdEngine::new()).expect("trace");
         let mut model = base_model();
         model.bytes_per_tile = scheme.expected_tile_bytes();
         let traced = s.run_trace(&model, &trace);

@@ -136,7 +136,7 @@ impl MemoryTrace {
 mod tests {
     use super::*;
     use deca_compress::{
-        generator::WeightGenerator, CompressionScheme, Compressor, EngineKind, WordParallelEngine,
+        generator::WeightGenerator, CompressionScheme, Compressor, EngineKind, SimdEngine,
     };
 
     fn sample_matrix(scheme: CompressionScheme) -> CompressedMatrix {
@@ -149,11 +149,11 @@ mod tests {
     #[test]
     fn trace_covers_every_tile_with_exact_byte_accounting() {
         let cm = sample_matrix(CompressionScheme::bf8_sparse(0.3));
-        let engine = WordParallelEngine::new();
+        let engine = SimdEngine::new();
         let trace = MemoryTrace::from_matrix(&cm, &engine).expect("trace");
         assert_eq!(trace.len(), cm.tile_rows() * cm.tile_cols());
         assert_eq!(trace.total_bytes(), cm.total_bytes());
-        assert_eq!(trace.engine(), "word-parallel");
+        assert_eq!(trace.engine(), "simd");
         assert!(!trace.is_empty());
         for event in trace.events() {
             assert_eq!(

@@ -111,9 +111,9 @@ fn pathological_tiles_are_handled() {
 }
 
 /// The engine axis end to end: one compressed matrix streams through every
-/// pluggable backend into the trace-driven simulator and the functional
-/// GeMM, and the vOp pipeline validates against each backend — all layers
-/// agreeing on one bit-exact ground truth.
+/// backend into the trace-driven simulator and the functional GeMM, and the
+/// vOp pipeline validates against each backend — all layers agreeing on one
+/// bit-exact ground truth.
 #[test]
 fn engine_axis_threads_through_every_layer() {
     use deca_compress::EngineKind;
@@ -163,16 +163,4 @@ fn engine_axis_threads_through_every_layer() {
             .process_validated(compressed.tile(0, 0), engine.as_ref())
             .expect("pipeline agrees with engine");
     }
-
-    // LLM layer: the report names the backend that stands behind it.
-    let report = deca_llm::InferenceEstimator::new(deca_roofsurface::MachineConfig::spr_hbm())
-        .with_decompress_backend(EngineKind::WordParallel)
-        .next_token(
-            &deca_llm::LlmModel::llama2_70b(),
-            &scheme,
-            deca_kernels::Engine::deca_default(),
-            1,
-            128,
-        );
-    assert_eq!(report.decompress_engine, "word-parallel");
 }
