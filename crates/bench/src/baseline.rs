@@ -14,18 +14,15 @@ use deca_compress::{
     WeightMatrix,
 };
 use deca_kernels::{avx_model::software_signature, CompressedGemmExecutor, Engine};
-use deca_llm::{
-    footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator,
-};
+use deca_llm::{footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::{MachineConfig, RoofSurface};
 use deca_serve::{
     best_pool_split, capacity_search, capacity_search_warm, disagg_capacity_search_with,
-    fleet_capacity_search_with, hbm_kv_budget_tokens, qos_capacity_search_with,
-    sharded_kv_budget_tokens, sharding_sweep, AdapterModel, AgentLoopSpec, CapacityResult,
-    CapacitySpec, ClassOutcome, ColdSessionSpec, EstimatorCostModel, KvShipSpec, KvTierModel,
-    LengthDistribution, MultiTenantSpec, QosClass, RagSpec, RequestTrace, SchedulerKind,
-    ServingConfig, ServingReport, ServingSimulator, ShardingPlanResult, ShardingSearchSpec,
-    SharedPrefixChatSpec, SloTarget, WorkloadSpec,
+    fleet_capacity_search_with, hbm_kv_budget_tokens, qos_capacity_search_with, sharding_sweep,
+    AdapterModel, AgentLoopSpec, CapacityResult, CapacitySpec, ClassOutcome, ColdSessionSpec,
+    EstimatorCostModel, KvShipSpec, KvTierModel, LengthDistribution, MultiTenantSpec, QosClass,
+    RagSpec, RequestTrace, SchedulerKind, ServingConfig, ServingReport, ServingSimulator,
+    ShardingPlanResult, ShardingSearchSpec, SharedPrefixChatSpec, SloTarget, WorkloadSpec,
 };
 
 use crate::json::Json;
@@ -495,16 +492,20 @@ fn sharding_scheme_row(
 ) -> (Json, Option<String>) {
     // One-socket view: do the weights fit at all, and does the working set
     // fit on top of them?
-    let fits_working_set =
-        footprint::fits_in_hbm_with_kv(model, scheme, SHARDING_CURVE_CONTEXT, SHARDING_MAX_BATCH);
+    let single = ShardSpec::single();
+    let fits_working_set = footprint::fits_in_hbm_with_kv(
+        model,
+        scheme,
+        &single,
+        SHARDING_CURVE_CONTEXT,
+        SHARDING_MAX_BATCH,
+    );
+    let weights_fit_one_socket = footprint::fits_in_hbm(model, scheme, &single);
     let one_socket = Json::obj(vec![
-        (
-            "fits_weights",
-            Json::Bool(footprint::fits_in_hbm(model, scheme)),
-        ),
+        ("fits_weights", Json::Bool(weights_fit_one_socket)),
         (
             "kv_budget_tokens",
-            footprint::max_kv_tokens(model, scheme).map_or(Json::Null, |b| num(b as f64)),
+            footprint::max_kv_tokens(model, scheme, &single).map_or(Json::Null, |b| num(b as f64)),
         ),
         ("fits_working_set", Json::Bool(fits_working_set)),
     ]);
@@ -548,7 +549,6 @@ fn sharding_scheme_row(
         // The headline sentence claims the weights fit on one socket, so
         // it only applies to schemes where that is actually true (Q4, not
         // dense Q8, whose weights alone overflow the 64 GB).
-        let weights_fit_one_socket = footprint::fits_in_hbm(model, scheme);
         if let (true, false, Some(win)) = (weights_fit_one_socket, fits_working_set, &deca_min) {
             headline = Some(format!(
                 "{} {} fits its weights on one socket but cannot hold the \
@@ -584,7 +584,7 @@ fn sharding_curve_point(
     interconnect: InterconnectModel,
     deca_applies: bool,
 ) -> Json {
-    let estimator = ShardedEstimator::new(machine.clone(), spec, interconnect);
+    let estimator = InferenceEstimator::sharded(machine.clone(), spec, interconnect);
     let sw = estimator.next_token(
         model,
         scheme,
@@ -774,8 +774,8 @@ fn paged_capacity_matrix(
         ("TP1", ShardSpec::single(), InterconnectModel::zero_cost()),
         ("TP2", ShardSpec::tp(2), InterconnectModel::spr_upi()),
     ] {
-        let budget =
-            sharded_kv_budget_tokens(model, scheme, &shard).expect("Q8_5% fits every probed plan");
+        let budget = footprint::max_kv_tokens(model, scheme, &shard)
+            .expect("Q8_5% fits every probed plan") as usize;
         let mut engine_rows = Vec::new();
         for (engine_label, engine) in [
             ("software", Engine::software()),
@@ -1443,10 +1443,7 @@ fn chunked_speculation_section(
         ("deca", Engine::deca_default()),
     ] {
         let mut cost = EstimatorCostModel::new(machine.clone(), model.clone(), scheme, engine)
-            .with_draft_model(deca_llm::DraftSpec::new(
-                draft.clone(),
-                CHUNKED_DRAFT_TOKENS,
-            ));
+            .with_draft_model(draft.clone());
         let curve = deca_serve::speculation_goodput_curve_with(
             &mut cost,
             &chat_config,
@@ -2243,6 +2240,31 @@ mod tests {
                 Json::Num(ms) => assert!(*ms >= 0.0),
                 other => panic!("wall_ms must be a number, got {other:?}"),
             }
+        }
+    }
+
+    /// Pins the single-socket modeled numbers inside `cargo test`: the
+    /// Roof-Surface, pipeline and Table 4 LLM experiments must reproduce
+    /// their committed `BENCH_baseline.json` records exactly. None of them
+    /// depends on the build profile, so a one-ulp drift in the estimator
+    /// fails here, not only in CI's baseline drift job.
+    #[test]
+    fn single_socket_experiments_match_the_committed_baseline() {
+        let committed = crate::drift::parse(include_str!("../../../BENCH_baseline.json"))
+            .expect("the committed baseline must parse");
+        let pinned: [(&str, ExperimentFn); 3] = [
+            ("roofsurface", roofsurface_results),
+            ("pipeline", pipeline_results),
+            ("llm_latency", llm_latency_results),
+        ];
+        for (name, run) in pinned {
+            let records = crate::drift::select_experiment(&committed, name);
+            assert_eq!(records.len(), 1, "{name} must be committed once");
+            let lines = crate::drift::diff(
+                &crate::drift::strip_volatile(records[0].clone()),
+                &crate::drift::strip_volatile(experiment_record(name, run)),
+            );
+            assert!(lines.is_empty(), "{name} drifted: {lines:?}");
         }
     }
 

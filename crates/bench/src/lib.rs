@@ -2,9 +2,10 @@
 //!
 //! Each table and figure of the paper's evaluation has a function in
 //! [`experiments`] (and a matching binary under `src/bin/`) that regenerates
-//! the same rows/series on the simulated machine. `DESIGN.md` maps paper
-//! artifacts to these functions; `EXPERIMENTS.md` records paper-vs-measured
-//! values.
+//! the same rows/series on the simulated machine. The README's
+//! "Regenerating paper artifacts" section maps paper artifacts to these
+//! binaries; [`baseline`] pins the modeled numbers in
+//! `BENCH_baseline.json`.
 //!
 //! Run everything with:
 //!

@@ -1,13 +1,16 @@
-//! Model memory footprints per compression scheme (§8).
+//! Per-socket memory footprints per compression scheme and sharding plan
+//! (§8).
 //!
 //! The paper notes that the uncompressed BF16 model, Q16 at 50 % density and
 //! dense Q8 do not fit in the 64 GB of on-package HBM, so those
 //! configurations are simulated with a larger HBM capacity. This module
-//! reproduces that accounting.
+//! reproduces that accounting for any [`ShardSpec`]: every function answers
+//! for the plan's worst-loaded socket, and [`ShardSpec::single`] is the
+//! whole model on one socket.
 
 use deca_compress::{CompressionScheme, TILE_ELEMS};
 
-use crate::LlmModel;
+use crate::{LlmModel, ShardSpec};
 
 /// HBM capacity of the evaluated SPR part in bytes (64 GB).
 pub const HBM_CAPACITY_BYTES: u64 = 64 * 1024 * 1024 * 1024;
@@ -19,21 +22,28 @@ pub fn bytes_per_parameter(scheme: &CompressionScheme) -> f64 {
     scheme.expected_tile_bytes() / TILE_ELEMS as f64
 }
 
-/// Total weight-memory footprint of a model under a scheme, in bytes.
-/// The embedding table stays in BF16 (it is not an FC-layer weight).
+/// Weight bytes resident on the *worst-loaded* socket under a plan: each
+/// pipeline stage holds its layers' FC weights divided `TP` ways, the last
+/// stage adds the sharded LM head, and stage 0 carries the embedding table,
+/// which stays unsharded in BF16 (it is not an FC-layer weight). On
+/// [`ShardSpec::single`] this is the whole model's footprint.
 #[must_use]
-pub fn model_footprint_bytes(model: &LlmModel, scheme: &CompressionScheme) -> f64 {
-    let fc = model.fc_params() as f64 * bytes_per_parameter(scheme);
-    let embeddings = (model.total_params() - model.fc_params()) as f64 * 2.0;
-    fc + embeddings
+pub fn weight_bytes_per_socket(
+    model: &LlmModel,
+    scheme: &CompressionScheme,
+    spec: &ShardSpec,
+) -> f64 {
+    stages(model, scheme, spec)
+        .map(|(bytes, _)| bytes)
+        .fold(0.0, f64::max)
 }
 
-/// Whether a model compressed with `scheme` fits in the 64 GB HBM
-/// (weights only — see [`fits_in_hbm_with_kv`] for the serving-time check
-/// that includes the KV cache).
+/// Whether every socket's weight shard fits in its 64 GB HBM (weights only
+/// — see [`fits_in_hbm_with_kv`] for the serving-time check that includes
+/// the KV cache).
 #[must_use]
-pub fn fits_in_hbm(model: &LlmModel, scheme: &CompressionScheme) -> bool {
-    model_footprint_bytes(model, scheme) <= HBM_CAPACITY_BYTES as f64
+pub fn fits_in_hbm(model: &LlmModel, scheme: &CompressionScheme, spec: &ShardSpec) -> bool {
+    weight_bytes_per_socket(model, scheme, spec) <= HBM_CAPACITY_BYTES as f64
 }
 
 /// Bytes of KV cache held for one sequence at `context_tokens` (keys and
@@ -43,57 +53,53 @@ pub fn kv_cache_bytes_per_sequence(model: &LlmModel, context_tokens: usize) -> u
     (model.layers() * model.layer().kv_bytes_per_token() * context_tokens) as u64
 }
 
-/// Total KV-cache bytes for `batch` sequences at a uniform context length.
-#[must_use]
-pub fn kv_cache_bytes(model: &LlmModel, context_tokens: usize, batch: usize) -> u64 {
-    kv_cache_bytes_per_sequence(model, context_tokens) * batch as u64
-}
-
-/// HBM bytes left for the KV cache (and activations) after the weights are
-/// resident. Negative when the weights alone overflow the 64 GB.
-#[must_use]
-pub fn hbm_headroom_bytes(model: &LlmModel, scheme: &CompressionScheme) -> f64 {
-    HBM_CAPACITY_BYTES as f64 - model_footprint_bytes(model, scheme)
-}
-
-/// Whether the weights *and* the KV cache of `batch` sequences at
-/// `context_tokens` fit in the 64 GB HBM together.
+/// Whether the weight shards *and* the sharded KV cache of `batch`
+/// sequences at `context_tokens` fit on every socket of the plan.
 #[must_use]
 pub fn fits_in_hbm_with_kv(
     model: &LlmModel,
     scheme: &CompressionScheme,
+    spec: &ShardSpec,
     context_tokens: usize,
     batch: usize,
 ) -> bool {
-    kv_cache_bytes(model, context_tokens, batch) as f64 <= hbm_headroom_bytes(model, scheme)
+    stages(model, scheme, spec).all(|(bytes, kv_bytes_per_token)| {
+        (kv_bytes_per_token * context_tokens * batch) as f64 <= HBM_CAPACITY_BYTES as f64 - bytes
+    })
 }
 
 /// The total number of KV-cache token slots (summed across all resident
-/// sequences) the HBM headroom sustains, or `None` when the weights alone do
-/// not fit. This is the KV budget the serving scheduler in `deca-serve`
-/// admits against.
+/// sequences) a plan's HBM headroom sustains. A resident token stores
+/// sharded KV on *every* stage's sockets, so the budget is the minimum over
+/// stages of `stage headroom / stage per-token KV bytes`. This is the KV
+/// budget the serving scheduler in `deca-serve` admits against.
 ///
-/// Degenerate models with zero per-token KV cost (zero layers, or zero KV
-/// heads via [`LlmModel::new`]) also return `None`: dividing the headroom
-/// by `0.0` would produce `inf`, which a `u64` cast saturates into a bogus
-/// "unbounded" scheduler budget.
+/// `None` when some socket's weight shard does not fit, or when a stage
+/// has zero per-token KV cost (a zero-layer model, zero KV heads via
+/// [`LlmModel::new`], or a pipeline stage left without layers): dividing
+/// the headroom by `0.0` would produce `inf`, which a `u64` cast saturates
+/// into a bogus "unbounded" scheduler budget.
 #[must_use]
-pub fn max_kv_tokens(model: &LlmModel, scheme: &CompressionScheme) -> Option<u64> {
-    let headroom = hbm_headroom_bytes(model, scheme);
-    if headroom < 0.0 {
-        return None;
+pub fn max_kv_tokens(
+    model: &LlmModel,
+    scheme: &CompressionScheme,
+    spec: &ShardSpec,
+) -> Option<u64> {
+    let mut budget = u64::MAX;
+    for (bytes, kv_bytes_per_token) in stages(model, scheme, spec) {
+        let headroom = HBM_CAPACITY_BYTES as f64 - bytes;
+        if headroom < 0.0 || kv_bytes_per_token == 0 {
+            return None;
+        }
+        budget = budget.min((headroom / kv_bytes_per_token as f64) as u64);
     }
-    let per_token = (model.layers() * model.layer().kv_bytes_per_token()) as f64;
-    if per_token <= 0.0 {
-        return None;
-    }
-    Some((headroom / per_token) as u64)
+    Some(budget)
 }
 
-/// The number of whole KV-cache *blocks* of `block_size` tokens the HBM
-/// headroom sustains — the pool size of `deca-serve`'s paged allocator —
-/// or `None` when the weights alone do not fit. Rounds down: a partial
-/// block cannot be allocated.
+/// The number of whole KV-cache *blocks* of `block_size` tokens a plan's
+/// HBM headroom sustains — the pool size of `deca-serve`'s paged allocator
+/// — or `None` exactly when [`max_kv_tokens`] is `None`. Rounds down: a
+/// partial block cannot be allocated.
 ///
 /// # Panics
 ///
@@ -102,15 +108,50 @@ pub fn max_kv_tokens(model: &LlmModel, scheme: &CompressionScheme) -> Option<u64
 pub fn max_kv_blocks(
     model: &LlmModel,
     scheme: &CompressionScheme,
+    spec: &ShardSpec,
     block_size: usize,
 ) -> Option<u64> {
     assert!(block_size > 0, "block size must be positive");
-    max_kv_tokens(model, scheme).map(|tokens| tokens / block_size as u64)
+    max_kv_tokens(model, scheme, spec).map(|tokens| tokens / block_size as u64)
+}
+
+/// Per pipeline stage, the worst socket's weight bytes (FC shard, plus the
+/// LM-head shard on the last stage and the embeddings on stage 0) and its
+/// KV bytes per resident token.
+fn stages(
+    model: &LlmModel,
+    scheme: &CompressionScheme,
+    spec: &ShardSpec,
+) -> impl Iterator<Item = (f64, usize)> {
+    let layer = spec.shard_layer(model.layer());
+    let stage_layers = spec.stage_layers(model.layers());
+    let last = stage_layers.len() - 1;
+    let lm_head_params = model.layer().hidden * spec.shard_vocab(model.vocab());
+    let embedding_bytes = (model.total_params() - model.fc_params()) as f64 * 2.0;
+    let bytes_per_parameter = bytes_per_parameter(scheme);
+    stage_layers
+        .into_iter()
+        .enumerate()
+        .map(move |(stage, layers)| {
+            let mut params = layers * layer.fc_params();
+            if stage == last {
+                params += lm_head_params;
+            }
+            let mut bytes = params as f64 * bytes_per_parameter;
+            if stage == 0 {
+                bytes += embedding_bytes;
+            }
+            (bytes, layers * layer.kv_bytes_per_token())
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn one() -> ShardSpec {
+        ShardSpec::single()
+    }
 
     #[test]
     fn bytes_per_parameter_tracks_the_scheme() {
@@ -126,16 +167,17 @@ mod tests {
         // §8: BF16, Q16_50% and Q8_100% do not fit in 64 GB of HBM; the
         // compressed schemes evaluated with DECA do.
         let llama = LlmModel::llama2_70b();
-        assert!(!fits_in_hbm(&llama, &CompressionScheme::bf16_dense()));
-        assert!(!fits_in_hbm(&llama, &CompressionScheme::bf16_sparse(0.5)));
-        assert!(!fits_in_hbm(&llama, &CompressionScheme::bf8_dense()));
-        assert!(fits_in_hbm(&llama, &CompressionScheme::mxfp4()));
-        assert!(fits_in_hbm(&llama, &CompressionScheme::bf8_sparse(0.2)));
-        assert!(fits_in_hbm(&llama, &CompressionScheme::bf8_sparse(0.05)));
+        let fits = |model, scheme| fits_in_hbm(model, &scheme, &one());
+        assert!(!fits(&llama, CompressionScheme::bf16_dense()));
+        assert!(!fits(&llama, CompressionScheme::bf16_sparse(0.5)));
+        assert!(!fits(&llama, CompressionScheme::bf8_dense()));
+        assert!(fits(&llama, CompressionScheme::mxfp4()));
+        assert!(fits(&llama, CompressionScheme::bf8_sparse(0.2)));
+        assert!(fits(&llama, CompressionScheme::bf8_sparse(0.05)));
 
         let opt = LlmModel::opt_66b();
-        assert!(!fits_in_hbm(&opt, &CompressionScheme::bf16_dense()));
-        assert!(fits_in_hbm(&opt, &CompressionScheme::mxfp4()));
+        assert!(!fits(&opt, CompressionScheme::bf16_dense()));
+        assert!(fits(&opt, CompressionScheme::mxfp4()));
     }
 
     #[test]
@@ -144,10 +186,21 @@ mod tests {
         // 80 layers x 4096 B/token (GQA) = 327 680 B per context token.
         assert_eq!(kv_cache_bytes_per_sequence(&llama, 1), 327_680);
         assert_eq!(
-            kv_cache_bytes(&llama, 4096, 16),
-            327_680 * 4096 * 16 // ~21.5 GB: a real bite out of the headroom
+            kv_cache_bytes_per_sequence(&llama, 4096),
+            327_680 * 4096 // ~1.3 GB per sequence, ~21.5 GB for 16
         );
-        assert_eq!(kv_cache_bytes(&llama, 0, 16), 0);
+        assert_eq!(kv_cache_bytes_per_sequence(&llama, 0), 0);
+        // Only context x batch matters to the fit check.
+        let q8_5 = CompressionScheme::bf8_sparse(0.05);
+        let budget = max_kv_tokens(&llama, &q8_5, &one()).expect("weights fit") as usize;
+        assert!(fits_in_hbm_with_kv(&llama, &q8_5, &one(), budget / 16, 16));
+        assert!(!fits_in_hbm_with_kv(
+            &llama,
+            &q8_5,
+            &one(),
+            budget / 16 + 1,
+            16
+        ));
     }
 
     #[test]
@@ -155,33 +208,38 @@ mod tests {
         let llama = LlmModel::llama2_70b();
         let q8_5 = CompressionScheme::bf8_sparse(0.05);
         // Weights fit with lots of headroom...
-        assert!(fits_in_hbm_with_kv(&llama, &q8_5, 4096, 16));
+        assert!(fits_in_hbm_with_kv(&llama, &q8_5, &one(), 4096, 16));
         // ...but a large enough resident KV set overflows even Q8_5%.
-        let budget = max_kv_tokens(&llama, &q8_5).expect("weights fit");
+        let budget = max_kv_tokens(&llama, &q8_5, &one()).expect("weights fit");
         assert!(budget > 100_000, "budget {budget}");
-        assert!(!fits_in_hbm_with_kv(&llama, &q8_5, budget as usize + 1, 1));
-        assert!(fits_in_hbm_with_kv(&llama, &q8_5, budget as usize, 1));
+        assert!(!fits_in_hbm_with_kv(
+            &llama,
+            &q8_5,
+            &one(),
+            budget as usize + 1,
+            1
+        ));
+        assert!(fits_in_hbm_with_kv(
+            &llama,
+            &q8_5,
+            &one(),
+            budget as usize,
+            1
+        ));
 
         // Headroom is consistent with the budget: budget tokens eat it all.
-        let headroom = hbm_headroom_bytes(&llama, &q8_5);
-        let used = kv_cache_bytes(&llama, budget as usize, 1) as f64;
+        let headroom = HBM_CAPACITY_BYTES as f64 - weight_bytes_per_socket(&llama, &q8_5, &one());
+        let used = kv_cache_bytes_per_sequence(&llama, budget as usize) as f64;
         assert!(used <= headroom && headroom - used < 327_680.0);
     }
 
     #[test]
     fn models_that_do_not_fit_have_no_kv_budget() {
         let llama = LlmModel::llama2_70b();
-        assert_eq!(
-            max_kv_tokens(&llama, &CompressionScheme::bf16_dense()),
-            None
-        );
-        assert!(hbm_headroom_bytes(&llama, &CompressionScheme::bf16_dense()) < 0.0);
-        assert!(!fits_in_hbm_with_kv(
-            &llama,
-            &CompressionScheme::bf16_dense(),
-            0,
-            1
-        ));
+        let bf16 = CompressionScheme::bf16_dense();
+        assert_eq!(max_kv_tokens(&llama, &bf16, &one()), None);
+        assert!(weight_bytes_per_socket(&llama, &bf16, &one()) > HBM_CAPACITY_BYTES as f64);
+        assert!(!fits_in_hbm_with_kv(&llama, &bf16, &one(), 0, 1));
     }
 
     /// Regression: a degenerate zero-layer model has zero per-token KV
@@ -192,23 +250,28 @@ mod tests {
         let zero_layers = LlmModel::new("degenerate", 0, *LlmModel::llama2_70b().layer(), 32_000);
         let scheme = CompressionScheme::bf8_sparse(0.05);
         // The (tiny) footprint fits, so the headroom is positive...
-        assert!(hbm_headroom_bytes(&zero_layers, &scheme) > 0.0);
+        assert!(fits_in_hbm(&zero_layers, &scheme, &one()));
         // ...but the per-token KV cost is zero: no meaningful budget exists.
-        assert_eq!(max_kv_tokens(&zero_layers, &scheme), None);
+        assert_eq!(max_kv_tokens(&zero_layers, &scheme, &one()), None);
+        // Stages left without layers are the same case, not a panic.
+        assert_eq!(
+            max_kv_tokens(&zero_layers, &scheme, &ShardSpec::pp(2)),
+            None
+        );
     }
 
     #[test]
     fn block_budget_is_the_token_budget_in_whole_blocks() {
         let llama = LlmModel::llama2_70b();
         let q8_5 = CompressionScheme::bf8_sparse(0.05);
-        let tokens = max_kv_tokens(&llama, &q8_5).expect("fits");
-        let blocks = max_kv_blocks(&llama, &q8_5, 16).expect("fits");
+        let tokens = max_kv_tokens(&llama, &q8_5, &one()).expect("fits");
+        let blocks = max_kv_blocks(&llama, &q8_5, &one(), 16).expect("fits");
         assert_eq!(blocks, tokens / 16);
         // Block size 1 degenerates to the token budget.
-        assert_eq!(max_kv_blocks(&llama, &q8_5, 1), Some(tokens));
+        assert_eq!(max_kv_blocks(&llama, &q8_5, &one(), 1), Some(tokens));
         // No weights fit ⇒ no block pool either.
         assert_eq!(
-            max_kv_blocks(&llama, &CompressionScheme::bf16_dense(), 16),
+            max_kv_blocks(&llama, &CompressionScheme::bf16_dense(), &one(), 16),
             None
         );
     }
@@ -216,10 +279,11 @@ mod tests {
     #[test]
     fn footprints_are_ordered_by_compression_factor() {
         let llama = LlmModel::llama2_70b();
-        let bf16 = model_footprint_bytes(&llama, &CompressionScheme::bf16_dense());
-        let q8 = model_footprint_bytes(&llama, &CompressionScheme::bf8_dense());
-        let q4 = model_footprint_bytes(&llama, &CompressionScheme::mxfp4());
-        let q8_5 = model_footprint_bytes(&llama, &CompressionScheme::bf8_sparse(0.05));
+        let bytes = |scheme| weight_bytes_per_socket(&llama, &scheme, &one());
+        let bf16 = bytes(CompressionScheme::bf16_dense());
+        let q8 = bytes(CompressionScheme::bf8_dense());
+        let q4 = bytes(CompressionScheme::mxfp4());
+        let q8_5 = bytes(CompressionScheme::bf8_sparse(0.05));
         assert!(bf16 > q8 && q8 > q4 && q4 > q8_5);
         // The BF16 footprint is roughly 2 bytes per parameter.
         assert!((bf16 / llama.total_params() as f64 - 2.0).abs() < 0.01);

@@ -1,4 +1,5 @@
-//! Next-token (generation-phase) latency estimation.
+//! Next-token (generation-phase) and prefill latency estimation, on one
+//! socket or any TP × PP sharding plan.
 //!
 //! One generated token runs, per transformer layer, a set of FC-layer GeMMs
 //! (timed through the compressed-GeMM executor on the simulated machine)
@@ -8,12 +9,17 @@
 //! modelled as KV-cache bandwidth time plus a per-layer overhead calibrated
 //! once against Table 1's FC-time fractions and then left untouched for
 //! every other experiment.
+//!
+//! A sharded plan runs the same arithmetic per pipeline stage on one
+//! socket's tensor-parallel shard shapes and adds the interconnect: a ring
+//! all-reduce per TP GeMM and an activation transfer per stage boundary.
+//! The single socket is the one-stage plan over a free interconnect.
 
 use deca_compress::CompressionScheme;
 use deca_kernels::{CompressedGemmExecutor, Engine, GemmShape, Parlooper};
 use deca_roofsurface::MachineConfig;
 
-use crate::LlmModel;
+use crate::{InterconnectModel, LlmModel, ShardSpec};
 
 /// Fixed per-layer, per-token overhead (µs) for normalization, softmax,
 /// residuals, KV-cache bookkeeping and framework dispatch. Calibrated so the
@@ -37,23 +43,36 @@ pub struct NextTokenReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
+    /// The sharding plan.
+    pub spec: ShardSpec,
     /// Batch size.
     pub batch: usize,
     /// Context length (tokens already in the KV cache).
     pub context_tokens: usize,
-    /// Seconds spent in FC-layer GeMMs.
+    /// Seconds spent in FC-layer GeMMs, summed over the pipeline stages
+    /// (each stage runs its sharded shapes on its own sockets).
     pub fc_seconds: f64,
-    /// Seconds spent reading/writing the KV cache during attention.
+    /// Seconds spent reading/writing the KV cache during attention
+    /// (per socket: the KV heads are sharded).
     pub attention_seconds: f64,
     /// Seconds of per-layer overhead (norms, softmax, residuals, framework).
     pub other_seconds: f64,
+    /// Seconds of tensor-parallel all-reduces (one per TP GeMM).
+    pub allreduce_seconds: f64,
+    /// Seconds of pipeline-boundary activation transfers.
+    pub transfer_seconds: f64,
 }
 
 impl NextTokenReport {
-    /// Total next-token latency in seconds.
+    /// Total next-token latency in seconds (a decode token traverses every
+    /// pipeline stage in sequence).
     #[must_use]
     pub fn total_seconds(&self) -> f64 {
-        self.fc_seconds + self.attention_seconds + self.other_seconds
+        self.fc_seconds
+            + self.attention_seconds
+            + self.other_seconds
+            + self.allreduce_seconds
+            + self.transfer_seconds
     }
 
     /// Total next-token latency in milliseconds (the unit of Table 4).
@@ -65,21 +84,23 @@ impl NextTokenReport {
     /// Fraction of the next-token time spent in FC-layer GeMMs (Table 1).
     #[must_use]
     pub fn fc_fraction(&self) -> f64 {
-        if self.total_seconds() == 0.0 {
-            0.0
-        } else {
-            self.fc_seconds / self.total_seconds()
-        }
+        fraction(self.fc_seconds, self.total_seconds())
+    }
+
+    /// Fraction of the token time spent on the interconnect (all-reduces
+    /// plus stage transfers).
+    #[must_use]
+    pub fn comm_fraction(&self) -> f64 {
+        fraction(
+            self.allreduce_seconds + self.transfer_seconds,
+            self.total_seconds(),
+        )
     }
 
     /// Tokens per second for the whole batch.
     #[must_use]
     pub fn tokens_per_second(&self) -> f64 {
-        if self.total_seconds() == 0.0 {
-            0.0
-        } else {
-            self.batch as f64 / self.total_seconds()
-        }
+        fraction(self.batch as f64, self.total_seconds())
     }
 }
 
@@ -95,17 +116,24 @@ pub struct PrefillReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
+    /// The sharding plan.
+    pub spec: ShardSpec,
     /// Prompt tokens processed by this prefill.
     pub prompt_tokens: usize,
     /// Tokens already resident in the KV cache before the prefill (0 for a
     /// fresh request).
     pub context_tokens: usize,
-    /// Seconds spent in FC-layer GeMMs.
+    /// Seconds spent in FC-layer GeMMs across all stages.
     pub fc_seconds: f64,
-    /// Seconds spent reading/writing the KV cache during causal attention.
+    /// Seconds spent reading/writing the KV cache during causal attention
+    /// (per socket).
     pub attention_seconds: f64,
     /// Seconds of per-layer overhead (norms, softmax, residuals, framework).
     pub other_seconds: f64,
+    /// Seconds of tensor-parallel all-reduces.
+    pub allreduce_seconds: f64,
+    /// Seconds of pipeline-boundary activation transfers.
+    pub transfer_seconds: f64,
 }
 
 impl PrefillReport {
@@ -113,7 +141,11 @@ impl PrefillReport {
     /// contribution of prompt processing.
     #[must_use]
     pub fn total_seconds(&self) -> f64 {
-        self.fc_seconds + self.attention_seconds + self.other_seconds
+        self.fc_seconds
+            + self.attention_seconds
+            + self.other_seconds
+            + self.allreduce_seconds
+            + self.transfer_seconds
     }
 
     /// Total prefill latency in milliseconds.
@@ -125,87 +157,53 @@ impl PrefillReport {
     /// Prompt tokens processed per second.
     #[must_use]
     pub fn tokens_per_second(&self) -> f64 {
-        if self.total_seconds() == 0.0 {
-            0.0
-        } else {
-            self.prompt_tokens as f64 / self.total_seconds()
-        }
+        fraction(self.prompt_tokens as f64, self.total_seconds())
     }
 }
 
-/// The draft side of speculative decoding: a second, smaller model that
-/// proposes `draft_tokens` tokens per burst, each priced as one of *its*
-/// decode steps, before the target model verifies the whole burst in a
-/// single step. The spec is pure pricing data — acceptance behaviour
-/// (which drafts survive verification) is scheduler policy and lives with
-/// the serving layer.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DraftSpec {
-    model: LlmModel,
-    draft_tokens: usize,
-}
-
-impl DraftSpec {
-    /// A draft model proposing `draft_tokens` tokens per burst.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `draft_tokens` is zero (a zero-draft burst is just a
-    /// decode step).
-    #[must_use]
-    pub fn new(model: LlmModel, draft_tokens: usize) -> Self {
-        assert!(
-            draft_tokens > 0,
-            "a draft burst proposes at least one token"
-        );
-        DraftSpec {
-            model,
-            draft_tokens,
-        }
-    }
-
-    /// The stock pairing: [`LlmModel::llama2_7b`] drafting for a Llama2
-    /// target.
-    #[must_use]
-    pub fn llama2_7b(draft_tokens: usize) -> Self {
-        DraftSpec::new(LlmModel::llama2_7b(), draft_tokens)
-    }
-
-    /// The draft model.
-    #[must_use]
-    pub fn model(&self) -> &LlmModel {
-        &self.model
-    }
-
-    /// Draft tokens proposed per burst.
-    #[must_use]
-    pub fn draft_tokens(&self) -> usize {
-        self.draft_tokens
+/// `part / whole`, or 0 for an empty whole.
+fn fraction(part: f64, whole: f64) -> f64 {
+    if whole == 0.0 {
+        0.0
+    } else {
+        part / whole
     }
 }
 
-/// Estimates next-token latency for a model/scheme/engine combination on a
-/// simulated machine.
+/// Estimates prefill and next-token latency for a model/scheme/engine
+/// combination on a simulated machine, on one socket or sharded across
+/// `spec.sockets()` of them.
 #[derive(Debug, Clone)]
 pub struct InferenceEstimator {
     machine: MachineConfig,
     executor: CompressedGemmExecutor,
+    spec: ShardSpec,
+    interconnect: InterconnectModel,
 }
 
 impl InferenceEstimator {
-    /// Creates an estimator for a machine.
+    /// Creates a single-socket estimator for a machine: the
+    /// [`ShardSpec::single`] plan over [`InterconnectModel::zero_cost`].
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
+        InferenceEstimator::sharded(machine, ShardSpec::single(), InterconnectModel::zero_cost())
+    }
+
+    /// Creates an estimator for a sharding plan: every socket is one
+    /// `machine`, and `interconnect` prices every tensor-parallel
+    /// all-reduce and pipeline-boundary transfer.
+    #[must_use]
+    pub fn sharded(
+        machine: MachineConfig,
+        spec: ShardSpec,
+        interconnect: InterconnectModel,
+    ) -> Self {
         InferenceEstimator {
             executor: CompressedGemmExecutor::new(machine.clone()),
             machine,
+            spec,
+            interconnect,
         }
-    }
-
-    /// The underlying compressed-GeMM executor.
-    #[must_use]
-    pub fn executor(&self) -> &CompressedGemmExecutor {
-        &self.executor
     }
 
     /// Estimates the latency of generating one token.
@@ -222,19 +220,22 @@ impl InferenceEstimator {
         // (scheme, engine, batch); every FC GeMM then contributes its own
         // worst-loaded-core tile count at that rate.
         let seconds_per_tile = self.decode_tile_seconds(scheme, engine, batch);
-        let fc_seconds = self.fc_seconds_for(&model.fc_gemms_per_token(batch), seconds_per_tile);
-        let attention_seconds = self.attention_seconds(model, batch, context_tokens);
-        let other_seconds = Self::overhead_seconds(model.layers(), batch);
-
+        let (fc_seconds, attention_seconds, other_seconds) =
+            self.stage_components(model, batch, seconds_per_tile, |kv_bytes, layers| {
+                self.kv_traffic_seconds(kv_bytes, layers, batch, context_tokens)
+            });
         NextTokenReport {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
+            spec: self.spec,
             batch,
             context_tokens,
             fc_seconds,
             attention_seconds,
             other_seconds,
+            allreduce_seconds: self.allreduce_seconds(model, batch),
+            transfer_seconds: self.transfer_seconds(model, batch),
         }
     }
 
@@ -247,7 +248,9 @@ impl InferenceEstimator {
     /// `ceil(prompt_tokens / 16)` TMUL operations, so per tile the pipeline
     /// pays the *slower* of the steady-state (memory/decompress) tile rate
     /// and the TMUL occupancy — long prompts are compute-bound, exactly why
-    /// prefill and decode need separate models.
+    /// prefill and decode need separate models. A sharded prefill is a
+    /// single-microbatch pipeline: the stages run back to back, so pipeline
+    /// parallelism reduces the per-stage work but not the serial depth.
     ///
     /// # Panics
     ///
@@ -263,50 +266,105 @@ impl InferenceEstimator {
     ) -> PrefillReport {
         assert!(prompt_tokens > 0, "a prefill processes at least one token");
         let seconds_per_tile = self.prefill_tile_seconds(scheme, engine, prompt_tokens);
-        let fc_seconds =
-            self.fc_seconds_for(&model.fc_gemms_per_token(prompt_tokens), seconds_per_tile);
-        let attention_seconds =
-            self.prefill_attention_seconds(model, prompt_tokens, context_tokens);
         // The elementwise per-token work (norms, rotary, residuals) scales
         // with the prompt length; the fixed per-layer dispatch is paid once.
-        let other_seconds = Self::overhead_seconds(model.layers(), prompt_tokens);
-
+        let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
+            model,
+            prompt_tokens,
+            seconds_per_tile,
+            |kv_bytes, layers| {
+                self.prefill_kv_traffic_seconds(kv_bytes, layers, prompt_tokens, context_tokens)
+            },
+        );
         PrefillReport {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
+            spec: self.spec,
             prompt_tokens,
             context_tokens,
             fc_seconds,
             attention_seconds,
             other_seconds,
+            allreduce_seconds: self.allreduce_seconds(model, prompt_tokens),
+            transfer_seconds: self.transfer_seconds(model, prompt_tokens),
         }
     }
 
-    /// Seconds of one speculative-decoding burst for a batch: the draft
-    /// model runs `draft.draft_tokens()` of its own decode steps (weights
-    /// streamed per drafted token), then the target model verifies the
-    /// whole burst in one forward pass, priced as one of *its* decode
-    /// steps — the standard approximation that scoring k drafted tokens
-    /// costs one target pass, since the weight stream (not the k extra
-    /// activation rows) is the bound.
-    #[must_use]
-    pub fn speculative_burst(
+    /// The per-socket compute/memory components summed over the pipeline
+    /// stages. `rows` is the activation row count of every GeMM (the batch
+    /// for decode, the prompt length for prefill); `kv_traffic` prices one
+    /// stage's KV traffic from its per-token KV bytes and layer count.
+    fn stage_components(
         &self,
-        target: &LlmModel,
-        draft: &DraftSpec,
-        scheme: &CompressionScheme,
-        engine: Engine,
-        batch: usize,
-        context_tokens: usize,
-    ) -> f64 {
-        let draft_step = self
-            .next_token(draft.model(), scheme, engine, batch, context_tokens)
-            .total_seconds();
-        let verify = self
-            .next_token(target, scheme, engine, batch, context_tokens)
-            .total_seconds();
-        draft.draft_tokens() as f64 * draft_step + verify
+        model: &LlmModel,
+        rows: usize,
+        seconds_per_tile: f64,
+        kv_traffic: impl Fn(usize, usize) -> f64,
+    ) -> (f64, f64, f64) {
+        let sharded_layer = self.spec.shard_layer(model.layer());
+        let stage_layers = self.spec.stage_layers(model.layers());
+        let last = stage_layers.len() - 1;
+        let lm_head = GemmShape::new(
+            rows,
+            model.layer().hidden,
+            self.spec.shard_vocab(model.vocab()),
+        );
+
+        let mut fc_seconds = 0.0;
+        let mut attention_seconds = 0.0;
+        let mut other_seconds = 0.0;
+        for (stage, &layers) in stage_layers.iter().enumerate() {
+            let mut shapes = Vec::new();
+            for _ in 0..layers {
+                shapes.extend(sharded_layer.fc_gemms(rows));
+            }
+            if stage == last {
+                shapes.push(lm_head);
+            }
+            fc_seconds += self.fc_seconds_for(&shapes, seconds_per_tile);
+            attention_seconds += kv_traffic(sharded_layer.kv_bytes_per_token(), layers);
+            other_seconds += overhead_seconds(layers, rows);
+        }
+        (fc_seconds, attention_seconds, other_seconds)
+    }
+
+    /// Tensor-parallel all-reduce time per token step: one ring all-reduce
+    /// of the full output activation (`rows × M` at BF16) per TP GeMM —
+    /// every layer's GeMMs plus the LM head. A slight over-approximation of
+    /// fused Megatron sharding (which folds column/row-parallel pairs into
+    /// two all-reduces per layer), so the sharded model is conservative.
+    fn allreduce_seconds(&self, model: &LlmModel, rows: usize) -> f64 {
+        let tp = self.spec.tensor_parallel;
+        if tp <= 1 {
+            return 0.0;
+        }
+        let per_layer: f64 = model
+            .layer()
+            .fc_gemms(rows)
+            .iter()
+            .map(|shape| {
+                self.interconnect
+                    .all_reduce_seconds((shape.n * shape.m * 2) as f64, tp)
+            })
+            .sum();
+        per_layer * model.layers() as f64
+            + self
+                .interconnect
+                .all_reduce_seconds((rows * model.vocab() * 2) as f64, tp)
+    }
+
+    /// Pipeline-boundary activation transfers: `PP − 1` point-to-point
+    /// sends of the `rows × hidden` BF16 activation.
+    fn transfer_seconds(&self, model: &LlmModel, rows: usize) -> f64 {
+        let pp = self.spec.pipeline_parallel;
+        if pp <= 1 {
+            return 0.0;
+        }
+        (pp - 1) as f64
+            * self
+                .interconnect
+                .point_to_point_seconds((rows * model.layer().hidden * 2) as f64)
     }
 
     fn gemm_seconds(&self, shape: &GemmShape, seconds_per_tile: f64) -> f64 {
@@ -315,14 +373,7 @@ impl InferenceEstimator {
     }
 
     /// Steady-state decode tile rate for a (scheme, engine, batch) point.
-    /// Shared with the sharded estimator (`crate::parallel`) so both views
-    /// price a tile identically.
-    pub(crate) fn decode_tile_seconds(
-        &self,
-        scheme: &CompressionScheme,
-        engine: Engine,
-        batch: usize,
-    ) -> f64 {
+    fn decode_tile_seconds(&self, scheme: &CompressionScheme, engine: Engine, batch: usize) -> f64 {
         let run = self.executor.run(scheme, engine, batch);
         run.stats.cycles_per_tile() / self.machine.frequency_hz()
     }
@@ -330,7 +381,7 @@ impl InferenceEstimator {
     /// Per-tile prefill rate: the slower of the steady-state stream rate and
     /// the TMUL occupancy — ceil(P/16) tile ops of `tmul_cycles_per_op`
     /// cycles each (the TMUL saturates at 16 activation rows per op).
-    pub(crate) fn prefill_tile_seconds(
+    fn prefill_tile_seconds(
         &self,
         scheme: &CompressionScheme,
         engine: Engine,
@@ -346,7 +397,7 @@ impl InferenceEstimator {
 
     /// Total FC time of a list of GeMMs at a fixed per-tile rate: each GeMM
     /// pays its worst-loaded-core tile count plus the launch/barrier cost.
-    pub(crate) fn fc_seconds_for(&self, shapes: &[GemmShape], seconds_per_tile: f64) -> f64 {
+    fn fc_seconds_for(&self, shapes: &[GemmShape], seconds_per_tile: f64) -> f64 {
         shapes
             .iter()
             .map(|shape| self.gemm_seconds(shape, seconds_per_tile))
@@ -358,7 +409,7 @@ impl InferenceEstimator {
     /// cost is `kv_bytes_per_token`: every layer reads the keys and values
     /// of the whole context for every sequence in the batch, and appends
     /// the new token's keys/values.
-    pub(crate) fn kv_traffic_seconds(
+    fn kv_traffic_seconds(
         &self,
         kv_bytes_per_token: usize,
         layers: usize,
@@ -374,7 +425,7 @@ impl InferenceEstimator {
     /// Causal-attention KV traffic of a prefill: token `i` of the prompt
     /// reads the `context + i` keys/values before it, and every prompt
     /// token appends its own.
-    pub(crate) fn prefill_kv_traffic_seconds(
+    fn prefill_kv_traffic_seconds(
         &self,
         kv_bytes_per_token: usize,
         layers: usize,
@@ -387,43 +438,18 @@ impl InferenceEstimator {
         let total_bytes = (positions_read + p) * kv_bytes * layers as f64;
         total_bytes / self.machine.memory_bandwidth_bytes_per_sec()
     }
+}
 
-    /// Per-layer overhead (norms, softmax, residuals, framework dispatch)
-    /// for `layers` layers processing `sequences` token rows.
-    pub(crate) fn overhead_seconds(layers: usize, sequences: usize) -> f64 {
-        layers as f64
-            * (LAYER_OVERHEAD_US + LAYER_OVERHEAD_PER_SEQUENCE_US * sequences as f64)
-            * 1e-6
-    }
-
-    fn prefill_attention_seconds(
-        &self,
-        model: &LlmModel,
-        prompt_tokens: usize,
-        context_tokens: usize,
-    ) -> f64 {
-        self.prefill_kv_traffic_seconds(
-            model.layer().kv_bytes_per_token(),
-            model.layers(),
-            prompt_tokens,
-            context_tokens,
-        )
-    }
-
-    fn attention_seconds(&self, model: &LlmModel, batch: usize, context_tokens: usize) -> f64 {
-        self.kv_traffic_seconds(
-            model.layer().kv_bytes_per_token(),
-            model.layers(),
-            batch,
-            context_tokens,
-        )
-    }
+/// Per-layer overhead (norms, softmax, residuals, framework dispatch) for
+/// `layers` layers processing `sequences` token rows.
+fn overhead_seconds(layers: usize, sequences: usize) -> f64 {
+    layers as f64 * (LAYER_OVERHEAD_US + LAYER_OVERHEAD_PER_SEQUENCE_US * sequences as f64) * 1e-6
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deca_compress::CompressionScheme;
+    use proptest::prelude::*;
 
     fn hbm() -> InferenceEstimator {
         InferenceEstimator::new(MachineConfig::spr_hbm())
@@ -597,40 +623,68 @@ mod tests {
         );
     }
 
-    #[test]
-    fn draft_spec_accessors_and_stock_pairing() {
-        let draft = DraftSpec::llama2_7b(4);
-        assert_eq!(draft.model().name(), "Llama2-7B");
-        assert_eq!(draft.draft_tokens(), 4);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
 
-    #[test]
-    #[should_panic(expected = "at least one token")]
-    fn zero_draft_tokens_panic() {
-        let _ = DraftSpec::llama2_7b(0);
-    }
+        /// The anchor property: on the single plan every latency part is
+        /// its whole-model formula, bit for bit. The stage loop builds
+        /// exactly [`LlmModel::fc_gemms_per_token`]'s GeMM list in the same
+        /// order, one stage carries every layer's KV traffic and overhead,
+        /// and the interconnect parts are exactly zero.
+        #[test]
+        fn single_plan_parts_are_the_whole_model_formulas(
+            scheme_index in 0usize..5,
+            opt in proptest::prop::bool::ANY,
+            deca in proptest::prop::bool::ANY,
+            batch in 1usize..17,
+            context in 0usize..4096,
+            prompt in 1usize..768,
+        ) {
+            let estimator = hbm();
+            let engine = if deca { Engine::deca_default() } else { Engine::software() };
+            let scheme = [
+                CompressionScheme::bf16_dense(),
+                CompressionScheme::bf8_dense(),
+                CompressionScheme::bf8_sparse(0.2),
+                CompressionScheme::bf8_sparse(0.05),
+                CompressionScheme::mxfp4(),
+            ][scheme_index];
+            let model = if opt { LlmModel::opt_66b() } else { LlmModel::llama2_70b() };
+            let (layers, kv_bytes) = (model.layers(), model.layer().kv_bytes_per_token());
 
-    #[test]
-    fn speculative_burst_prices_draft_steps_plus_one_verify() {
-        let estimator = hbm();
-        let target = LlmModel::llama2_70b();
-        let scheme = CompressionScheme::bf8_sparse(0.05);
-        let engine = Engine::deca_default();
-        let draft = DraftSpec::llama2_7b(4);
-        let burst = estimator.speculative_burst(&target, &draft, &scheme, engine, 4, 512);
-        let draft_step = estimator
-            .next_token(draft.model(), &scheme, engine, 4, 512)
-            .total_seconds();
-        let verify = estimator
-            .next_token(&target, &scheme, engine, 4, 512)
-            .total_seconds();
-        assert_eq!(
-            burst.to_bits(),
-            (4.0 * draft_step + verify).to_bits(),
-            "a burst is exactly k draft steps plus one verify step"
-        );
-        // The whole point: a 4-token burst on a 7B draft costs well under
-        // four target decode steps.
-        assert!(burst < 4.0 * verify);
+            let decode = estimator.next_token(&model, &scheme, engine, batch, context);
+            let tile = estimator.decode_tile_seconds(&scheme, engine, batch);
+            let fc = estimator.fc_seconds_for(&model.fc_gemms_per_token(batch), tile);
+            let kv = estimator.kv_traffic_seconds(kv_bytes, layers, batch, context);
+            prop_assert_eq!(decode.fc_seconds.to_bits(), fc.to_bits());
+            prop_assert_eq!(decode.attention_seconds.to_bits(), kv.to_bits());
+            prop_assert_eq!(
+                decode.other_seconds.to_bits(),
+                overhead_seconds(layers, batch).to_bits()
+            );
+            prop_assert_eq!(decode.allreduce_seconds.to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(decode.transfer_seconds.to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(
+                decode.total_seconds().to_bits(),
+                (fc + kv + overhead_seconds(layers, batch)).to_bits()
+            );
+
+            let prefill = estimator.prefill(&model, &scheme, engine, prompt, context);
+            let tile = estimator.prefill_tile_seconds(&scheme, engine, prompt);
+            let fc = estimator.fc_seconds_for(&model.fc_gemms_per_token(prompt), tile);
+            let kv = estimator.prefill_kv_traffic_seconds(kv_bytes, layers, prompt, context);
+            prop_assert_eq!(prefill.fc_seconds.to_bits(), fc.to_bits());
+            prop_assert_eq!(prefill.attention_seconds.to_bits(), kv.to_bits());
+            prop_assert_eq!(
+                prefill.other_seconds.to_bits(),
+                overhead_seconds(layers, prompt).to_bits()
+            );
+            prop_assert_eq!(prefill.allreduce_seconds.to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(prefill.transfer_seconds.to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(
+                prefill.total_seconds().to_bits(),
+                (fc + kv + overhead_seconds(layers, prompt)).to_bits()
+            );
+        }
     }
 }

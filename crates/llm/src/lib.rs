@@ -6,23 +6,24 @@
 //!
 //! * [`LlmModel`] — layer-exact parameter inventories of both models and the
 //!   FC-layer GeMM shapes of one transformer layer,
-//! * [`footprint`] — model memory footprints per compression scheme (which
-//!   schemes fit in 64 GB of HBM),
-//! * [`InferenceEstimator`] — next-token latency estimation: every FC GeMM
-//!   is timed through the compressed-GeMM executor (software or DECA
-//!   engine), and the non-GeMM stages (attention over the KV cache,
-//!   normalization, residuals and framework overhead) are modelled as
-//!   bandwidth/overhead-bound work,
-//! * [`InferenceEstimator::prefill`] — the prompt-processing phase: the same
-//!   weight stream as a decode step, but each decompressed tile feeds
-//!   `ceil(prompt/16)` TMUL operations, so long prompts turn compute-bound.
-//!   Time-to-first-token in the `deca-serve` serving simulator is built on
-//!   this,
-//! * [`parallel`] — multi-socket sharded inference: [`ShardSpec`]
-//!   (tensor/pipeline parallelism), [`InterconnectModel`] (ring all-reduce
-//!   per TP GeMM, point-to-point transfer per pipeline boundary) and
-//!   [`ShardedEstimator`], which makes schemes that overflow one socket's
-//!   HBM servable at TP ≥ 2 and prices the interconnect they pay for it.
+//! * [`InferenceEstimator`] — the one latency model. Every FC GeMM is timed
+//!   through the compressed-GeMM executor (software or DECA engine), and
+//!   the non-GeMM stages (attention over the KV cache, normalization,
+//!   residuals and framework overhead) are modelled as bandwidth/overhead-
+//!   bound work. [`InferenceEstimator::next_token`] prices one decode step;
+//!   [`InferenceEstimator::prefill`] prices the prompt-processing phase,
+//!   where each decompressed tile feeds `ceil(prompt/16)` TMUL operations,
+//!   so long prompts turn compute-bound (time-to-first-token in the
+//!   `deca-serve` serving simulator is built on this).
+//!   [`InferenceEstimator::new`] is one socket;
+//!   [`InferenceEstimator::sharded`] runs the same per-stage arithmetic
+//!   under a TP × PP plan and prices the interconnect,
+//! * [`parallel`] — the sharding inputs: [`ShardSpec`] (tensor/pipeline
+//!   parallelism) and [`InterconnectModel`] (ring all-reduce per TP GeMM,
+//!   point-to-point transfer per pipeline boundary),
+//! * [`footprint`] — per-socket weight and KV-cache footprints under a plan
+//!   (which schemes fit in 64 GB of HBM, and the KV budget left over), so
+//!   schemes that overflow one socket become servable at TP ≥ 2.
 //!
 //! # Example
 //!
@@ -51,11 +52,9 @@ mod inference;
 mod model;
 pub mod parallel;
 
-pub use inference::{DraftSpec, InferenceEstimator, NextTokenReport, PrefillReport};
+pub use inference::{InferenceEstimator, NextTokenReport, PrefillReport};
 pub use model::{LayerGeometry, LlmModel};
-pub use parallel::{
-    InterconnectModel, ShardSpec, ShardedEstimator, ShardedNextTokenReport, ShardedPrefillReport,
-};
+pub use parallel::{InterconnectModel, ShardSpec};
 
 #[cfg(test)]
 mod tests {

@@ -148,9 +148,9 @@ impl LlmModel {
     }
 
     /// Llama2-7B: 32 layers, 4096 hidden, 11008 FFN, 32 heads (full MHA),
-    /// 32 k vocabulary — the stock *draft* model for speculative decoding
-    /// ([`crate::DraftSpec`]): same family and tokenizer as
-    /// [`LlmModel::llama2_70b`], a tenth of the weights.
+    /// 32 k vocabulary — the stock *draft* model for speculative decoding:
+    /// same family and tokenizer as [`LlmModel::llama2_70b`], a tenth of
+    /// the weights.
     #[must_use]
     pub fn llama2_7b() -> Self {
         LlmModel {

@@ -1,19 +1,20 @@
-//! Property tests for the sharded estimator (`deca_llm::parallel`).
+//! Property tests for the plan-taking footprint (`deca_llm::footprint`).
 //!
-//! The anchor property: a `TP=1 × PP=1` plan over a zero-cost interconnect
-//! is *the same model* as the unsharded [`InferenceEstimator`] — every
-//! latency component matches bit for bit across schemes, engines, batch
-//! sizes and context lengths. Everything the sharded view adds (per-socket
-//! shard shapes, collectives, stage partitions) must therefore be a pure
-//! extension, never a re-derivation that drifts.
+//! The anchor property: on [`ShardSpec::single`] the per-stage accounting is
+//! the whole-model formula — FC parameters at the scheme's bytes per
+//! parameter plus the BF16 embeddings, and a KV budget of that headroom
+//! over every layer's per-token KV bytes — bit for bit, across schemes and
+//! models. Everything a plan adds (shard shapes, stage partitions) must
+//! therefore be a pure extension, never a re-derivation that drifts. The
+//! estimator's single-plan anchor lives beside its private helpers
+//! (`inference.rs`).
 
 use deca_compress::CompressionScheme;
-use deca_kernels::Engine;
-use deca_llm::{
-    footprint, parallel, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec,
-    ShardedEstimator,
+use deca_llm::footprint::{
+    bytes_per_parameter, fits_in_hbm_with_kv, max_kv_tokens, weight_bytes_per_socket,
+    HBM_CAPACITY_BYTES,
 };
-use deca_roofsurface::MachineConfig;
+use deca_llm::{LlmModel, ShardSpec};
 use proptest::prelude::*;
 
 fn scheme(index: u32) -> CompressionScheme {
@@ -37,58 +38,8 @@ fn model(index: u32) -> LlmModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// TP=1 / PP=1 with a zero-cost interconnect reproduces the unsharded
-    /// estimator's numbers exactly (bitwise), for decode and prefill.
-    #[test]
-    fn single_socket_plan_is_the_unsharded_estimator(
-        scheme_index in 0u32..5,
-        model_index in 0u32..2,
-        deca in proptest::prop::bool::ANY,
-        batch in 1usize..17,
-        context in 0usize..4096,
-        prompt in 1usize..768,
-    ) {
-        let machine = MachineConfig::spr_hbm();
-        let engine = if deca { Engine::deca_default() } else { Engine::software() };
-        let scheme = scheme(scheme_index);
-        let model = model(model_index);
-        let unsharded = InferenceEstimator::new(machine.clone());
-        let sharded = ShardedEstimator::new(
-            machine,
-            ShardSpec::single(),
-            InterconnectModel::zero_cost(),
-        );
-
-        let base = unsharded.next_token(&model, &scheme, engine, batch, context);
-        let shard = sharded.next_token(&model, &scheme, engine, batch, context);
-        prop_assert_eq!(shard.fc_seconds.to_bits(), base.fc_seconds.to_bits());
-        prop_assert_eq!(
-            shard.attention_seconds.to_bits(),
-            base.attention_seconds.to_bits()
-        );
-        prop_assert_eq!(shard.other_seconds.to_bits(), base.other_seconds.to_bits());
-        prop_assert_eq!(shard.allreduce_seconds, 0.0);
-        prop_assert_eq!(shard.transfer_seconds, 0.0);
-        prop_assert_eq!(
-            shard.total_seconds().to_bits(),
-            base.total_seconds().to_bits()
-        );
-
-        let base_p = unsharded.prefill(&model, &scheme, engine, prompt, context);
-        let shard_p = sharded.prefill(&model, &scheme, engine, prompt, context);
-        prop_assert_eq!(shard_p.fc_seconds.to_bits(), base_p.fc_seconds.to_bits());
-        prop_assert_eq!(
-            shard_p.attention_seconds.to_bits(),
-            base_p.attention_seconds.to_bits()
-        );
-        prop_assert_eq!(
-            shard_p.total_seconds().to_bits(),
-            base_p.total_seconds().to_bits()
-        );
-    }
-
-    /// The single-socket footprint view agrees with `footprint` exactly,
-    /// and sharding never *increases* the per-socket weight bytes.
+    /// The single plan is the whole-model formula exactly (bitwise), and
+    /// sharding never *increases* the per-socket weight bytes.
     #[test]
     fn sharded_footprints_are_consistent(
         scheme_index in 0u32..5,
@@ -99,20 +50,22 @@ proptest! {
         let scheme = scheme(scheme_index);
         let model = model(model_index);
         let single = ShardSpec::single();
-        prop_assert_eq!(
-            parallel::sharded_max_kv_tokens(&model, &scheme, &single),
-            footprint::max_kv_tokens(&model, &scheme)
-        );
+        let embeddings = (model.total_params() - model.fc_params()) as f64 * 2.0;
+        let whole = model.fc_params() as f64 * bytes_per_parameter(&scheme) + embeddings;
+        let one_socket = weight_bytes_per_socket(&model, &scheme, &single);
+        prop_assert_eq!(one_socket.to_bits(), whole.to_bits());
+        let headroom = HBM_CAPACITY_BYTES as f64 - whole;
+        let per_token = (model.layers() * model.layer().kv_bytes_per_token()) as f64;
+        let expected = (headroom >= 0.0).then(|| (headroom / per_token) as u64);
+        prop_assert_eq!(max_kv_tokens(&model, &scheme, &single), expected);
+
         let spec = ShardSpec::new(1 << tp_exp, pp);
-        let sharded = parallel::sharded_weight_bytes_per_socket(&model, &scheme, &spec);
-        let unsharded = footprint::model_footprint_bytes(&model, &scheme);
-        prop_assert!(sharded <= unsharded * 1.0001, "{spec}: {sharded} > {unsharded}");
+        let sharded = weight_bytes_per_socket(&model, &scheme, &spec);
+        prop_assert!(sharded <= whole * 1.0001, "{spec}: {sharded} > {whole}");
         // A plan with a budget can hold at least that many tokens.
-        if let Some(budget) = parallel::sharded_max_kv_tokens(&model, &scheme, &spec) {
+        if let Some(budget) = max_kv_tokens(&model, &scheme, &spec) {
             let budget = usize::try_from(budget).unwrap();
-            prop_assert!(parallel::sharded_fits_in_hbm_with_kv(
-                &model, &scheme, &spec, budget, 1
-            ));
+            prop_assert!(fits_in_hbm_with_kv(&model, &scheme, &spec, budget, 1));
         }
     }
 }

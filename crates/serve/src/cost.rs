@@ -10,16 +10,15 @@
 //! unchunked step prices exactly as before; chunked prefill
 //! (Sarathi-style) and speculative decoding are scheduler policy layered
 //! on the same primitives. The production implementation drives
-//! [`ShardedEstimator`] (and therefore [`deca_llm::InferenceEstimator`]
-//! and the whole compressed-GeMM simulation stack underneath), for
-//! single-socket replicas and TP/PP sharded ones alike; a linear model
-//! exists for fast property tests and analytical what-ifs.
+//! [`InferenceEstimator`] (and the whole compressed-GeMM simulation stack
+//! underneath), for single-socket replicas and TP/PP sharded ones alike; a
+//! linear model exists for fast property tests and analytical what-ifs.
 
 use std::collections::HashMap;
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{DraftSpec, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator};
+use deca_llm::{InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 
 /// One prefill chunk inside a batch step: `suffix_tokens` prompt tokens
@@ -121,7 +120,8 @@ pub trait ServingCostModel {
     /// sequences. The default has no draft model to price, so it charges
     /// every drafted token as a full target decode step (speculation
     /// without a cheaper draft buys nothing); [`EstimatorCostModel`]
-    /// overrides it when a [`DraftSpec`] is configured.
+    /// overrides it when a draft model is configured
+    /// ([`EstimatorCostModel::with_draft_model`]).
     fn speculative_burst_seconds(
         &mut self,
         draft_tokens: usize,
@@ -197,26 +197,25 @@ fn memo_insert<K: std::hash::Hash + Eq>(cache: &mut HashMap<K, f64>, key: K, sec
     }
 }
 
-/// The production cost model: every answer comes from the sharded
-/// estimator (`deca_llm::parallel`) — decode steps from
-/// [`ShardedEstimator::next_token`], prefills from
-/// [`ShardedEstimator::prefill`] — memoized per bucketed shape. Bucketing
+/// The production cost model: every answer comes from
+/// [`InferenceEstimator`] — decode steps from
+/// [`InferenceEstimator::next_token`], prefills from
+/// [`InferenceEstimator::prefill`] — memoized per bucketed shape. Bucketing
 /// rounds *up*, so the model is conservative — a simulated server is never
 /// faster than the estimator says.
 ///
-/// [`EstimatorCostModel::new`] builds the single-socket view; because a
-/// `TP=1 × PP=1` plan over a zero-cost interconnect reproduces
-/// [`deca_llm::InferenceEstimator`] bit for bit, the unsharded serving
-/// numbers are unchanged by the sharding axis.
+/// [`EstimatorCostModel::new`] prices one socket;
+/// [`EstimatorCostModel::sharded`] prices a TP × PP replica with the same
+/// estimator built for the plan.
 #[derive(Debug, Clone)]
 pub struct EstimatorCostModel {
-    estimator: ShardedEstimator,
+    estimator: InferenceEstimator,
     model: LlmModel,
     scheme: CompressionScheme,
     engine: Engine,
     /// Draft model for speculative-decoding bursts (None: the trait
     /// default prices drafts as target decode steps).
-    draft: Option<DraftSpec>,
+    draft: Option<LlmModel>,
     decode_cache: HashMap<(usize, usize), f64>,
     prefill_cache: HashMap<usize, f64>,
     cached_prefill_cache: HashMap<(usize, usize), f64>,
@@ -258,7 +257,7 @@ impl EstimatorCostModel {
         interconnect: InterconnectModel,
     ) -> Self {
         EstimatorCostModel {
-            estimator: ShardedEstimator::new(machine, spec, interconnect),
+            estimator: InferenceEstimator::sharded(machine, spec, interconnect),
             model,
             scheme,
             engine,
@@ -273,21 +272,17 @@ impl EstimatorCostModel {
     }
 
     /// Attaches a draft model for speculative decoding: bursts are then
-    /// priced as `k` draft-model decode steps plus one target verify step
-    /// (`k` comes from the scheduler's speculation policy at each call;
-    /// the spec's own `draft_tokens` is its default burst length). The
-    /// draft rides the same shard plan, scheme and engine as the target.
+    /// priced as `k` draft-model decode steps (weights streamed per drafted
+    /// token) plus one target verify step, the standard approximation that
+    /// scoring `k` drafted tokens costs one target pass because the weight
+    /// stream, not the extra activation rows, is the bound. `k` comes from
+    /// the scheduler's [`crate::SpeculationSpec`] at each call. The draft
+    /// rides the same shard plan, scheme and engine as the target.
     #[must_use]
-    pub fn with_draft_model(mut self, draft: DraftSpec) -> Self {
+    pub fn with_draft_model(mut self, draft: LlmModel) -> Self {
         self.draft_cache.clear();
         self.draft = Some(draft);
         self
-    }
-
-    /// The configured draft model, if any.
-    #[must_use]
-    pub fn draft_spec(&self) -> Option<&DraftSpec> {
-        self.draft.as_ref()
     }
 
     /// Memoization counters: entries across all tables (each bounded, so
@@ -303,30 +298,6 @@ impl EstimatorCostModel {
             hits: self.memo_hits,
             misses: self.memo_misses,
         }
-    }
-
-    /// The LLM being served.
-    #[must_use]
-    pub fn model(&self) -> &LlmModel {
-        &self.model
-    }
-
-    /// The sharding plan of this replica.
-    #[must_use]
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.estimator.spec()
-    }
-
-    /// The compression scheme of the resident weights.
-    #[must_use]
-    pub fn scheme(&self) -> &CompressionScheme {
-        &self.scheme
-    }
-
-    /// The kernel engine (software decompression or DECA).
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 }
 
@@ -411,7 +382,7 @@ impl ServingCostModel for EstimatorCostModel {
             let draft = self.draft.as_ref().expect("checked above");
             let seconds = self
                 .estimator
-                .next_token(draft.model(), &self.scheme, self.engine, batch, context)
+                .next_token(draft, &self.scheme, self.engine, batch, context)
                 .total_seconds();
             memo_insert(&mut self.draft_cache, (batch, context), seconds);
             seconds
@@ -590,29 +561,11 @@ mod tests {
                 interconnect,
             )
         };
-        // The single-socket plan over a free interconnect is the unsharded
-        // model, bit for bit.
-        let mut single = build(ShardSpec::single(), InterconnectModel::zero_cost());
-        let mut unsharded = EstimatorCostModel::new(
-            MachineConfig::spr_hbm(),
-            LlmModel::llama2_70b(),
-            CompressionScheme::bf8_sparse(0.05),
-            Engine::deca_default(),
-        );
-        assert_eq!(
-            single.decode_step_seconds(4, 1000).to_bits(),
-            unsharded.decode_step_seconds(4, 1000).to_bits()
-        );
-        assert_eq!(
-            single.prefill_seconds(512).to_bits(),
-            unsharded.prefill_seconds(512).to_bits()
-        );
-        assert_eq!(single.shard_spec(), ShardSpec::single());
         // A TP2 replica over a real interconnect still beats one socket on
         // the weight-stream-bound decode step.
+        let mut single = build(ShardSpec::single(), InterconnectModel::zero_cost());
         let mut tp2 = build(ShardSpec::tp(2), InterconnectModel::spr_upi());
-        assert_eq!(tp2.shard_spec().sockets(), 2);
-        assert!(tp2.decode_step_seconds(4, 1000) < unsharded.decode_step_seconds(4, 1000));
+        assert!(tp2.decode_step_seconds(4, 1000) < single.decode_step_seconds(4, 1000));
     }
 
     #[test]
@@ -717,11 +670,21 @@ mod tests {
         assert_eq!(default_burst.to_bits(), (5.0 * step).to_bits());
         // With the 7B draft attached, four drafted tokens cost far less
         // than four target steps — but still more than the bare verify.
-        let mut drafted = build().with_draft_model(deca_llm::DraftSpec::llama2_7b(4));
-        assert!(drafted.draft_spec().is_some());
+        let mut drafted = build().with_draft_model(LlmModel::llama2_7b());
         let burst = drafted.speculative_burst_seconds(4, 8, 1024);
         assert!(burst < default_burst);
         assert!(burst > step);
+        // Exactly k draft-model decode steps plus one target verify step.
+        let draft_step = InferenceEstimator::new(MachineConfig::spr_hbm())
+            .next_token(
+                &LlmModel::llama2_7b(),
+                &CompressionScheme::bf8_sparse(0.05),
+                Engine::deca_default(),
+                8,
+                1024,
+            )
+            .total_seconds();
+        assert_eq!(burst.to_bits(), (4.0 * draft_step + step).to_bits());
         // The draft-step memo works: the second identical burst hits.
         let before = drafted.memo_stats();
         let again = drafted.speculative_burst_seconds(4, 8, 1024);

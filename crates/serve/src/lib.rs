@@ -19,8 +19,8 @@
 //!   `deca-llm` for this layer), per-step decode cost, the cached-prefix
 //!   prefill query that prices only a prompt's uncached suffix, and the
 //!   batch-step interface — a [`StepMix`] of prefill [`ChunkWork`] plus a
-//!   decode batch priced as one unit, with draft-model speculative bursts
-//!   priced via [`deca_llm::DraftSpec`] — memoized (bounded, with
+//!   decode batch priced as one unit, with speculative bursts priced on a
+//!   smaller draft [`deca_llm::LlmModel`] — memoized (bounded, with
 //!   [`CostMemoStats`] hit counters) in [`EstimatorCostModel`],
 //! * [`event`] — the discrete-event core: a deterministic binary-heap
 //!   [`EventQueue`] over typed [`Event`]s (arrivals, prefill/decode step
@@ -29,7 +29,8 @@
 //!   traces simulate in seconds,
 //! * [`kv`] — the paged KV-cache layer: a fixed-pool, ref-counted
 //!   [`BlockAllocator`] of block-granular token slots (alloc/free/fork and
-//!   copy-on-write), sized from [`deca_llm::footprint::max_kv_tokens`],
+//!   copy-on-write), sized from [`deca_llm::footprint::max_kv_tokens`]
+//!   (via [`hbm_kv_budget_tokens`] on one socket),
 //! * [`prefix`] — a radix-tree [`PrefixCache`] over token-id prefixes with
 //!   copy-on-write block sharing and LRU eviction of unreferenced blocks,
 //! * [`scheduler`] — vLLM/Orca-style continuous batching (admission at
@@ -67,9 +68,11 @@
 //!   decompression (generalized by [`capacity_search_warm`] to any cost
 //!   model, any admission policy — including the paged one — and any
 //!   workload family), and the sharding sweep (`deca_llm::parallel` TP/PP
-//!   plans over an interconnect model) that finds the minimum socket count
-//!   holding a KV working set while meeting the p99 SLO — making schemes
-//!   that overflow one socket's HBM servable at TP ≥ 2.
+//!   plans over an interconnect model, each gated by its
+//!   [`deca_llm::footprint::max_kv_tokens`] budget and priced by a sharded
+//!   [`EstimatorCostModel`]) that finds the minimum socket count holding a
+//!   KV working set while meeting the p99 SLO — making schemes that
+//!   overflow one socket's HBM servable at TP ≥ 2.
 //!
 //! # Example
 //!
@@ -131,8 +134,8 @@ pub use scheduler::{
 pub use sweep::{
     best_pool_split, capacity_search, capacity_search_warm, chunk_budget_capacity_sweep_with,
     disagg_capacity_search_with, fleet_capacity_search_with, hbm_kv_budget_tokens,
-    min_sockets_for_slo, qos_capacity_search_with, sharded_kv_budget_tokens, sharding_sweep,
-    simulate_disaggregated, simulate_disaggregated_with, simulate_fleet, simulate_fleet_with,
+    min_sockets_for_slo, qos_capacity_search_with, sharding_sweep, simulate_disaggregated,
+    simulate_disaggregated_with, simulate_fleet, simulate_fleet_with,
     speculation_goodput_curve_with, CapacityResult, CapacitySpec, ChunkBudgetPoint, ClassOutcome,
     DisaggReport, DisaggSpec, FleetReport, PoolSplitResult, QosCapacityResult, ShardingPlanResult,
     ShardingSearchSpec, SpeculationPoint,

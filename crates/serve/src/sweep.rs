@@ -6,7 +6,7 @@
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, parallel, InterconnectModel, LlmModel, ShardSpec};
+use deca_llm::{footprint, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 
 use crate::cost::{DecodePoolCostModel, EstimatorCostModel, ServingCostModel};
@@ -16,27 +16,13 @@ use crate::tenant::QosClass;
 use crate::tier::KvShipSpec;
 use crate::workload::{Request, RequestTrace, WorkloadSpec};
 
-/// The KV budget (tokens) the HBM headroom sustains for a model/scheme, or
-/// `None` when the compressed weights alone do not fit in HBM (such schemes
-/// cannot be served from HBM at all — the paper simulates them with larger
-/// capacity).
+/// The KV budget (tokens) one socket's HBM headroom sustains for a
+/// model/scheme, or `None` when the compressed weights alone do not fit in
+/// HBM (such schemes cannot be served from one socket at all — the paper
+/// simulates them with larger capacity; [`sharding_sweep`] shards them).
 #[must_use]
 pub fn hbm_kv_budget_tokens(model: &LlmModel, scheme: &CompressionScheme) -> Option<usize> {
-    footprint::max_kv_tokens(model, scheme).map(|tokens| tokens as usize)
-}
-
-/// The KV budget (tokens) of one *sharded* replica — the minimum over
-/// pipeline stages of the post-weights headroom divided by the per-token
-/// sharded KV cost — or `None` when some socket's weight shard does not
-/// fit. With [`ShardSpec::single`] this is exactly
-/// [`hbm_kv_budget_tokens`].
-#[must_use]
-pub fn sharded_kv_budget_tokens(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-) -> Option<usize> {
-    parallel::sharded_max_kv_tokens(model, scheme, spec).map(|tokens| tokens as usize)
+    footprint::max_kv_tokens(model, scheme, &ShardSpec::single()).map(|tokens| tokens as usize)
 }
 
 /// What a sharding sweep demands of every candidate plan: hold a KV
@@ -61,7 +47,8 @@ pub struct ShardingSearchSpec {
 pub struct ShardingPlanResult {
     /// The plan.
     pub spec: ShardSpec,
-    /// The plan's sharded KV budget (`None`: weights don't fit).
+    /// The plan's sharded KV budget (`None`: the weights don't fit, or a
+    /// pipeline stage holds no layers).
     pub kv_budget_tokens: Option<usize>,
     /// Whether the plan fits the weights *and* the required KV working set
     /// (only servable plans are simulated).
@@ -78,9 +65,11 @@ pub struct ShardingPlanResult {
 }
 
 /// Evaluates every candidate sharding plan against the search spec: the
-/// sharded KV budget gates servability, and servable plans run the full
-/// serving simulation (sharded cost model, continuous batching) to check
-/// the p99 SLO. Deterministic: the same inputs always produce the same
+/// sharded KV budget ([`footprint::max_kv_tokens`]) gates servability, and
+/// servable plans run the full serving simulation (sharded cost model,
+/// continuous batching) to check the p99 SLO. A plan with more pipeline
+/// stages than the model has layers has no budget, so it is reported
+/// unservable. Deterministic: the same inputs always produce the same
 /// results.
 #[must_use]
 pub fn sharding_sweep(
@@ -96,7 +85,8 @@ pub fn sharding_sweep(
     plans
         .iter()
         .map(|&spec| {
-            let kv_budget_tokens = sharded_kv_budget_tokens(model, scheme, &spec);
+            let kv_budget_tokens =
+                footprint::max_kv_tokens(model, scheme, &spec).map(|tokens| tokens as usize);
             let servable = kv_budget_tokens.is_some_and(|b| b >= search.required_kv_tokens);
             let mut result = ShardingPlanResult {
                 spec,
@@ -1144,28 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_budget_reduces_to_the_unsharded_one_on_a_single_socket() {
-        let model = LlmModel::llama2_70b();
-        for scheme in [
-            CompressionScheme::mxfp4(),
-            CompressionScheme::bf8_sparse(0.05),
-            CompressionScheme::bf16_dense(),
-        ] {
-            assert_eq!(
-                sharded_kv_budget_tokens(&model, &scheme, &ShardSpec::single()),
-                hbm_kv_budget_tokens(&model, &scheme)
-            );
-        }
-        // Dense Q8 overflows one socket but gains a budget at TP2.
-        let q8 = CompressionScheme::bf8_dense();
-        assert_eq!(
-            sharded_kv_budget_tokens(&model, &q8, &ShardSpec::single()),
-            None
-        );
-        assert!(sharded_kv_budget_tokens(&model, &q8, &ShardSpec::tp(2)).unwrap() > 0);
-    }
-
-    #[test]
     fn sharding_sweep_skips_unservable_plans_and_finds_the_min_sockets() {
         let model = LlmModel::llama2_70b();
         let q8 = CompressionScheme::bf8_dense();
@@ -1175,7 +1143,12 @@ mod tests {
             max_batch: 8,
             required_kv_tokens: 10_000,
         };
-        let plans = [ShardSpec::single(), ShardSpec::tp(2), ShardSpec::tp(4)];
+        let plans = [
+            ShardSpec::single(),
+            ShardSpec::tp(2),
+            ShardSpec::tp(4),
+            ShardSpec::pp(model.layers() + 1),
+        ];
         let results = sharding_sweep(
             &MachineConfig::spr_hbm(),
             &model,
@@ -1185,11 +1158,15 @@ mod tests {
             &plans,
             &search,
         );
-        assert_eq!(results.len(), 3);
-        // One socket cannot even hold the Q8-dense weights: not simulated.
-        assert!(!results[0].servable && !results[0].feasible);
-        assert_eq!(results[0].kv_budget_tokens, None);
-        assert_eq!(results[0].p99_ttft_s, 0.0);
+        assert_eq!(results.len(), 4);
+        // One socket cannot even hold the Q8-dense weights, and a pipeline
+        // deeper than the model leaves a stage without layers: neither is
+        // simulated.
+        for unservable in [&results[0], &results[3]] {
+            assert!(!unservable.servable && !unservable.feasible);
+            assert_eq!(unservable.kv_budget_tokens, None);
+            assert_eq!(unservable.p99_ttft_s, 0.0);
+        }
         // TP2 fits and (at this trickle load) meets the SLO.
         assert!(results[1].servable);
         let min = min_sockets_for_slo(

@@ -208,7 +208,7 @@ fn main() {
         "HBM KV budget: {budget} tokens = {} blocks of {BLOCK_SIZE} ({}-token blocks hold {:.1} GB of KV)",
         budget / BLOCK_SIZE,
         BLOCK_SIZE,
-        footprint::kv_cache_bytes(&model, budget, 1) as f64 / 1e9,
+        footprint::kv_cache_bytes_per_sequence(&model, budget) as f64 / 1e9,
     );
 
     policy_table(&machine, &model, scheme, &workload, budget, &slo);

@@ -14,7 +14,8 @@
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, LlmModel};
+use deca_llm::footprint::{weight_bytes_per_socket, HBM_CAPACITY_BYTES};
+use deca_llm::{LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
     capacity_search, hbm_kv_budget_tokens, CapacitySpec, EstimatorCostModel, SchedulerKind,
@@ -35,8 +36,9 @@ fn kv_budget_table(model: &LlmModel) {
         CompressionScheme::bf8_sparse(0.2),
         CompressionScheme::bf8_sparse(0.05),
     ] {
-        let weights_gb = footprint::model_footprint_bytes(model, &scheme) / 1e9;
-        let headroom_gb = footprint::hbm_headroom_bytes(model, &scheme) / 1e9;
+        let weights = weight_bytes_per_socket(model, &scheme, &ShardSpec::single());
+        let weights_gb = weights / 1e9;
+        let headroom_gb = (HBM_CAPACITY_BYTES as f64 - weights) / 1e9;
         let budget = hbm_kv_budget_tokens(model, &scheme)
             .map_or("does not fit".to_string(), |t| t.to_string());
         println!(

@@ -9,7 +9,7 @@
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, InferenceEstimator, LlmModel};
+use deca_llm::{footprint, InferenceEstimator, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
     hbm_kv_budget_tokens, simulate_fleet, EstimatorCostModel, SchedulerKind, ServingConfig,
@@ -36,16 +36,20 @@ fn serve(engine: Engine, trace: &deca_serve::RequestTrace) -> deca_serve::Servin
 fn kv_budget_comes_from_the_footprint_headroom_and_is_respected() {
     let model = LlmModel::llama2_70b();
     let scheme = served_scheme();
+    let single = ShardSpec::single();
     let budget = hbm_kv_budget_tokens(&model, &scheme).expect("Q8_5% fits in HBM");
     assert_eq!(
         budget as u64,
-        footprint::max_kv_tokens(&model, &scheme).unwrap()
+        footprint::max_kv_tokens(&model, &scheme, &single).unwrap()
     );
     // The budget saturates the headroom: budget tokens fit, budget + 1 do not.
-    assert!(footprint::fits_in_hbm_with_kv(&model, &scheme, budget, 1));
+    assert!(footprint::fits_in_hbm_with_kv(
+        &model, &scheme, &single, budget, 1
+    ));
     assert!(!footprint::fits_in_hbm_with_kv(
         &model,
         &scheme,
+        &single,
         budget + 1,
         1
     ));

@@ -1,18 +1,18 @@
-//! End-to-end test of the sharding layer: `deca_llm::parallel` driving the
-//! full serving stack through `deca-serve`'s sharded cost model — no linear
-//! stand-ins. The scenario is the ROADMAP's production one: a Table 4
+//! End-to-end test of the sharding layer: `deca_llm::parallel` plans
+//! driving the full serving stack through `deca-serve`'s sharded cost model
+//! — no linear stand-ins. The scenario is the ROADMAP's production one: a Table 4
 //! scheme that one socket cannot serve (dense Q8's weights overflow 64 GB;
 //! Q4's weights fit but its KV working set does not) becomes servable at
 //! TP ≥ 2, with the interconnect priced in.
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, parallel, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator};
+use deca_llm::footprint::{fits_in_hbm, fits_in_hbm_with_kv, max_kv_tokens};
+use deca_llm::{InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
-    min_sockets_for_slo, sharded_kv_budget_tokens, ArrivalProcess, EstimatorCostModel,
-    LengthDistribution, RequestRecord, ServingConfig, ServingSimulator, ShardingSearchSpec,
-    SloTarget, WorkloadSpec,
+    min_sockets_for_slo, ArrivalProcess, EstimatorCostModel, LengthDistribution, RequestRecord,
+    ServingConfig, ServingSimulator, ShardingSearchSpec, SloTarget, WorkloadSpec,
 };
 
 fn small_chat(rate: f64, requests: usize, seed: u64) -> WorkloadSpec {
@@ -40,17 +40,13 @@ fn unservable_scheme_serves_at_tp2() {
 
     // One socket: the weights alone overflow (the §8 capacity observation),
     // so there is no budget to admit against.
-    assert!(!footprint::fits_in_hbm(&model, &q8));
-    assert_eq!(footprint::max_kv_tokens(&model, &q8), None);
-    assert_eq!(
-        sharded_kv_budget_tokens(&model, &q8, &ShardSpec::single()),
-        None
-    );
+    assert!(!fits_in_hbm(&model, &q8, &ShardSpec::single()));
+    assert_eq!(max_kv_tokens(&model, &q8, &ShardSpec::single()), None);
 
     // TP2: every socket holds half the output features; the budget exists
     // and a real trace drains against it.
     let spec = ShardSpec::tp(2);
-    let budget = sharded_kv_budget_tokens(&model, &q8, &spec).expect("Q8 dense fits at TP2");
+    let budget = max_kv_tokens(&model, &q8, &spec).expect("Q8 dense fits at TP2") as usize;
     assert!(budget > 50_000, "budget {budget}");
     let trace = small_chat(1.0, 24, 7).generate();
     let cost = EstimatorCostModel::sharded(
@@ -68,7 +64,7 @@ fn unservable_scheme_serves_at_tp2() {
 
     // TTFT is real: nothing undercuts the sharded prefill of its own
     // prompt (queueing and batching only ever add).
-    let estimator = ShardedEstimator::new(machine, spec, InterconnectModel::spr_upi());
+    let estimator = InferenceEstimator::sharded(machine, spec, InterconnectModel::spr_upi());
     for record in &report.records {
         let floor = estimator
             .prefill(&model, &q8, Engine::deca_default(), record.prompt_tokens, 0)
@@ -91,7 +87,7 @@ fn deca_beats_software_on_a_sharded_replica() {
     let model = LlmModel::llama2_70b();
     let q4 = CompressionScheme::mxfp4();
     let spec = ShardSpec::tp(2);
-    let budget = sharded_kv_budget_tokens(&model, &q4, &spec).expect("Q4 fits at TP2");
+    let budget = max_kv_tokens(&model, &q4, &spec).expect("Q4 fits at TP2") as usize;
     let trace = small_chat(1.5, 32, 13).generate();
     let run = |engine| {
         let cost = EstimatorCostModel::sharded(
@@ -131,16 +127,10 @@ fn q4_working_set_needs_sharding_and_deca_serves_it() {
 
     // The one-socket contradiction: weights fit, weights + working set
     // don't.
-    assert!(footprint::fits_in_hbm(&model, &q4));
-    assert!(!footprint::fits_in_hbm_with_kv(&model, &q4, 8192, 16));
-    assert!(!parallel::sharded_fits_in_hbm_with_kv(
-        &model,
-        &q4,
-        &ShardSpec::single(),
-        8192,
-        16
-    ));
-    assert!(parallel::sharded_fits_in_hbm_with_kv(
+    let single = ShardSpec::single();
+    assert!(fits_in_hbm(&model, &q4, &single));
+    assert!(!fits_in_hbm_with_kv(&model, &q4, &single, 8192, 16));
+    assert!(fits_in_hbm_with_kv(
         &model,
         &q4,
         &ShardSpec::tp(2),
