@@ -6,7 +6,7 @@
 //! formats), and packed into the three per-tile memory structures (nonzero
 //! array, bitmask, scale factors).
 
-use deca_numerics::{mx::ScaleE8M0, Bf16, IntCodec, QuantFormat};
+use deca_numerics::{mx::ScaleE8M0, Bf16, IntCodec, Minifloat, QuantFormat};
 
 use crate::{
     tile::pack_codes, Bitmask, CompressError, CompressedMatrix, CompressedTile, CompressionScheme,
@@ -27,6 +27,13 @@ use crate::{
 pub struct Compressor {
     scheme: CompressionScheme,
     prune_to_density: bool,
+    /// The scheme's element codec, resolved once: building a [`Minifloat`]
+    /// decodes and sorts its whole code space. `None` for BF16 and the
+    /// integer formats.
+    minifloat: Option<Minifloat>,
+    /// Exponent of the element format's largest power of two, the `emax`
+    /// that group scales are chosen against.
+    element_emax: i32,
 }
 
 impl Compressor {
@@ -35,9 +42,19 @@ impl Compressor {
     /// pruning flow of SparseGPT-style methods).
     #[must_use]
     pub fn new(scheme: CompressionScheme) -> Self {
+        let minifloat = scheme.format().minifloat();
+        let element_emax = match scheme.format() {
+            QuantFormat::Int8 => 7, // max code 127 < 2^7
+            QuantFormat::Int4 => 3, // max code 7 < 2^3
+            _ => minifloat
+                .as_ref()
+                .map_or(0, |mf| mf.max_value().log2().floor() as i32),
+        };
         Compressor {
             scheme,
             prune_to_density: true,
+            minifloat,
+            element_emax,
         }
     }
 
@@ -66,10 +83,12 @@ impl Compressor {
         let keep = ((TILE_ELEMS as f64) * self.scheme.density()).round() as usize;
         let nonzero_now = values.iter().filter(|v| **v != 0.0).count();
         if self.prune_to_density && nonzero_now > keep {
-            // Find the magnitude threshold of the keep-th largest value.
+            // Find the magnitude threshold of the keep-th largest value: a
+            // selection puts the same value at that rank as a full sort.
             let mut magnitudes: Vec<f32> = values.iter().map(|v| v.abs()).collect();
-            magnitudes.sort_by(|a, b| b.partial_cmp(a).expect("finite weights"));
-            let threshold = magnitudes[keep.saturating_sub(1).min(magnitudes.len() - 1)];
+            let rank = keep.saturating_sub(1).min(magnitudes.len() - 1);
+            let (_, &mut threshold, _) = magnitudes
+                .select_nth_unstable_by(rank, |a, b| b.partial_cmp(a).expect("finite weights"));
             let mut kept = 0usize;
             for v in &mut values {
                 if v.abs() >= threshold && *v != 0.0 && kept < keep {
@@ -88,18 +107,11 @@ impl Compressor {
         let Some(group) = self.scheme.group_size() else {
             return Vec::new();
         };
-        let element_emax = match self.scheme.format() {
-            QuantFormat::Int8 => 7, // max code 127 < 2^7
-            QuantFormat::Int4 => 3, // max code 7 < 2^3
-            fmt => fmt
-                .minifloat()
-                .map_or(0, |mf| mf.max_value().log2().floor() as i32),
-        };
         values
             .chunks(group)
             .map(|chunk| {
                 let max_abs = chunk.iter().fold(0f32, |m, v| m.max(v.abs()));
-                ScaleE8M0::for_group(max_abs, element_emax)
+                ScaleE8M0::for_group(max_abs, self.element_emax)
             })
             .collect()
     }
@@ -119,9 +131,10 @@ impl Compressor {
             QuantFormat::Int4 => {
                 u16::from(IntCodec::int4().to_storage((scaled.round().clamp(-7.0, 7.0)) as i8))
             }
-            fmt => {
-                let mf = fmt
-                    .minifloat()
+            _ => {
+                let mf = self
+                    .minifloat
+                    .as_ref()
                     .expect("all non-BF16 float formats have a minifloat codec");
                 u16::from(mf.encode(scaled))
             }
@@ -346,6 +359,111 @@ mod tests {
                     "{scheme} with {bad}"
                 );
             }
+        }
+    }
+
+    /// Folds `bytes` into an FNV-1a 64-bit hash.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        hash
+    }
+
+    /// A 64×256 matrix whose magnitudes come from four values, with every
+    /// 7th element zero. The values sit on rounding ties of E5M2, E4M3,
+    /// E3M2 and group-scaled E2M1, and the repeated magnitudes tie at every
+    /// pruning threshold.
+    fn tie_heavy_matrix() -> crate::WeightMatrix {
+        const MAGNITUDES: [f32; 4] = [1.125, 0.625, 1.0625, 2.5];
+        let data = (0..64 * 256)
+            .map(|i: usize| {
+                let magnitude = MAGNITUDES[(i * 5 + i / 3) % 4];
+                if i.is_multiple_of(7) {
+                    0.0
+                } else if (i / 2).is_multiple_of(3) {
+                    -magnitude
+                } else {
+                    magnitude
+                }
+            })
+            .collect();
+        crate::WeightMatrix::from_data(64, 256, data).expect("64x256 values")
+    }
+
+    #[test]
+    fn compressed_bytes_match_pinned_digests() {
+        // Pins every byte the compressor emits: a change that moves one
+        // payload byte, bitmask bit, scale code or nonzero count under any
+        // of these schemes changes that scheme's digest.
+        let new_scheme = |format, density, group| {
+            CompressionScheme::new(format, density, group).expect("valid scheme")
+        };
+        let mut schemes = crate::SchemeSet::paper_evaluation();
+        schemes.extend([
+            CompressionScheme::mxfp4_sparse(0.5),
+            CompressionScheme::bf16_dense(),
+            new_scheme(QuantFormat::E4m3, 0.3, None),
+            new_scheme(QuantFormat::Int8, 1.0, Some(32)),
+            new_scheme(QuantFormat::Int4, 0.5, Some(16)),
+            new_scheme(
+                QuantFormat::Custom {
+                    exp_bits: 3,
+                    man_bits: 2,
+                },
+                0.2,
+                None,
+            ),
+            new_scheme(QuantFormat::Fp4, 1.0, Some(48)),
+        ]);
+        let inputs = [
+            WeightGenerator::new(1).dense_matrix(64, 256),
+            WeightGenerator::new(9173).dense_matrix(64, 256),
+            tie_heavy_matrix(),
+        ];
+        let expected: [u64; 19] = [
+            0x61B4_D5BC_98EC_A2AC,
+            0x97CB_E083_B483_1B24,
+            0xACE9_A7F4_A9E4_8154,
+            0x664E_4D99_F9AB_0B22,
+            0xCBB1_689B_0AB9_11BA,
+            0xCAF9_5991_8A27_2ED4,
+            0x1BAF_6E6C_E43B_BFA5,
+            0x6139_8B12_3CEE_F470,
+            0x871A_1F1B_9E58_2386,
+            0x11F7_8571_8ECA_BF30,
+            0xFB07_C200_5E40_7559,
+            0x2CEE_CD80_7DD6_279C,
+            0xB73F_7282_68EA_AB26,
+            0x5A13_4277_55E2_F324,
+            0xEA21_92F9_BC83_2626,
+            0x3940_2255_EDF0_923B,
+            0xC348_CFBB_FBB9_212A,
+            0x284C_023D_897A_1FF1,
+            0x41E4_1137_B28F_5C2F,
+        ];
+        let digests: Vec<u64> = schemes
+            .iter()
+            .map(|&scheme| {
+                let compressor = Compressor::new(scheme);
+                inputs.iter().fold(0xCBF2_9CE4_8422_2325, |hash, matrix| {
+                    let compressed = compressor.compress_matrix(matrix).expect("compress");
+                    compressed.tiles().iter().fold(hash, |hash, tile| {
+                        let mut hash = fnv1a(hash, tile.nonzero_bytes());
+                        for word in tile.bitmask().map_or(&[][..], Bitmask::words) {
+                            hash = fnv1a(hash, &word.to_le_bytes());
+                        }
+                        for scale in tile.scales() {
+                            hash = fnv1a(hash, &[scale.code()]);
+                        }
+                        fnv1a(hash, &(tile.nonzero_count() as u64).to_le_bytes())
+                    })
+                })
+            })
+            .collect();
+        for ((scheme, &digest), want) in schemes.iter().zip(&digests).zip(expected) {
+            assert_eq!(digest, want, "{scheme:?}: digest {digest:#018x}");
         }
     }
 

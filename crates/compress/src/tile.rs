@@ -153,10 +153,29 @@ impl Default for DenseTile {
 }
 
 /// Packs a slice of ≤16-bit codes into bytes at the given bit width,
-/// LSB-first within each byte.
+/// LSB-first within each byte; code bits above the width are dropped.
+/// Byte-aligned widths (16, 8 and 4 bits — every format the paper
+/// evaluates) take a direct byte path; other widths fall back to the
+/// bit-serial loop.
 #[must_use]
 pub fn pack_codes(codes: &[u16], bits: u32) -> Vec<u8> {
     assert!((1..=16).contains(&bits), "bit width must be 1..=16");
+    match bits {
+        16 => codes.iter().flat_map(|code| code.to_le_bytes()).collect(),
+        8 => codes.iter().map(|&code| code as u8).collect(),
+        4 => codes
+            .chunks(2)
+            .map(|pair| {
+                let high = pair.get(1).map_or(0, |&code| code as u8 & 0x0F);
+                (pair[0] as u8 & 0x0F) | (high << 4)
+            })
+            .collect(),
+        _ => pack_bits(codes, bits),
+    }
+}
+
+/// The bit-serial packing loop behind [`pack_codes`], for any width.
+fn pack_bits(codes: &[u16], bits: u32) -> Vec<u8> {
     let total_bits = codes.len() * bits as usize;
     let mut bytes = vec![0u8; total_bits.div_ceil(8)];
     let mut bit_pos = 0usize;
@@ -489,17 +508,21 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip_various_widths() {
-        for bits in [1u32, 3, 4, 6, 7, 8, 12, 16] {
-            let max = if bits == 16 {
-                u16::MAX
-            } else {
-                (1u16 << bits) - 1
-            };
-            let codes: Vec<u16> = (0..100u16).map(|i| (i * 37 + 5) & max).collect();
-            let packed = pack_codes(&codes, bits);
-            assert_eq!(packed.len(), (codes.len() * bits as usize).div_ceil(8));
-            let unpacked = unpack_codes(&packed, bits, codes.len());
-            assert_eq!(unpacked, codes, "bit width {bits}");
+        for bits in 1u32..=16 {
+            let max = u16::MAX >> (16 - bits);
+            // An odd count leaves a lone trailing nibble at 4 bits; the
+            // multiplier sets bits above every width below 16.
+            for count in [100u16, 37] {
+                let codes: Vec<u16> = (0..count)
+                    .map(|i| i.wrapping_mul(40_503).wrapping_add(0x5A5A))
+                    .collect();
+                let packed = pack_codes(&codes, bits);
+                assert_eq!(packed, pack_bits(&codes, bits), "bit width {bits}");
+                assert_eq!(packed.len(), (codes.len() * bits as usize).div_ceil(8));
+                let unpacked = unpack_codes(&packed, bits, codes.len());
+                let expected: Vec<u16> = codes.iter().map(|code| code & max).collect();
+                assert_eq!(unpacked, expected, "bit width {bits}");
+            }
         }
     }
 

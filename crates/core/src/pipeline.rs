@@ -104,9 +104,14 @@ impl VopPipeline {
     }
 
     /// Streaming variant of [`VopPipeline::process`]: writes the dense tile
-    /// into a caller-provided buffer, unpacking the nonzero codes into the
-    /// caller's scratch — the same zero-copy contract as
-    /// [`DecompressEngine::decompress_tile_into`], plus the timing model.
+    /// into a caller-provided buffer and unpacks the nonzero codes into the
+    /// caller's scratch, as [`DecompressEngine::decompress_tile_into`] does,
+    /// plus the timing model. Unlike the engines it still allocates per
+    /// tile: a 513-entry prefix-sum `Vec` for a sparse tile
+    /// ([`Bitmask::prefix_sums`]) and one value `Vec` per vOp
+    /// ([`LutArray::dequantize`]).
+    ///
+    /// [`Bitmask::prefix_sums`]: deca_compress::Bitmask::prefix_sums
     ///
     /// # Errors
     ///

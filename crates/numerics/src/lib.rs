@@ -44,7 +44,7 @@ pub use bf16::Bf16;
 pub use error::FormatError;
 pub use intq::IntCodec;
 pub use lut::DequantTable;
-pub use minifloat::{Minifloat, RoundingMode};
+pub use minifloat::Minifloat;
 
 /// The quantized storage formats understood by the compression pipeline and
 /// by DECA's dequantization stage.
@@ -98,10 +98,15 @@ impl QuantFormat {
         )
     }
 
-    /// The minifloat codec for floating-point formats.
+    /// Builds the minifloat codec for floating-point formats.
     ///
     /// Returns `None` for [`QuantFormat::Bf16`] (which is not re-encoded) and
     /// for the integer formats.
+    ///
+    /// This is not an accessor: every call constructs a fresh [`Minifloat`],
+    /// decoding and sorting the format's whole code space. Hot loops must
+    /// build it once and hold the result, as `deca_compress::Compressor`
+    /// does per compressor rather than per weight.
     #[must_use]
     pub fn minifloat(self) -> Option<Minifloat> {
         match self {
