@@ -3,9 +3,11 @@
 //! `cargo run -p deca-bench --release --bin bench_baseline` regenerates
 //! `BENCH_baseline.json`: per-experiment wall time plus the modeled numbers
 //! (Roof-Surface TFLOPS, simulated pipeline cycles/speedups, LLM next-token
-//! latencies) that future optimization PRs are measured against. Everything
-//! except the wall times is deterministic, so a diff of the committed
-//! artifact shows exactly which modeled quantities a change moved.
+//! latencies, the serving experiments) that future optimization PRs are
+//! measured against, plus the text every paper artifact prints (`paper`).
+//! Everything except the wall times is deterministic, so a diff of the
+//! committed artifact shows exactly which modeled quantities a change
+//! moved.
 
 use std::time::Instant;
 
@@ -137,6 +139,28 @@ pub fn llm_latency_results() -> Json {
         ]));
     }
     Json::Arr(models)
+}
+
+/// The printed paper artifacts: every entry of
+/// [`crate::experiments::ARTIFACTS`] with its name and the lines
+/// `paper <name>` prints. A text pin on Tables 1/3/4, the figures, the
+/// batch sweep and the area model; none of it depends on the build
+/// profile.
+#[must_use]
+pub fn paper_results() -> Json {
+    let artifacts = crate::experiments::ARTIFACTS
+        .iter()
+        .map(|(name, render)| {
+            Json::obj(vec![
+                ("name", Json::str(*name)),
+                (
+                    "lines",
+                    Json::Arr(render().lines().map(Json::str).collect()),
+                ),
+            ])
+        })
+        .collect();
+    Json::obj(vec![("artifacts", Json::Arr(artifacts))])
 }
 
 /// Rows of the synthetic matrix the engine benchmark streams (shrunk in
@@ -1951,8 +1975,9 @@ pub fn multitenant_results() -> Json {
 }
 
 /// Sessions in the sim-speed trace: a million in release — the ROADMAP's
-/// "millions of users" scale, and the CI `simspeed` gate — shrunk in debug
-/// builds so `cargo test` exercises the same code in moments.
+/// "millions of users" scale, run once in CI by the baseline regeneration
+/// — shrunk in debug builds so `cargo test` exercises the same code in
+/// moments.
 pub const SIMSPEED_SESSIONS: usize = if cfg!(debug_assertions) {
     2_000
 } else {
@@ -2017,15 +2042,15 @@ fn simspeed_row(policy: &str, sessions: usize, config: &ServingConfig) -> Json {
     ])
 }
 
-/// The simulator-speed experiment (`bench_simspeed`, and CI's `simspeed`
-/// job): the deterministic [`SharedPrefixChatSpec::simspeed`] workload
-/// streamed through the event core at million-session scale. Three rows,
-/// all at the full session count: continuous batching, paged (no
-/// sharing), and paged + prefix sharing — the last runs at full scale now
-/// that the radix cache maintains its evictable count and LRU order
-/// incrementally (admission is O(log cache) instead of the old O(cache)
-/// scan that forced a tenth-scale row). Every field except the
-/// `wall`-named ones is deterministic.
+/// The simulator-speed experiment (`bench_simspeed`): the deterministic
+/// [`SharedPrefixChatSpec::simspeed`] workload streamed through the event
+/// core at million-session scale. Three rows, all at the full session
+/// count: continuous batching, paged (no sharing), and paged + prefix
+/// sharing — the last runs at full scale now that the radix cache
+/// maintains its evictable count and LRU order incrementally (admission
+/// is O(log cache) instead of the old O(cache) scan that forced a
+/// tenth-scale row). Every field except the `wall`-named ones is
+/// deterministic.
 #[must_use]
 pub fn simspeed_results() -> Json {
     let continuous = ServingConfig::continuous(SIMSPEED_MAX_BATCH, SIMSPEED_KV_BUDGET);
@@ -2050,10 +2075,8 @@ pub fn simspeed_results() -> Json {
 }
 
 /// Runs one experiment, wrapping its results with the name and wall time —
-/// the record shape `collect` assembles and the standalone `bench_simspeed`
-/// binary emits for the drift check.
-#[must_use]
-pub fn experiment_record(name: &str, run: fn() -> Json) -> Json {
+/// the record shape `collect` assembles and `refresh_experiment` splices.
+fn experiment_record(name: &str, run: fn() -> Json) -> Json {
     let start = Instant::now();
     let results = run();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -2061,17 +2084,6 @@ pub fn experiment_record(name: &str, run: fn() -> Json) -> Json {
         ("name", Json::str(name)),
         ("wall_ms", num(wall_ms)),
         ("results", results),
-    ])
-}
-
-/// A full-document wrapper around a single experiment record, so partial
-/// artifacts (e.g. CI's `BENCH_simspeed.json`) share the baseline schema.
-#[must_use]
-pub fn single_experiment_document(name: &str, run: fn() -> Json) -> Json {
-    Json::obj(vec![
-        ("schema_version", num(f64::from(SCHEMA_VERSION))),
-        ("command", Json::str(REGENERATE_COMMAND)),
-        ("experiments", Json::Arr(vec![experiment_record(name, run)])),
     ])
 }
 
@@ -2094,6 +2106,7 @@ pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("bench_simspeed", simspeed_results),
         ("bench_chunked", chunked_results),
         ("bench_multitenant", multitenant_results),
+        ("paper", paper_results),
     ]
 }
 
@@ -2232,7 +2245,8 @@ mod tests {
                 "bench_disagg",
                 "bench_simspeed",
                 "bench_chunked",
-                "bench_multitenant"
+                "bench_multitenant",
+                "paper"
             ]
         );
         for experiment in experiments {
@@ -2244,18 +2258,21 @@ mod tests {
     }
 
     /// Pins the single-socket modeled numbers inside `cargo test`: the
-    /// Roof-Surface, pipeline and Table 4 LLM experiments must reproduce
-    /// their committed `BENCH_baseline.json` records exactly. None of them
-    /// depends on the build profile, so a one-ulp drift in the estimator
-    /// fails here, not only in CI's baseline drift job.
+    /// Roof-Surface, pipeline and Table 4 LLM experiments and the printed
+    /// paper artifacts must reproduce their committed
+    /// `BENCH_baseline.json` records exactly. None of them depends on the
+    /// build profile, so a one-ulp drift in the estimator, or a printed
+    /// digit moving in any table, fails here, not only in CI's baseline
+    /// drift job.
     #[test]
     fn single_socket_experiments_match_the_committed_baseline() {
         let committed = crate::drift::parse(include_str!("../../../BENCH_baseline.json"))
             .expect("the committed baseline must parse");
-        let pinned: [(&str, ExperimentFn); 3] = [
+        let pinned: [(&str, ExperimentFn); 4] = [
             ("roofsurface", roofsurface_results),
             ("pipeline", pipeline_results),
             ("llm_latency", llm_latency_results),
+            ("paper", paper_results),
         ];
         for (name, run) in pinned {
             let records = crate::drift::select_experiment(&committed, name);
@@ -2274,13 +2291,22 @@ mod tests {
             "deca_bench_write_roundtrip_{}.json",
             std::process::id()
         ));
-        let doc = single_experiment_document("roofsurface", roofsurface_results);
-        write_artifact(&path, &doc).expect("artifact must be writable");
+        let document = || {
+            Json::obj(vec![
+                ("schema_version", num(f64::from(SCHEMA_VERSION))),
+                ("command", Json::str(REGENERATE_COMMAND)),
+                (
+                    "experiments",
+                    Json::Arr(vec![experiment_record("roofsurface", roofsurface_results)]),
+                ),
+            ])
+        };
+        write_artifact(&path, &document()).expect("artifact must be writable");
         let text = std::fs::read_to_string(&path).expect("artifact must read back");
         std::fs::remove_file(&path).ok();
         assert!(text.ends_with('\n'), "artifact must end with a newline");
         let reparsed = crate::drift::parse(&text).expect("artifact must reparse");
-        let fresh = single_experiment_document("roofsurface", roofsurface_results);
+        let fresh = document();
         let lines = crate::drift::diff(
             &crate::drift::strip_volatile(reparsed),
             &crate::drift::strip_volatile(fresh),

@@ -4,29 +4,26 @@
 //! cargo run -p deca-bench --release --bin bench_baseline [output-path]
 //! ```
 //!
-//! Writes `BENCH_baseline.json` (or the given path) containing per-experiment
-//! wall times and the modeled Roof-Surface, pipeline and LLM-latency numbers.
+//! Runs every experiment of `deca_bench::baseline::experiments` and writes
+//! `BENCH_baseline.json` (or the given path): per-experiment wall times and
+//! the modeled numbers.
 
-fn main() {
+use std::process::ExitCode;
+
+use deca_bench::{baseline, drift};
+
+fn main() -> ExitCode {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_baseline.json".to_string());
-    let document = deca_bench::baseline::collect();
-    let mut rendered = document.render();
-    rendered.push('\n');
-    std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    let document = baseline::collect();
+    if let Err(e) = baseline::write_artifact(std::path::Path::new(&path), &document) {
+        eprintln!("cannot write {path}: {e}");
+        return ExitCode::from(2);
+    }
     println!(
-        "wrote {path} ({} bytes, {} experiments)",
-        rendered.len(),
-        match &document {
-            deca_bench::json::Json::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == "experiments")
-                .map_or(0, |(_, v)| match v {
-                    deca_bench::json::Json::Arr(a) => a.len(),
-                    _ => 0,
-                }),
-            _ => 0,
-        }
+        "wrote {path} ({} experiments)",
+        drift::experiment_names(&document).len()
     );
+    ExitCode::SUCCESS
 }

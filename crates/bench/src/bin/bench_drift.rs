@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p deca-bench --bin bench_drift -- [--experiment NAME] BASELINE CURRENT
-//! cargo run -p deca-bench --bin bench_drift -- --write [--experiment NAME] BASELINE
+//! cargo run -p deca-bench --bin bench_drift -- --write --experiment NAME BASELINE
 //! cargo run -p deca-bench --bin bench_drift -- --list ARTIFACT...
 //! ```
 //!
@@ -11,36 +11,39 @@
 //! key containing `wall`, ending in `_secs`, or in the legacy
 //! machine-dependent set — see `deca_bench::drift`), and diffs the rest
 //! exactly. With `--experiment NAME`, only that experiment's records are
-//! compared (so a partial artifact like CI's `BENCH_simspeed.json` can be
-//! checked against the full committed baseline); a name neither document
-//! carries fails with the available names. `--list` prints each
-//! artifact's experiment names and exits. `--write` regenerates the
-//! committed baseline in place instead of diffing: with `--experiment`
-//! only that experiment's records are re-run and replaced (everything
-//! else is preserved byte-for-byte), without it the whole document is
-//! rebuilt. Exits non-zero with one line per drifted path.
+//! compared (so a partial artifact can be checked against the full
+//! committed baseline); a name neither document carries fails with the
+//! available names. `--list` prints each artifact's experiment names and
+//! exits. `--write --experiment NAME` re-runs only that experiment and
+//! replaces its records in the baseline in place (everything else is
+//! preserved byte-for-byte; `bench_baseline` rebuilds the whole
+//! document). Exits 1 with one line per drifted path, and 2 with one
+//! line on a usage error or an unreadable or malformed artifact.
 
 use std::process::ExitCode;
 
 use deca_bench::drift;
 use deca_bench::json::Json;
 
-fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    drift::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+const USAGE: &str = "usage: bench_drift [--experiment NAME] BASELINE CURRENT \
+                     | --write --experiment NAME BASELINE | --list ARTIFACT...";
+
+fn load(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    drift::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// `--list`: one line per artifact naming its experiments.
-fn list(paths: &[String]) -> ExitCode {
+fn list(paths: &[String]) -> Result<(), String> {
     for path in paths {
-        let names = drift::experiment_names(&load(path));
+        let names = drift::experiment_names(&load(path)?);
         if names.is_empty() {
             println!("{path}: no experiments");
         } else {
             println!("{path}: {}", names.join(", "));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The records of experiment `name` in the document at `path`, or a usage
@@ -61,90 +64,40 @@ fn select(doc: &Json, path: &str, name: &str) -> Result<Vec<Json>, String> {
     Ok(records)
 }
 
-/// `--write`: regenerate the baseline artifact at `path` in place — the
-/// whole document, or only experiment `name`'s records within it.
-fn write(path: &str, name: Option<&str>) -> ExitCode {
-    let document = match name {
-        Some(name) => match deca_bench::baseline::refresh_experiment(load(path), name) {
-            Ok(doc) => doc,
-            Err(message) => {
-                eprintln!("{message}");
-                return ExitCode::from(2);
-            }
-        },
-        None => deca_bench::baseline::collect(),
-    };
-    if let Err(e) = deca_bench::baseline::write_artifact(std::path::Path::new(path), &document) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::from(2);
-    }
-    match name {
-        Some(name) => println!("rewrote {name} in {path}"),
-        None => println!("rewrote {path} (all experiments)"),
-    }
-    ExitCode::SUCCESS
+/// `--write`: re-run experiment `name` and replace its records in the
+/// baseline artifact at `path`.
+fn write(path: &str, name: &str) -> Result<(), String> {
+    let document = deca_bench::baseline::refresh_experiment(load(path)?, name)?;
+    deca_bench::baseline::write_artifact(std::path::Path::new(path), &document)
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("rewrote {name} in {path}");
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut experiment: Option<String> = None;
-    let mut listing = false;
-    let mut writing = false;
-    let mut paths = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--experiment" {
-            experiment = Some(args.next().expect("--experiment needs a name"));
-        } else if arg == "--list" {
-            listing = true;
-        } else if arg == "--write" {
-            writing = true;
-        } else {
-            paths.push(arg);
-        }
-    }
-    if listing {
-        if paths.is_empty() {
-            eprintln!("usage: bench_drift --list ARTIFACT...");
-            return ExitCode::from(2);
-        }
-        return list(&paths);
-    }
-    if writing {
-        let [path] = paths.as_slice() else {
-            eprintln!("usage: bench_drift --write [--experiment NAME] BASELINE");
-            return ExitCode::from(2);
-        };
-        return write(path, experiment.as_deref());
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        eprintln!("usage: bench_drift [--experiment NAME] BASELINE CURRENT | --list ARTIFACT...");
-        return ExitCode::from(2);
-    };
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-
-    let (left, right) = match &experiment {
-        Some(name) => {
-            let selected = select(&baseline, baseline_path, name)
-                .and_then(|l| Ok((l, select(&current, current_path, name)?)));
-            match selected {
-                Ok((left, right)) => (Json::Arr(left), Json::Arr(right)),
-                Err(message) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
+/// The drift check: `Ok(true)` when the two artifacts (or one experiment's
+/// records in each) agree on every modeled field.
+fn check(
+    baseline_path: &str,
+    current_path: &str,
+    experiment: Option<&str>,
+) -> Result<bool, String> {
+    let baseline = load(baseline_path)?;
+    let current = load(current_path)?;
+    let (left, right) = match experiment {
+        Some(name) => (
+            Json::Arr(select(&baseline, baseline_path, name)?),
+            Json::Arr(select(&current, current_path, name)?),
+        ),
         None => (baseline, current),
     };
 
     let lines = drift::diff(&drift::strip_volatile(left), &drift::strip_volatile(right));
     if lines.is_empty() {
-        match &experiment {
+        match experiment {
             Some(name) => println!("no drift in {name} (wall fields ignored)"),
             None => println!("no drift (wall fields ignored)"),
         }
-        return ExitCode::SUCCESS;
+        return Ok(true);
     }
     eprintln!(
         "baseline drift detected ({} path{}):",
@@ -158,5 +111,41 @@ fn main() -> ExitCode {
         "(if intentional, regenerate with: {})",
         deca_bench::baseline::REGENERATE_COMMAND
     );
-    ExitCode::FAILURE
+    Ok(false)
+}
+
+fn run() -> Result<bool, String> {
+    let mut experiment: Option<String> = None;
+    let mut listing = false;
+    let mut writing = false;
+    let mut paths = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--experiment" {
+            experiment = Some(args.next().ok_or(USAGE)?);
+        } else if arg == "--list" {
+            listing = true;
+        } else if arg == "--write" {
+            writing = true;
+        } else {
+            paths.push(arg);
+        }
+    }
+    match (listing, writing, experiment.as_deref(), paths.as_slice()) {
+        (true, false, None, paths) if !paths.is_empty() => list(paths).map(|()| true),
+        (false, true, Some(name), [path]) => write(path, name).map(|()| true),
+        (false, false, experiment, [baseline, current]) => check(baseline, current, experiment),
+        _ => Err(USAGE.to_string()),
+    }
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::from(2)
+        }
+    }
 }

@@ -4,7 +4,8 @@
 //! `BENCH_baseline.json` is committed so a PR's diff shows exactly which
 //! modeled quantities moved — but the artifact also records wall-clock
 //! detail (`wall_ms` per experiment, `wall_secs`/`sessions_per_wall_sec`
-//! inside `bench_simspeed` rows), which is machine noise, not drift. CI
+//! inside the `bench_simspeed` experiment's rows), which is machine noise,
+//! not drift. CI
 //! used to strip a hand-kept allowlist of such keys per experiment; that
 //! broke every time an experiment nested new timing detail. [`strip_volatile`]
 //! instead walks the whole tree and removes any object entry whose key

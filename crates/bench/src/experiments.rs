@@ -1,5 +1,7 @@
-//! One function per paper table/figure. Each returns the formatted text the
-//! corresponding binary prints, so the harness is also unit-testable.
+//! One function per paper table/figure. Each returns the formatted text
+//! that `paper <name>` prints, so the harness is also unit-testable.
+//! [`ARTIFACTS`] names them all; [`all`] and the baseline's `paper`
+//! record walk it in order.
 
 use std::fmt::Write as _;
 
@@ -559,27 +561,37 @@ pub fn area_report() -> String {
     table.to_string()
 }
 
-/// Every experiment, concatenated (the `all_experiments` binary).
+/// A paper artifact: its name and the function that renders it.
+pub type Artifact = (&'static str, fn() -> String);
+
+/// Every paper artifact by name, in the order [`all`] prints them — the one
+/// registry behind `paper <name>|all` and the baseline's `paper` record.
+pub const ARTIFACTS: &[Artifact] = &[
+    ("tab01_fc_fraction", tab01_fc_fraction),
+    ("fig03_roofline", fig03_roofline),
+    ("fig04_roofsurface", fig04_roofsurface),
+    ("fig05_bord", fig05_bord),
+    ("fig06_bord_4x_vos", fig06_bord_4x_vos),
+    ("fig12_speedup_ddr", fig12_speedup_ddr),
+    ("fig13_speedup_hbm", fig13_speedup_hbm),
+    ("fig14_core_scaling", fig14_core_scaling),
+    ("tab03_utilization", tab03_utilization),
+    ("fig15_vector_scaling", fig15_vector_scaling),
+    ("fig16_dse", fig16_dse),
+    ("fig17_integration", fig17_integration),
+    ("tab04_llm_latency", tab04_llm_latency),
+    ("batch_sweep", batch_sweep),
+    ("area_report", area_report),
+];
+
+/// Every artifact in [`ARTIFACTS`], concatenated (`paper all`).
 #[must_use]
 pub fn all() -> String {
-    [
-        tab01_fc_fraction(),
-        fig03_roofline(),
-        fig04_roofsurface(),
-        fig05_bord(),
-        fig06_bord_4x_vos(),
-        fig12_speedup_ddr(),
-        fig13_speedup_hbm(),
-        fig14_core_scaling(),
-        tab03_utilization(),
-        fig15_vector_scaling(),
-        fig16_dse(),
-        fig17_integration(),
-        tab04_llm_latency(),
-        batch_sweep(),
-        area_report(),
-    ]
-    .join("\n")
+    ARTIFACTS
+        .iter()
+        .map(|(_, render)| render())
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
 //! Experiment harness for the DECA reproduction.
 //!
 //! Each table and figure of the paper's evaluation has a function in
-//! [`experiments`] (and a matching binary under `src/bin/`) that regenerates
-//! the same rows/series on the simulated machine. The README's
-//! "Regenerating paper artifacts" section maps paper artifacts to these
-//! binaries; [`baseline`] pins the modeled numbers in
-//! `BENCH_baseline.json`.
+//! [`experiments`], named in [`experiments::ARTIFACTS`], that regenerates
+//! the same rows/series on the simulated machine; the `paper` binary prints
+//! one by name. The README's "Regenerating paper artifacts" section maps
+//! paper artifacts to these names; [`baseline`] pins the modeled numbers
+//! and the printed artifacts in `BENCH_baseline.json`.
 //!
 //! Run everything with:
 //!
 //! ```text
-//! cargo run -p deca-bench --release --bin all_experiments
+//! cargo run -p deca-bench --release --bin paper -- all
 //! ```
 
 #![forbid(unsafe_code)]

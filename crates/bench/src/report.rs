@@ -1,4 +1,4 @@
-//! Small plain-text reporting helpers shared by the experiment binaries.
+//! Small plain-text reporting helpers shared by the paper artifacts.
 
 /// A fixed-column text table.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -225,6 +225,9 @@ pub enum WorkloadError {
     InvalidRate(&'static str),
     /// A spec describing zero requests (no sessions, no documents, …).
     EmptySpec(&'static str),
+    /// Length distributions that overlap where the spec needs them apart
+    /// (a chat prompt as long as the shortest document prompt).
+    OverlappingLengths(&'static str),
 }
 
 impl std::fmt::Display for WorkloadError {
@@ -232,6 +235,9 @@ impl std::fmt::Display for WorkloadError {
         match self {
             WorkloadError::InvalidRate(what) => write!(f, "invalid arrival rate: {what}"),
             WorkloadError::EmptySpec(what) => write!(f, "empty workload spec: {what}"),
+            WorkloadError::OverlappingLengths(what) => {
+                write!(f, "overlapping length distributions: {what}")
+            }
         }
     }
 }
@@ -536,8 +542,8 @@ impl SharedPrefixChatSpec {
         }
     }
 
-    /// The deterministic sim-speed benchmark trace (`bench_simspeed`, and
-    /// the CI `simspeed` gate): `sessions` two-turn conversations over a
+    /// The deterministic sim-speed benchmark trace (the `bench_simspeed`
+    /// baseline experiment): `sessions` two-turn conversations over a
     /// 128-token shared system prompt, short user messages and replies,
     /// offered at 16 sessions/s. Small per-request token counts keep the
     /// simulated work per request bounded, so the benchmark measures the
@@ -1032,24 +1038,22 @@ impl DocChatMixSpec {
     ///
     /// # Errors
     ///
-    /// [`WorkloadError::InvalidRate`] when a lane with requests has a
-    /// zero/negative/non-finite rate; [`WorkloadError::EmptySpec`] when
-    /// both lanes are empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the longest chat prompt reaches the shortest possible
-    /// document prompt (which would break classification).
+    /// [`WorkloadError::OverlappingLengths`] when the longest chat prompt
+    /// reaches the shortest possible document prompt (which would break
+    /// [`DocChatMixSpec::is_document`]); [`WorkloadError::InvalidRate`]
+    /// when a lane with requests has a zero/negative/non-finite rate;
+    /// [`WorkloadError::EmptySpec`] when both lanes are empty.
     pub fn try_generate(&self) -> Result<RequestTrace, WorkloadError> {
         let doc_floor = match self.doc_prompt_tokens {
             LengthDistribution::Fixed(len) => len,
             LengthDistribution::Uniform { min, .. } => min,
             LengthDistribution::Bimodal { short, long, .. } => short.min(long),
         };
-        assert!(
-            self.chat_prompt_tokens.max_len() < doc_floor,
-            "chat prompts must stay strictly shorter than document prompts"
-        );
+        if self.chat_prompt_tokens.max_len() >= doc_floor {
+            return Err(WorkloadError::OverlappingLengths(
+                "chat prompts must stay strictly shorter than document prompts",
+            ));
+        }
         if self.requests() == 0 {
             return Err(WorkloadError::EmptySpec(
                 "a doc/chat mix needs at least one request in some lane",
@@ -1108,8 +1112,7 @@ impl DocChatMixSpec {
     ///
     /// # Panics
     ///
-    /// Panics where [`DocChatMixSpec::try_generate`] errors, and on a
-    /// chat/document prompt-length overlap.
+    /// Panics where [`DocChatMixSpec::try_generate`] errors.
     #[must_use]
     pub fn generate(&self) -> RequestTrace {
         match self.try_generate() {
@@ -1290,6 +1293,14 @@ mod tests {
             assert!(matches!(
                 ColdSessionSpec::fleet(4.0, 0, seed).try_generate(),
                 Err(WorkloadError::EmptySpec(_))
+            ));
+            let overlapping = DocChatMixSpec {
+                chat_prompt_tokens: LengthDistribution::Fixed(4_096),
+                ..DocChatMixSpec::fleet(4.0, 16, seed)
+            };
+            assert!(matches!(
+                overlapping.try_generate(),
+                Err(WorkloadError::OverlappingLengths(_))
             ));
         }
         // Bursty shapes that could never tick over are rejected too.

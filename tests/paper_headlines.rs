@@ -44,8 +44,8 @@ fn headline_llm_speedup_band() {
     }
     let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
     let max = speedups.iter().copied().fold(0.0f64, f64::max);
-    assert!(min > 1.3, "minimum LLM speedup {min:.2}");
-    assert!(max < 3.2, "maximum LLM speedup {max:.2}");
+    assert!(min > 1.6, "minimum LLM speedup {min:.2}");
+    assert!(max < 2.6, "maximum LLM speedup {max:.2}");
 }
 
 /// §9.2: the Roof-Surface DSE picks {W=32, L=8}, the under-provisioned
