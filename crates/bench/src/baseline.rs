@@ -21,10 +21,10 @@ use deca_roofsurface::{MachineConfig, RoofSurface};
 use deca_serve::{
     best_pool_split, capacity_search, capacity_search_warm, disagg_capacity_search_with,
     fleet_capacity_search_with, hbm_kv_budget_tokens, qos_capacity_search_with, sharding_sweep,
-    AdapterModel, AgentLoopSpec, CapacityResult, CapacitySpec, ClassOutcome, ColdSessionSpec,
-    EstimatorCostModel, KvShipSpec, KvTierModel, LengthDistribution, MultiTenantSpec, QosClass,
-    RagSpec, RequestTrace, SchedulerKind, ServingConfig, ServingReport, ServingSimulator,
-    ShardingPlanResult, ShardingSearchSpec, SharedPrefixChatSpec, SloTarget, WorkloadSpec,
+    AdapterModel, AgentLoopSpec, CapacityResult, CapacitySpec, ClassOutcome, EstimatorCostModel,
+    KvShipSpec, KvTierModel, LengthDistribution, MultiTenantSpec, QosClass, RagSpec, RequestTrace,
+    SchedulerKind, ServingConfig, ServingReport, ServingSimulator, ShardingPlanResult,
+    ShardingSearchSpec, SharedPrefixChatSpec, SloTarget, WorkloadSpec,
 };
 
 use crate::json::Json;
@@ -540,9 +540,8 @@ fn sharding_scheme_row(
         .map(|&spec| sharding_curve_point(machine, model, scheme, spec, interconnect, deca_applies))
         .collect();
 
-    // Minimum sockets holding the working set and meeting the p99 SLO.
-    // (`min_sockets_for_slo` is the same selection over the same sweep, so
-    // the winner is picked from the already-simulated plans.)
+    // Minimum sockets holding the working set and meeting the p99 SLO,
+    // picked from the already-simulated plans.
     let sweep =
         |engine| sharding_sweep(machine, model, scheme, engine, interconnect, plans, search);
     let min = |results: &[ShardingPlanResult]| {
@@ -1015,8 +1014,8 @@ const DISAGG_DOC_TTFT_S: f64 = 12.0;
 
 /// The cold-return conversation workload of the swap-vs-recompute half of
 /// `bench_disagg` (the rate is substituted per capacity probe).
-fn disagg_cold_workload() -> ColdSessionSpec {
-    ColdSessionSpec::fleet(1.0, DISAGG_COLD_SESSIONS, 31)
+fn disagg_cold_workload() -> SharedPrefixChatSpec {
+    SharedPrefixChatSpec::cold_return(1.0, DISAGG_COLD_SESSIONS, 31)
 }
 
 /// The long-document chat workload of the disaggregation half: a bimodal
@@ -1208,27 +1207,20 @@ fn disagg_pool_rows(
         // Warm one estimator on a single mid-rate replica run, then clone
         // it into every socket of every probe: the memoized (batch,
         // context) entries are shared instead of re-derived per replica.
-        let proto = {
+        let mut proto = {
             let cost = EstimatorCostModel::new(machine.clone(), model.clone(), *scheme, engine);
             let mut sim = ServingSimulator::new(cost, config);
             sim.run(&disagg_doc_workload(1.0).generate());
             sim.into_cost_model()
         };
-        let colocated = fleet_capacity_search_with(
-            || proto.clone(),
-            &config,
-            DISAGG_SOCKETS,
-            &spec,
-            |rate| disagg_doc_workload(rate).generate(),
-        );
-        let splits = disagg_capacity_search_with(
-            || proto.clone(),
-            &config,
-            DISAGG_SOCKETS,
-            ship,
-            &spec,
-            |rate| disagg_doc_workload(rate).generate(),
-        );
+        let colocated =
+            fleet_capacity_search_with(&mut proto, &config, DISAGG_SOCKETS, &spec, |rate| {
+                disagg_doc_workload(rate).generate()
+            });
+        let splits =
+            disagg_capacity_search_with(&mut proto, &config, DISAGG_SOCKETS, ship, &spec, |rate| {
+                disagg_doc_workload(rate).generate()
+            });
         let best = best_pool_split(&splits).expect("at least one split");
         if engine_label == "deca" {
             let verdict = if colocated.max_rate_rps > 0.0 {
@@ -2778,9 +2770,8 @@ mod tests {
         let names = crate::drift::experiment_names(&refreshed);
         assert_eq!(names, ["bench_paged", "bench_multitenant"]);
 
-        // Nothing deserializes reports (the serde derives expand to
-        // nothing); the counters those artifacts predate only need to
-        // start at zero.
+        // Nothing deserializes reports; the counters those artifacts
+        // predate only need to start at zero.
         assert_eq!(deca_serve::QosStats::default().admitted(), 0);
         let adapters = deca_serve::AdapterStats::default();
         assert_eq!(adapters.cache_loads, 0);

@@ -1076,7 +1076,7 @@ impl DecompressEngine for AutoTunedEngine {
 
 /// Names every provided engine so that tests and benchmarks can enumerate
 /// them and report which one ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// [`ScalarEngine`] — the per-element functional reference.
     Scalar,

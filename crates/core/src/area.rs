@@ -21,7 +21,7 @@ const BASELINE_LUT_FRACTION: f64 = 0.22;
 pub const SPR_DIE_MM2: f64 = 1600.0;
 
 /// Area breakdown of one DECA PE.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaEstimate {
     /// Loaders, SQQ, bitmask queue, scale-factor queue and TOut registers.
     pub buffers_mm2: f64,

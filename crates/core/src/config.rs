@@ -3,7 +3,7 @@
 use deca_roofsurface::DecaVopModel;
 
 /// The structural configuration of one DECA PE (§6.1, §8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecaConfig {
     /// Output elements produced per vOp (pipeline width `W`).
     pub w: usize,

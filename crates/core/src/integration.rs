@@ -12,7 +12,7 @@
 //!    instructions).
 
 /// Where the DECA Loaders read compressed tiles from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadPath {
     /// Read from the LLC slice, bypassing the core's L2.
     Llc,
@@ -21,7 +21,7 @@ pub enum ReadPath {
 }
 
 /// Which prefetcher covers the compressed-tile stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TilePrefetcher {
     /// No prefetching.
     None,
@@ -33,7 +33,7 @@ pub enum TilePrefetcher {
 }
 
 /// Where decompressed tiles are delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutputPath {
     /// Written back to the L2; the core's TLoad reads them from there.
     L2,
@@ -42,7 +42,7 @@ pub enum OutputPath {
 }
 
 /// How the core invokes DECA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InvocationScheme {
     /// Memory-mapped stores to the Loader control registers plus a fence per
     /// iteration (Fig. 9): iterations serialize and the core↔DECA
@@ -54,7 +54,7 @@ pub enum InvocationScheme {
 }
 
 /// A complete integration configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IntegrationConfig {
     /// Compressed-tile read path.
     pub read_path: ReadPath,

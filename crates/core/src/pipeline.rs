@@ -23,7 +23,7 @@ use deca_numerics::{Bf16, QuantFormat};
 use crate::{DecaConfig, DecaError, LutArray};
 
 /// Per-tile timing produced by the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineTiming {
     /// vOps executed (always `512 / W`).
     pub vops: u32,

@@ -21,7 +21,7 @@ use deca_roofsurface::KernelSignature;
 /// port class so that vector-resource scaling experiments (§7, Fig. 15) can
 /// be modelled: wider vectors shrink the compute portion but memory
 /// operations stay cache-line sized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvxOpBudget {
     /// Vector load instructions per 32-element output row.
     pub loads_per_row: u32,
@@ -114,7 +114,7 @@ impl AvxOpBudget {
 
 /// The CPU core's vector execution resources available to the decompression
 /// sequence, and how they are scaled in the §7 alternatives.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VectorResources {
     /// SIMD execution ports that can run the decompression µops.
     pub simd_units: usize,

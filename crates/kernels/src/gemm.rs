@@ -4,7 +4,7 @@ use deca_compress::{TILE_COLS, TILE_ROWS};
 
 /// The shape of one FC-layer GeMM: activations are `N×K`, weights `K×M`,
 /// output `N×M` (§2.3's convention with batch size `N`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Batch size (rows of the activation matrix).
     pub n: usize,
@@ -61,7 +61,7 @@ impl GemmShape {
 /// A cascade of identical FC layers, the microbenchmark workload of §8
 /// ("a large cascade of FC layers ... ≈250 million parameters, similar to
 /// the large FC layers of Llama-2-70B").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcCascade {
     /// Shape of each layer's GeMM.
     pub layer: GemmShape,

@@ -9,7 +9,7 @@
 use crate::GemmShape;
 
 /// A static partition of a GeMM across cores.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parlooper {
     cores: usize,
     tiles_per_core: Vec<usize>,

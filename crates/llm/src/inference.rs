@@ -35,7 +35,7 @@ const LAYER_OVERHEAD_PER_SEQUENCE_US: f64 = 7.0;
 const GEMM_LAUNCH_BARRIER_US: f64 = 15.0;
 
 /// Latency breakdown of generating one token.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NextTokenReport {
     /// Model name.
     pub model: String,
@@ -108,7 +108,7 @@ impl NextTokenReport {
 /// sequence: the whole prompt runs through every layer at once, so the FC
 /// GeMMs have `prompt_tokens` activation rows and the TMUL — not the weight
 /// stream — can become the bound.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefillReport {
     /// Model name.
     pub model: String,

@@ -3,7 +3,7 @@
 use deca_kernels::GemmShape;
 
 /// The feed-forward style of a transformer block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FfnKind {
     /// Gated SwiGLU feed-forward (Llama): gate, up and down projections.
     SwiGlu,
@@ -12,7 +12,7 @@ pub enum FfnKind {
 }
 
 /// Geometry of one transformer layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerGeometry {
     /// Model (hidden) dimension.
     pub hidden: usize,
@@ -102,7 +102,7 @@ impl LayerGeometry {
 }
 
 /// A full decoder-only LLM.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LlmModel {
     name: String,
     layers: usize,

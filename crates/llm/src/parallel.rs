@@ -27,7 +27,7 @@ use crate::LayerGeometry;
 
 /// How a model is sharded across sockets: `tensor_parallel × pipeline_parallel`
 /// sockets in total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     /// Tensor-parallel degree: every FC GeMM's output dimension is split
     /// this many ways (and the KV heads with it).

@@ -13,9 +13,7 @@
 /// let x = Bf16::from_f32(0.15625);
 /// assert_eq!(x.to_f32(), 0.15625); // exactly representable
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Bf16(u16);
 
 impl Bf16 {

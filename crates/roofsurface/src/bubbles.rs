@@ -52,7 +52,7 @@ pub fn binomial_cdf(k: usize, n: usize, p: f64) -> f64 {
 }
 
 /// The analytical model of a DECA PE's vOp pipeline for a `{W, L}` sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecaVopModel {
     /// Output elements produced per vOp (pipeline width).
     pub w: usize,

@@ -9,7 +9,7 @@ use deca_compress::CompressionScheme;
 use crate::{Bord, BoundingFactor, DecaVopModel, MachineConfig, RoofSurface};
 
 /// A candidate DECA sizing together with its cost proxy.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// The `{W, L}` sizing.
     pub model: DecaVopModel,
@@ -18,7 +18,7 @@ pub struct DesignPoint {
 }
 
 /// Result of evaluating one design point against a kernel set.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DseOutcome {
     /// The evaluated sizing.
     pub point: DesignPoint,

@@ -9,7 +9,7 @@
 use deca_compress::CompressionScheme;
 
 /// The `(AIX_M, AIX_V)` signature of a compressed-GeMM kernel.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSignature {
     /// Display label (usually the compression-scheme label, e.g. `Q8_20%`).
     pub label: String,

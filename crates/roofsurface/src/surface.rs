@@ -3,7 +3,7 @@
 use crate::{machine::effective_batch, KernelSignature, MachineConfig};
 
 /// Which of the three rates bounds a kernel's performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundingFactor {
     /// Memory bandwidth (`MBW · AIX_M` is the minimum).
     Memory,
@@ -25,7 +25,7 @@ impl std::fmt::Display for BoundingFactor {
 }
 
 /// One sample of the roof surface, for 3D plotting.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceSample {
     /// matriX-to-Memory arithmetic intensity (x axis).
     pub aix_m: f64,

@@ -134,8 +134,7 @@ pub use scheduler::{
 pub use sweep::{
     best_pool_split, capacity_search, capacity_search_warm, chunk_budget_capacity_sweep_with,
     disagg_capacity_search_with, fleet_capacity_search_with, hbm_kv_budget_tokens,
-    min_sockets_for_slo, qos_capacity_search_with, sharding_sweep, simulate_disaggregated,
-    simulate_disaggregated_with, simulate_fleet, simulate_fleet_with,
+    qos_capacity_search_with, sharding_sweep, simulate_disaggregated_with, simulate_fleet_with,
     speculation_goodput_curve_with, CapacityResult, CapacitySpec, ChunkBudgetPoint, ClassOutcome,
     DisaggReport, DisaggSpec, FleetReport, PoolSplitResult, QosCapacityResult, ShardingPlanResult,
     ShardingSearchSpec, SpeculationPoint,
@@ -145,6 +144,6 @@ pub use tenant::{
 };
 pub use tier::{KvShipSpec, KvTierModel, KvTierSpec, TierKind, TierResidency};
 pub use workload::{
-    ArrivalProcess, ColdSessionSpec, DocChatMixSpec, LengthDistribution, Request, RequestTrace,
+    ArrivalProcess, DocChatMixSpec, LengthDistribution, Request, RequestTrace,
     SharedPrefixChatSpec, TokenStream, WorkloadError, WorkloadSpec,
 };

@@ -21,19 +21,7 @@
 /// Identity of one LoRA adapter. `AdapterId::BASE` (the `Default`) is the
 /// base model itself — no adapter weights to page, no switch penalty —
 /// which keeps adapter-free traces bit-identical to their pre-tenant runs.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AdapterId(pub u32);
 
 impl AdapterId {
@@ -60,9 +48,9 @@ impl std::fmt::Display for AdapterId {
 /// The adapter-paging model of one serving config: how much weight traffic
 /// an adapter load moves and how many adapters the cache keeps resident.
 ///
-/// [`AdapterModel::disabled`] (the serde default) prices nothing and
-/// reserves nothing — the degenerate config every pre-tenant run used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// [`AdapterModel::disabled`] prices nothing and reserves nothing — the
+/// degenerate config every pre-tenant run used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdapterModel {
     /// Per-adapter weight footprint, in KV-token equivalents (the unit the
     /// block pool is denominated in; the paged scheduler rounds it up to
@@ -125,7 +113,7 @@ impl AdapterModel {
 /// Adapter-cache counters of one serving run, reported in
 /// [`crate::ServingReport`]. All fields are exact counts, so the event
 /// core and the reference loops must (and do) agree on them bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdapterStats {
     /// Batch-step adapter activations served from the cache.
     pub cache_hits: usize,

@@ -48,7 +48,7 @@ impl TimeWeightedMean {
 }
 
 /// The lifecycle timestamps of one completed request.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// Request id from the trace.
     pub id: usize,
@@ -65,7 +65,6 @@ pub struct RequestRecord {
     /// Service class the request was admitted under (Interactive — the
     /// default every pre-tenant record implicitly was — or Batch), so
     /// metrics can break down per class.
-    #[serde(default)]
     pub qos: QosClass,
 }
 
@@ -96,7 +95,7 @@ impl RequestRecord {
 
 /// A latency service-level objective. A request meets the SLO when both its
 /// TTFT and its TPOT are within bounds.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloTarget {
     /// Maximum acceptable time to first token, seconds.
     pub ttft_s: f64,
@@ -152,7 +151,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 }
 
 /// Order statistics of one latency population.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Median.
     pub p50_s: f64,
@@ -186,7 +185,7 @@ impl LatencySummary {
 }
 
 /// Fleet-level metrics of one serving run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingMetrics {
     /// Requests that completed.
     pub completed: usize,

@@ -86,7 +86,7 @@ impl Node {
 }
 
 /// Counters of one cache's lifetime, for [`crate::scheduler::PagedStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixCacheStats {
     /// Blocks currently resident in the tree.
     pub resident_blocks: usize,

@@ -54,7 +54,7 @@ use crate::tier::{chain_hash, KvShipSpec, KvTierModel, TierKind, TierResidency, 
 use crate::workload::{splitmix64, Request, RequestTrace};
 
 /// Which admission policy the simulated server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Continuous batching: requests join the running batch at any token
     /// boundary and leave on completion. Admission reserves the whole
@@ -91,7 +91,7 @@ pub const DEFAULT_BLOCK_SIZE: usize = 16;
 /// the exact same tokens. Decodes that ride along inside a chunked batch
 /// step stay plain single-token decodes — speculation only pays off when
 /// the step is decode-bound.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeculationSpec {
     /// Draft tokens proposed per burst (0 disables speculation).
     pub draft_tokens: usize,
@@ -163,7 +163,7 @@ impl SpeculationSpec {
 }
 
 /// Configuration of one simulated serving replica.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingConfig {
     /// Maximum sequences decoded together.
     pub max_batch: usize,
@@ -183,12 +183,10 @@ pub struct ServingConfig {
     /// Disabled by default; with capacity, preemption chooses
     /// swap-vs-recompute by modeled cost and cold prefix blocks demote
     /// instead of evict.
-    #[serde(default = "KvTierModel::disabled")]
     pub tiers: KvTierModel,
     /// KV shipping on arrival (the disaggregated decode pool's inbound
     /// transfer). Disabled by default; when enabled, every arrival's KV
     /// crosses the interconnect before the request becomes admissible.
-    #[serde(default = "KvShipSpec::disabled")]
     pub kv_ship: KvShipSpec,
     /// Chunked prefill: prompts are split into chunks of at most this many
     /// tokens and interleaved with the decode batch inside chunked batch
@@ -196,22 +194,18 @@ pub struct ServingConfig {
     /// monopolizes the engine for a whole prompt. `None` (the default)
     /// prefills whole prompts in dedicated waves — the classic
     /// prefill-prioritized schedule.
-    #[serde(default)]
     pub chunk_budget_tokens: Option<usize>,
     /// Speculative decoding policy. Disabled by default.
-    #[serde(default = "SpeculationSpec::disabled")]
     pub speculation: SpeculationSpec,
     /// LoRA adapter paging ([`crate::lora`]). Disabled by default; when
     /// enabled, the paged scheduler carves the adapter cache's blocks out
     /// of the KV pool, and every batch step activating a non-resident
     /// adapter pays a weight load.
-    #[serde(default = "AdapterModel::disabled")]
     pub adapters: AdapterModel,
     /// Consecutive Interactive-over-Batch admission bypasses before a
     /// waiting Batch request is force-admitted ([`crate::tenant`]'s aging
     /// rule — the anti-starvation bound). Irrelevant on single-class
     /// traces, where admission degenerates to plain FIFO.
-    #[serde(default = "default_qos_aging")]
     pub qos_aging: usize,
 }
 
@@ -328,7 +322,7 @@ impl ServingConfig {
 }
 
 /// Paged-KV counters of one [`SchedulerKind::PagedContinuous`] run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PagedStats {
     /// Tokens per block.
     pub block_size: usize,
@@ -359,38 +353,28 @@ pub struct PagedStats {
     pub prefix_uncached_tokens: u64,
     /// Preemptions resolved by swapping the victim's KV to a lower tier
     /// instead of recomputing it ([`crate::KvTierModel`]).
-    #[serde(default)]
     pub swap_outs: u64,
     /// Swapped-out sequences whose KV finished reading back into HBM.
-    #[serde(default)]
     pub swap_ins: u64,
     /// Total blocks written out across all swap-outs.
-    #[serde(default)]
     pub swapped_out_blocks: u64,
     /// Cold prefix blocks demoted to a lower tier instead of dropped.
-    #[serde(default)]
     pub tier_demotions: u64,
     /// Demoted prefix blocks promoted back to HBM by a later admission
     /// (a prefill priced as a transfer instead of compute).
-    #[serde(default)]
     pub tier_promotions: u64,
     /// Arrivals whose KV crossed the interconnect before admission
     /// ([`crate::KvShipSpec`], the disaggregated decode pool).
-    #[serde(default)]
     pub kv_transfers: u64,
     /// Largest DDR-tier occupancy observed, in blocks.
-    #[serde(default)]
     pub peak_ddr_blocks: usize,
     /// Largest disk-tier occupancy observed, in blocks.
-    #[serde(default)]
     pub peak_disk_blocks: usize,
     /// Time-weighted mean fraction of the DDR tier occupied (0 when the
     /// tier is disabled).
-    #[serde(default)]
     pub mean_ddr_occupancy: f64,
     /// Time-weighted mean fraction of the disk tier occupied (0 when the
     /// tier is disabled).
-    #[serde(default)]
     pub mean_disk_occupancy: f64,
 }
 
@@ -409,7 +393,7 @@ impl PagedStats {
 
 /// Everything one serving run produced. `PartialEq` so determinism is
 /// directly assertable: two runs of the same trace compare equal.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// The admission policy that ran.
     pub scheduler: SchedulerKind,
@@ -449,21 +433,17 @@ pub struct ServingReport {
     pub prefill_steps: u64,
     /// Chunked batch steps executed (prefill chunks interleaved with the
     /// decode batch; zero when chunked prefill is off).
-    #[serde(default)]
     pub chunk_steps: u64,
     /// Prompt tokens prefilled inside chunked batch steps. Summed over a
     /// run without preemption this equals the admitted prompt tokens —
     /// the chunk-boundary conservation law the property suite pins.
-    #[serde(default)]
     pub chunked_prefill_tokens: u64,
     /// Per-class admission and fairness counters ([`crate::tenant`]). On
     /// the paged policy these count *batch entries*, so re-admissions
     /// after preemption count again (unlike [`ServingReport::admitted`]).
-    #[serde(default)]
     pub qos: QosStats,
     /// Adapter-cache counters ([`crate::lora`]); all zero on adapter-free
     /// runs.
-    #[serde(default)]
     pub adapters: AdapterStats,
     /// Paged-KV counters (`None` for the reserve-up-front policies).
     pub paged: Option<PagedStats>,

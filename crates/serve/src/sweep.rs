@@ -1,8 +1,13 @@
-//! Fleet-level sweeps: multi-replica simulation, the SLO capacity search
-//! that turns "DECA vs software decompression" into "requests/sec per
-//! socket at a p99 SLO", and the sharding sweep that answers "how many
-//! sockets does a scheme need to hold its KV working set *and* hit the p99
-//! SLO?".
+//! Fleet-level sweeps: multi-replica and disaggregated simulation, the SLO
+//! capacity search that turns "DECA vs software decompression" into
+//! "requests/sec per socket at a p99 SLO", and the sharding sweep that
+//! answers "how many sockets does a scheme need to hold its KV working set
+//! *and* hit the p99 SLO?".
+//!
+//! Every capacity search borrows one cost model (`cost: &mut C` with
+//! `C: Clone`): a single-replica search hands it back with its memo warm,
+//! a fleet or pool-split search runs a clone of it on every socket. Every
+//! search, and the sharding sweep, judges a run by one p99 rule.
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
@@ -28,7 +33,7 @@ pub fn hbm_kv_budget_tokens(model: &LlmModel, scheme: &CompressionScheme) -> Opt
 /// What a sharding sweep demands of every candidate plan: hold a KV
 /// working set of `required_kv_tokens` and serve `workload` within `slo`
 /// at the 99th percentile.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingSearchSpec {
     /// The p99 objective a feasible plan must meet.
     pub slo: SloTarget,
@@ -43,7 +48,7 @@ pub struct ShardingSearchSpec {
 }
 
 /// The outcome of one sharding plan under a [`ShardingSearchSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingPlanResult {
     /// The plan.
     pub spec: ShardSpec,
@@ -88,7 +93,7 @@ pub fn sharding_sweep(
             let kv_budget_tokens =
                 footprint::max_kv_tokens(model, scheme, &spec).map(|tokens| tokens as usize);
             let servable = kv_budget_tokens.is_some_and(|b| b >= search.required_kv_tokens);
-            let mut result = ShardingPlanResult {
+            let result = ShardingPlanResult {
                 spec,
                 kv_budget_tokens,
                 servable,
@@ -111,40 +116,23 @@ pub fn sharding_sweep(
             );
             let config = ServingConfig::continuous(search.max_batch, budget);
             let report = ServingSimulator::new(cost, config).run(&trace);
-            let ttft: Vec<f64> = report.records.iter().map(RequestRecord::ttft_s).collect();
-            let tpot: Vec<f64> = report.records.iter().map(RequestRecord::tpot_s).collect();
-            result.p99_ttft_s = percentile(&ttft, 99.0);
-            result.p99_tpot_s = percentile(&tpot, 99.0);
-            result.goodput_rps = report.goodput_rps(&search.slo);
-            result.feasible = report.rejected == 0
-                && result.p99_ttft_s <= search.slo.ttft_s
-                && result.p99_tpot_s <= search.slo.tpot_s;
-            result
+            let goodput = report.goodput_rps(&search.slo);
+            // The sweep probes plans on one trace, not an arrival rate.
+            let (feasible, tail) =
+                judge_probe(&report.records, report.rejected, goodput, &search.slo, 0.0);
+            ShardingPlanResult {
+                feasible,
+                p99_ttft_s: tail.p99_ttft_s,
+                p99_tpot_s: tail.p99_tpot_s,
+                goodput_rps: tail.goodput_rps,
+                ..result
+            }
         })
         .collect()
 }
 
-/// The cheapest feasible plan of a sharding sweep: fewest sockets first
-/// (ties broken by candidate order), or `None` when no candidate meets the
-/// search spec.
-#[must_use]
-pub fn min_sockets_for_slo(
-    machine: &MachineConfig,
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    engine: Engine,
-    interconnect: InterconnectModel,
-    plans: &[ShardSpec],
-    search: &ShardingSearchSpec,
-) -> Option<ShardingPlanResult> {
-    sharding_sweep(machine, model, scheme, engine, interconnect, plans, search)
-        .into_iter()
-        .filter(|r| r.feasible)
-        .min_by_key(|r| r.spec.sockets())
-}
-
 /// One replica's share plus its report, and the fleet aggregate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Replica count.
     pub replicas: usize,
@@ -267,32 +255,11 @@ where
     FleetReport { replicas, reports }
 }
 
-/// Simulates a fleet of identical replicas behind a round-robin load
-/// balancer. Each replica runs the same machine/model/scheme/engine and
-/// `config`; the trace is split round-robin across them.
-#[must_use]
-pub fn simulate_fleet(
-    machine: &MachineConfig,
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    engine: Engine,
-    config: &ServingConfig,
-    replicas: usize,
-    trace: &RequestTrace,
-) -> FleetReport {
-    simulate_fleet_with(
-        || EstimatorCostModel::new(machine.clone(), model.clone(), *scheme, engine),
-        config,
-        replicas,
-        trace,
-    )
-}
-
 /// A disaggregated prefill/decode deployment: `prefill_replicas` sockets
 /// run nothing but prefills, `decode_replicas` sockets run nothing but
 /// decode, and every prefilled request's KV ships from its prefill
 /// replica to its decode replica at [`KvShipSpec`] cost.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisaggSpec {
     /// Sockets in the prefill pool (≥ 1).
     pub prefill_replicas: usize,
@@ -312,7 +279,7 @@ impl DisaggSpec {
 
 /// The outcome of one disaggregated run: both pools' raw fleet reports
 /// plus the stitched end-to-end per-request records.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisaggReport {
     /// The deployment that produced this report.
     pub spec: DisaggSpec,
@@ -466,28 +433,8 @@ where
     }
 }
 
-/// [`simulate_disaggregated_with`] with one [`EstimatorCostModel`] per
-/// socket — the disaggregated counterpart of [`simulate_fleet`].
-#[must_use]
-pub fn simulate_disaggregated(
-    machine: &MachineConfig,
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    engine: Engine,
-    config: &ServingConfig,
-    spec: &DisaggSpec,
-    trace: &RequestTrace,
-) -> DisaggReport {
-    simulate_disaggregated_with(
-        || EstimatorCostModel::new(machine.clone(), model.clone(), *scheme, engine),
-        config,
-        spec,
-        trace,
-    )
-}
-
 /// Parameters of an SLO capacity search on one replica.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacitySpec {
     /// The objective a feasible rate must meet at the 99th percentile.
     pub slo: SloTarget,
@@ -521,7 +468,7 @@ impl CapacitySpec {
 }
 
 /// The outcome of a capacity search.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityResult {
     /// Highest probed arrival rate whose p99 latencies met the SLO
     /// (0 when even `min_rate` misses it).
@@ -674,7 +621,7 @@ fn bracket_and_bisect(
 
 /// One pool split's sustained capacity, from
 /// [`disagg_capacity_search_with`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolSplitResult {
     /// Sockets assigned to the prefill pool.
     pub prefill_replicas: usize,
@@ -689,19 +636,19 @@ pub struct PoolSplitResult {
 /// decode pool, finds the highest arrival rate the disaggregated
 /// deployment sustains within the p99 SLO (same bracketing/bisection as
 /// [`capacity_search_warm`], feasibility judged on the stitched
-/// end-to-end records). Pick the winner with [`best_pool_split`].
-pub fn disagg_capacity_search_with<C, F, T>(
-    mut cost: F,
+/// end-to-end records). Every socket of every probe runs a clone of
+/// `cost`. Pick the winner with [`best_pool_split`].
+pub fn disagg_capacity_search_with<C, F>(
+    cost: &mut C,
     config: &ServingConfig,
     sockets: usize,
     kv_ship: KvShipSpec,
     spec: &CapacitySpec,
-    mut trace_for_rate: T,
+    mut trace_for_rate: F,
 ) -> Vec<PoolSplitResult>
 where
-    C: ServingCostModel + Send,
-    F: FnMut() -> C,
-    T: FnMut(f64) -> RequestTrace,
+    C: ServingCostModel + Clone + Send,
+    F: FnMut(f64) -> RequestTrace,
 {
     assert!(sockets >= 2, "a split needs a socket in each pool");
     (1..sockets)
@@ -713,7 +660,7 @@ where
             };
             let capacity = bracket_and_bisect(spec, &mut |rate| {
                 let trace = trace_for_rate(rate);
-                let report = simulate_disaggregated_with(&mut cost, config, &split, &trace);
+                let report = simulate_disaggregated_with(|| cost.clone(), config, &split, &trace);
                 let goodput = report.goodput_rps(&spec.slo);
                 judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
             });
@@ -730,22 +677,22 @@ where
 /// `replicas` identical prefill+decode replicas sustain within the p99
 /// SLO — the same-socket-count baseline a disaggregated pool split must
 /// beat. Same bracketing/bisection as [`capacity_search_warm`],
-/// feasibility judged on the fleet's pooled records.
-pub fn fleet_capacity_search_with<C, F, T>(
-    mut cost: F,
+/// feasibility judged on the fleet's pooled records. Every replica of
+/// every probe runs a clone of `cost`.
+pub fn fleet_capacity_search_with<C, F>(
+    cost: &mut C,
     config: &ServingConfig,
     replicas: usize,
     spec: &CapacitySpec,
-    mut trace_for_rate: T,
+    mut trace_for_rate: F,
 ) -> CapacityResult
 where
-    C: ServingCostModel + Send,
-    F: FnMut() -> C,
-    T: FnMut(f64) -> RequestTrace,
+    C: ServingCostModel + Clone + Send,
+    F: FnMut(f64) -> RequestTrace,
 {
     bracket_and_bisect(spec, &mut |rate| {
         let trace = trace_for_rate(rate);
-        let fleet = simulate_fleet_with(&mut cost, config, replicas, &trace);
+        let fleet = simulate_fleet_with(|| cost.clone(), config, replicas, &trace);
         let goodput = fleet.goodput_rps(&spec.slo);
         judge_probe(&fleet.records(), fleet.rejected(), goodput, &spec.slo, rate)
     })
@@ -753,7 +700,7 @@ where
 
 /// One chunk budget's sustained capacity, from
 /// [`chunk_budget_capacity_sweep_with`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkBudgetPoint {
     /// The probed per-step prefill chunk budget (`None` = unchunked:
     /// whole prompts prefill in one wave).
@@ -795,7 +742,7 @@ where
 
 /// One service class's tail latencies and goodput at a probed rate, from
 /// [`qos_capacity_search_with`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassOutcome {
     /// p99 TTFT over the class's completed requests, seconds (0 when the
     /// class completed nothing).
@@ -807,7 +754,7 @@ pub struct ClassOutcome {
 }
 
 /// The outcome of a per-class QoS capacity search.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosCapacityResult {
     /// Highest probed arrival rate at which *both* classes met their SLOs
     /// with no rejections (0 when even `min_rate` misses).
@@ -887,7 +834,7 @@ where
 
 /// One acceptance rate's outcome on a fixed trace, from
 /// [`speculation_goodput_curve_with`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationPoint {
     /// The probed draft acceptance rate, in `[0, 1]`.
     pub acceptance_rate: f64,
@@ -1169,16 +1116,11 @@ mod tests {
         }
         // TP2 fits and (at this trickle load) meets the SLO.
         assert!(results[1].servable);
-        let min = min_sockets_for_slo(
-            &MachineConfig::spr_hbm(),
-            &model,
-            &q8,
-            Engine::deca_default(),
-            InterconnectModel::spr_upi(),
-            &plans,
-            &search,
-        )
-        .expect("some plan is feasible");
+        let min = results
+            .iter()
+            .filter(|r| r.feasible)
+            .min_by_key(|r| r.spec.sockets())
+            .expect("some plan is feasible");
         assert!(min.spec.sockets() >= 2, "Q8 dense needs sharding");
         assert!(min.feasible && min.p99_ttft_s > 0.0);
     }
@@ -1191,24 +1133,10 @@ mod tests {
         let scheme = CompressionScheme::bf8_sparse(0.05);
         let budget = hbm_kv_budget_tokens(&model, &scheme).expect("fits");
         let config = ServingConfig::continuous(16, budget);
-        let one = simulate_fleet(
-            &machine,
-            &model,
-            &scheme,
-            Engine::deca_default(),
-            &config,
-            1,
-            &trace,
-        );
-        let four = simulate_fleet(
-            &machine,
-            &model,
-            &scheme,
-            Engine::deca_default(),
-            &config,
-            4,
-            &trace,
-        );
+        let engine = Engine::deca_default();
+        let cost = || EstimatorCostModel::new(machine.clone(), model.clone(), scheme, engine);
+        let one = simulate_fleet_with(cost, &config, 1, &trace);
+        let four = simulate_fleet_with(cost, &config, 4, &trace);
         for fleet in [&one, &four] {
             let completed: usize = fleet.reports.iter().map(ServingReport::completed).sum();
             assert_eq!(completed + fleet.rejected(), 60);
@@ -1278,7 +1206,7 @@ mod tests {
         };
         let config = ServingConfig::continuous(16, 1_000_000);
         let results = disagg_capacity_search_with(
-            LinearCostModel::default_70b,
+            &mut LinearCostModel::default_70b(),
             &config,
             4,
             KvShipSpec {

@@ -21,7 +21,13 @@
 //!   beats recompute.
 //! * [`MultiTenantSpec`] merges an Interactive LoRA-chat lane with a Batch
 //!   long-job lane over many tenants' adapters — the headline trace of
-//!   the `bench_multitenant` experiment.
+//!   the `bench_multitenant` experiment. Its lanes come from the lane
+//!   generator [`crate::WorkloadSpec`] and [`crate::DocChatMixSpec`] draw
+//!   through, plus a tenant draw per request.
+//!
+//! RAG and agent traces keep their own draw orders, and every generator
+//! here numbers its requests in arrival order the way [`crate::workload`]'s
+//! do.
 //!
 //! A trace whose requests all carry the default class (and the default
 //! [`AdapterId::BASE`]) admits in exact FIFO order: [`QosAdmission::pick`]
@@ -32,15 +38,13 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::lora::AdapterId;
 use crate::workload::{
-    exponential_gap, splitmix64, ArrivalProcess, LengthDistribution, Request, RequestTrace,
-    TokenStream, WorkloadError,
+    exponential_gap, merge_lanes, splitmix64, ArrivalProcess, Lane, LengthDistribution, Request,
+    RequestTrace, TokenStream, WorkloadError,
 };
 
 /// The service class of one request: which SLO it is sold under, and how
 /// admission prioritizes it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QosClass {
     /// Latency-sensitive traffic (chat, RAG answers): admitted first. The
     /// `Default`, so unlabeled traces behave exactly as before.
@@ -63,7 +67,7 @@ impl std::fmt::Display for QosClass {
 /// Per-class admission and fairness counters of one serving run, reported
 /// in [`crate::ServingReport`]. Every field is an exact count, computed
 /// identically by the event core and the reference loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QosStats {
     /// Interactive requests admitted.
     pub interactive_admitted: usize,
@@ -252,7 +256,7 @@ const BATCH_LANE_SALT: u64 = 0xba7c_4;
 /// the traffic that pushes the radix prefix cache far past one system
 /// prompt (many deep branches, one per document), while a reserve-up-front
 /// scheduler re-prefills the document every single time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RagSpec {
     /// Aggregate question arrival rate, requests per second.
     pub rate_per_sec: f64,
@@ -347,11 +351,7 @@ impl RagSpec {
                 adapter: AdapterId::BASE,
             });
         }
-        let mut trace = RequestTrace::new(requests);
-        for (index, request) in trace.requests_mut().iter_mut().enumerate() {
-            request.id = index;
-        }
-        Ok(trace)
+        Ok(RequestTrace::in_arrival_order(requests))
     }
 
     /// Generates the replayable trace this spec describes.
@@ -376,7 +376,7 @@ impl RagSpec {
 /// session's [`TokenStream`], so a radix-cached server re-prefills only
 /// the fresh suffix while a reserve-up-front server replays the whole
 /// transcript every hop.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentLoopSpec {
     /// Session (agent run) arrival rate, sessions per second.
     pub rate_per_sec: f64,
@@ -494,11 +494,7 @@ impl AgentLoopSpec {
                 }
             }
         }
-        let mut trace = RequestTrace::new(requests);
-        for (index, request) in trace.requests_mut().iter_mut().enumerate() {
-            request.id = index;
-        }
-        Ok(trace)
+        Ok(RequestTrace::in_arrival_order(requests))
     }
 
     /// Generates the replayable trace this spec describes.
@@ -521,7 +517,7 @@ impl AgentLoopSpec {
 /// `bench_multitenant` experiment: priority admission must hold the
 /// Interactive lane's SLO under the Batch backlog without starving it,
 /// while the adapter cache absorbs the tenant churn.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiTenantSpec {
     /// Interactive-lane arrival rate, requests per second.
     pub interactive_rate_per_sec: f64,
@@ -596,68 +592,36 @@ impl MultiTenantSpec {
     /// zero/negative/non-finite rate; [`WorkloadError::EmptySpec`] when
     /// both lanes are empty.
     pub fn try_generate(&self) -> Result<RequestTrace, WorkloadError> {
-        if self.requests() == 0 {
-            return Err(WorkloadError::EmptySpec(
-                "a multi-tenant spec needs at least one request in some lane",
-            ));
-        }
-        let mut requests = Vec::with_capacity(self.requests());
-        let mut lane = |count: usize,
-                        rate: f64,
-                        prompts: LengthDistribution,
-                        outputs: LengthDistribution,
-                        qos: QosClass,
-                        salt: u64|
-         -> Result<(), WorkloadError> {
-            if count == 0 {
-                return Ok(());
-            }
-            ArrivalProcess::Poisson { rate_per_sec: rate }.validated()?;
-            let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ salt));
-            let mut t = 0.0f64;
-            for _ in 0..count {
-                t += exponential_gap(rng.gen(), rate);
-                let prompt = prompts.sample(&mut rng);
-                let output = outputs.sample(&mut rng);
-                let adapter = if self.tenants == 0 {
-                    AdapterId::BASE
-                } else {
-                    AdapterId(1 + rng.gen_range(0..self.tenants) as u32)
-                };
-                requests.push(Request {
-                    id: 0, // assigned in arrival order below
-                    arrival_s: t,
-                    prompt_tokens: prompt,
-                    output_tokens: output,
-                    stream: TokenStream::unique(0),
-                    qos,
-                    adapter,
-                });
-            }
-            Ok(())
+        let lane = |requests, rate_per_sec, prompts, outputs, qos, salt: u64| Lane {
+            requests,
+            arrivals: ArrivalProcess::Poisson { rate_per_sec },
+            prompts,
+            outputs,
+            qos,
+            tenants: self.tenants,
+            seed: splitmix64(self.seed ^ salt),
         };
-        lane(
-            self.interactive_requests,
-            self.interactive_rate_per_sec,
-            self.interactive_prompt_tokens,
-            self.interactive_output_tokens,
-            QosClass::Interactive,
-            INTERACTIVE_LANE_SALT,
-        )?;
-        lane(
-            self.batch_requests,
-            self.batch_rate_per_sec,
-            self.batch_prompt_tokens,
-            self.batch_output_tokens,
-            QosClass::Batch,
-            BATCH_LANE_SALT,
-        )?;
-        let mut trace = RequestTrace::new(requests);
-        for (index, request) in trace.requests_mut().iter_mut().enumerate() {
-            request.id = index;
-            request.stream = TokenStream::unique(index);
-        }
-        Ok(trace)
+        merge_lanes(
+            &[
+                lane(
+                    self.interactive_requests,
+                    self.interactive_rate_per_sec,
+                    self.interactive_prompt_tokens,
+                    self.interactive_output_tokens,
+                    QosClass::Interactive,
+                    INTERACTIVE_LANE_SALT,
+                ),
+                lane(
+                    self.batch_requests,
+                    self.batch_rate_per_sec,
+                    self.batch_prompt_tokens,
+                    self.batch_output_tokens,
+                    QosClass::Batch,
+                    BATCH_LANE_SALT,
+                ),
+            ],
+            "a multi-tenant spec needs at least one request in some lane",
+        )
     }
 
     /// Generates the replayable trace this spec describes.

@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 use deca_llm::InterconnectModel;
 
 /// Which tier below HBM a block lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierKind {
     /// The host DDR pool: large, ~an order of magnitude slower than HBM.
     Ddr,
@@ -40,7 +40,7 @@ pub enum TierKind {
 /// One tier's capacity and transfer pricing. A transfer of `bytes` costs
 /// `bytes / (bandwidth_gbps * 1e9) + latency_us * 1e-6` seconds — the
 /// same shape as [`InterconnectModel::point_to_point_seconds`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvTierSpec {
     /// How many KV blocks the tier holds. Zero disables the tier.
     pub capacity_blocks: usize,
@@ -91,7 +91,7 @@ impl KvTierSpec {
 
 /// The KV tier hierarchy below HBM, plus the size of one block's KV so
 /// transfers can be priced in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvTierModel {
     /// Bytes of (compressed) KV held by one full block.
     pub block_kv_bytes: f64,
@@ -157,7 +157,7 @@ impl KvTierModel {
 /// (the default) when `bytes_per_token` is zero — the scheduler then
 /// never schedules a [`crate::event::Event::KvTransferDone`] and takes
 /// its pre-disaggregation arrival path exactly.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvShipSpec {
     /// Bytes of (compressed) KV per context token.
     pub bytes_per_token: f64,

@@ -2,6 +2,16 @@
 //! distributions, and the replayable [`RequestTrace`] the schedulers
 //! consume.
 //!
+//! Each traffic shape has one generator. Independent requests come from
+//! lanes — an arrival process over a seeded RNG drawing each request's
+//! lengths, class and tenant: [`WorkloadSpec`] is one lane,
+//! [`DocChatMixSpec`] and [`crate::MultiTenantSpec`] merge two.
+//! Conversations come from [`SharedPrefixChatSpec`], whose sessions may go
+//! cold and return ([`SharedPrefixChatSpec::cold_return`]); one routine
+//! draws a session's turns for both the materialized trace and the lazy
+//! [`SharedPrefixChatStream`]. Every generator numbers its requests in
+//! arrival order the same way.
+//!
 //! Everything is a deterministic function of a seed, so a trace can be
 //! regenerated bit-for-bit (and the whole serving simulation above it is
 //! replayable).
@@ -28,6 +38,10 @@ const SYSTEM_STREAM: u64 = 0x5953_5445_4d5f_5052; // "SYSTEM_PR"
 /// Salt distinguishing per-request unique streams from session streams.
 const UNIQUE_SALT: u64 = 0x554e_4951_5545_5f53; // "UNIQUE_S"
 
+/// Salts separating the two lanes of [`DocChatMixSpec`].
+const CHAT_LANE_SALT: u64 = 0x5EED_C4A7;
+const DOC_LANE_SALT: u64 = 0xD0C_F00D;
+
 /// Deterministic token-id source for one request's prompt (and generated
 /// continuation): token `p` of the sequence is a pure function of the
 /// stream, so two requests of the same session share identical token-id
@@ -41,23 +55,17 @@ const UNIQUE_SALT: u64 = 0x554e_4951_5545_5f53; // "UNIQUE_S"
 /// the per-session stream (the deterministic "conversation transcript",
 /// which also covers generated tokens, so a follow-up turn's prompt
 /// extends its predecessor's prompt + output exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TokenStream {
     /// Key of the per-session token stream.
     pub session: u64,
     /// Leading positions drawn from the shared stream.
     pub system_tokens: usize,
-    /// Key of the shared stream the leading positions draw from. Defaults
-    /// to the global system-prompt stream (what every pre-RAG trace used);
-    /// RAG traces put a per-document key here so exactly that document's
-    /// sessions share the prefix.
-    #[serde(default = "default_shared_stream")]
+    /// Key of the shared stream the leading positions draw from: the
+    /// global system-prompt stream for chat sessions, a per-document key
+    /// for RAG sessions so exactly that document's sessions share the
+    /// prefix.
     pub shared: u64,
-}
-
-/// The pre-RAG shared stream: every session's system prompt.
-fn default_shared_stream() -> u64 {
-    SYSTEM_STREAM
 }
 
 impl TokenStream {
@@ -69,7 +77,7 @@ impl TokenStream {
         TokenStream {
             session: splitmix64(UNIQUE_SALT ^ request_id as u64),
             system_tokens: 0,
-            shared: default_shared_stream(),
+            shared: SYSTEM_STREAM,
         }
     }
 
@@ -80,7 +88,7 @@ impl TokenStream {
         TokenStream {
             session,
             system_tokens,
-            shared: default_shared_stream(),
+            shared: SYSTEM_STREAM,
         }
     }
 
@@ -116,7 +124,7 @@ impl TokenStream {
 }
 
 /// One inference request: when it arrives and how much work it carries.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Stable request id (index in arrival order within the trace).
     pub id: usize,
@@ -131,13 +139,10 @@ pub struct Request {
     /// the paged scheduler's prefix cache keys on.
     pub stream: TokenStream,
     /// Service class: which SLO this request is sold under and how
-    /// admission prioritizes it. Defaults to Interactive, the class every
-    /// pre-tenant trace implicitly was.
-    #[serde(default)]
+    /// admission prioritizes it.
     pub qos: QosClass,
-    /// The LoRA adapter this request runs, [`AdapterId::BASE`] (the
-    /// default) for the unadapted base model.
-    #[serde(default)]
+    /// The LoRA adapter this request runs, [`AdapterId::BASE`] for the
+    /// unadapted base model.
     pub adapter: AdapterId,
 }
 
@@ -155,7 +160,7 @@ impl Request {
 }
 
 /// A distribution over token counts (prompt or output lengths).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LengthDistribution {
     /// Every request draws the same length.
     Fixed(usize),
@@ -215,9 +220,9 @@ impl LengthDistribution {
 }
 
 /// Why a workload spec cannot generate a trace. Surfaced by the specs'
-/// `try_generate` methods so a mis-parameterized sweep or a deserialized
-/// config errors out clearly instead of hanging in (or silently
-/// degenerating) trace generation.
+/// `try_generate` methods so a mis-parameterized sweep or config errors
+/// out clearly instead of hanging in (or silently degenerating) trace
+/// generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadError {
     /// An arrival rate (or burst/period shape) that can never produce a
@@ -245,7 +250,7 @@ impl std::fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// A stochastic arrival process over continuous time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant rate (requests per second).
     Poisson {
@@ -363,20 +368,6 @@ impl ArrivalProcess {
         }
         Ok(())
     }
-
-    /// Long-run average arrival rate in requests per second.
-    #[must_use]
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                burst_secs,
-                period_secs,
-            } => (burst_rate * burst_secs + base_rate * (period_secs - burst_secs)) / period_secs,
-        }
-    }
 }
 
 /// Inverse-CDF exponential inter-arrival gap at `rate` from a unit draw.
@@ -399,8 +390,78 @@ pub(crate) fn exponential_gap(unit: f64, rate: f64) -> f64 {
     -(1.0 - unit).ln() / rate
 }
 
+/// One lane of independent requests: an arrival process over its own
+/// seeded RNG, drawing each request's arrival, prompt length, output
+/// length and (over `tenants` adapters) tenant, in that order.
+/// [`WorkloadSpec`], [`DocChatMixSpec`] and [`crate::MultiTenantSpec`]
+/// are one or two lanes merged by [`merge_lanes`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    /// Requests the lane draws. An empty lane draws nothing and is not
+    /// validated.
+    pub(crate) requests: usize,
+    pub(crate) arrivals: ArrivalProcess,
+    pub(crate) prompts: LengthDistribution,
+    pub(crate) outputs: LengthDistribution,
+    pub(crate) qos: QosClass,
+    /// Tenant adapters drawn uniformly per request; 0 serves the base
+    /// model and draws nothing.
+    pub(crate) tenants: usize,
+    /// Seed of the lane's RNG.
+    pub(crate) seed: u64,
+}
+
+/// Draws `lanes` one after another and merges them into one trace in
+/// arrival order, every request taking the unique token stream of its
+/// arrival-order id.
+///
+/// # Errors
+///
+/// [`WorkloadError::EmptySpec`] (saying `empty`) when every lane is empty;
+/// [`WorkloadError::InvalidRate`] for a non-empty lane whose arrival
+/// process is invalid.
+pub(crate) fn merge_lanes(
+    lanes: &[Lane],
+    empty: &'static str,
+) -> Result<RequestTrace, WorkloadError> {
+    let total = lanes.iter().map(|lane| lane.requests).sum();
+    if total == 0 {
+        return Err(WorkloadError::EmptySpec(empty));
+    }
+    let mut requests = Vec::with_capacity(total);
+    for lane in lanes.iter().filter(|lane| lane.requests > 0) {
+        lane.arrivals.validated()?;
+        let mut rng = StdRng::seed_from_u64(lane.seed);
+        let mut t = 0.0;
+        for _ in 0..lane.requests {
+            t = lane.arrivals.next_arrival(t, &mut rng);
+            let prompt_tokens = lane.prompts.sample(&mut rng);
+            let output_tokens = lane.outputs.sample(&mut rng);
+            let adapter = if lane.tenants == 0 {
+                AdapterId::BASE
+            } else {
+                AdapterId(1 + rng.gen_range(0..lane.tenants) as u32)
+            };
+            requests.push(Request {
+                id: 0, // assigned in arrival order
+                arrival_s: t,
+                prompt_tokens,
+                output_tokens,
+                stream: TokenStream::unique(0), // keyed by the id below
+                qos: lane.qos,
+                adapter,
+            });
+        }
+    }
+    let mut trace = RequestTrace::in_arrival_order(requests);
+    for request in &mut trace.requests {
+        request.stream = TokenStream::unique(request.id);
+    }
+    Ok(trace)
+}
+
 /// A complete workload description: arrivals × lengths × size × seed.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// The arrival process.
     pub arrivals: ArrivalProcess,
@@ -458,27 +519,16 @@ impl WorkloadSpec {
     /// [`WorkloadError::EmptySpec`] when `requests` is zero.
     pub fn try_generate(&self) -> Result<RequestTrace, WorkloadError> {
         self.arrivals.validated()?;
-        if self.requests == 0 {
-            return Err(WorkloadError::EmptySpec(
-                "a workload spec needs at least one request",
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut t = 0.0;
-        let mut requests = Vec::with_capacity(self.requests);
-        for id in 0..self.requests {
-            t = self.arrivals.next_arrival(t, &mut rng);
-            requests.push(Request {
-                id,
-                arrival_s: t,
-                prompt_tokens: self.prompt_lengths.sample(&mut rng),
-                output_tokens: self.output_lengths.sample(&mut rng),
-                stream: TokenStream::unique(id),
-                qos: QosClass::Interactive,
-                adapter: AdapterId::BASE,
-            });
-        }
-        Ok(RequestTrace { requests })
+        let lane = Lane {
+            requests: self.requests,
+            arrivals: self.arrivals,
+            prompts: self.prompt_lengths,
+            outputs: self.output_lengths,
+            qos: QosClass::Interactive,
+            tenants: 0,
+            seed: self.seed,
+        };
+        merge_lanes(&[lane], "a workload spec needs at least one request")
     }
 
     /// Generates the replayable trace this spec describes.
@@ -498,19 +548,30 @@ impl WorkloadSpec {
 /// A shared-prefix chat workload: `sessions` conversations arrive as a
 /// Poisson process, every session opens with the same `system_prompt_tokens`
 /// system prompt (drawn from the global system stream, so *all* sessions
-/// share those token-id blocks), and each of its `turns_per_session` turns
-/// carries the whole conversation so far as its prompt — turn `t+1`'s
-/// prompt extends turn `t`'s prompt + generated output in the session's
-/// [`TokenStream`], exactly the workload a radix prefix cache serves well
-/// and a reserve-up-front scheduler pays full prefill for every turn.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// share those token-id blocks), and each of its turns carries the whole
+/// conversation so far as its prompt — turn `t+1`'s prompt extends turn
+/// `t`'s prompt + generated output in the session's [`TokenStream`],
+/// exactly the workload a radix prefix cache serves well and a
+/// reserve-up-front scheduler pays full prefill for every turn.
+///
+/// With `return_turns > 0` the sessions go cold: after the opening
+/// `turns_per_session` turns the user walks away for a long idle gap, then
+/// comes back for `return_turns` more turns that still carry the whole
+/// transcript. During the gap the session's blocks go cold and get evicted
+/// from HBM, so the returning turn either re-prefills its entire context
+/// (recompute) or promotes the demoted blocks back from DDR/disk at
+/// transfer cost ([`crate::KvTierModel`]) — the swap-vs-recompute
+/// comparison `bench_disagg` prices on [`SharedPrefixChatSpec::cold_return`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedPrefixChatSpec {
     /// Session (conversation) arrival rate, sessions per second.
     pub rate_per_sec: f64,
     /// Number of conversations.
     pub sessions: usize,
-    /// Turns per conversation (≥ 1).
+    /// Turns in the opening run of each conversation (≥ 1).
     pub turns_per_session: usize,
+    /// Turns after the idle gap (0: the session never goes cold).
+    pub return_turns: usize,
     /// System-prompt tokens shared by every session.
     pub system_prompt_tokens: usize,
     /// Length of each turn's fresh user message.
@@ -521,6 +582,11 @@ pub struct SharedPrefixChatSpec {
     /// (an exponential gap, plus a decode-time allowance so open-loop
     /// follow-ups usually arrive after their predecessor finished).
     pub think_time_s: f64,
+    /// Idle gap before the first return turn: `idle_s` plus an
+    /// exponential draw of mean `idle_s`, so returns don't arrive in
+    /// lockstep. Must be much larger than `think_time_s` for the sessions
+    /// to actually go cold; unused when `return_turns` is 0.
+    pub idle_s: f64,
     /// RNG seed: the same spec always generates the same trace.
     pub seed: u64,
 }
@@ -534,10 +600,31 @@ impl SharedPrefixChatSpec {
             rate_per_sec,
             sessions,
             turns_per_session: 4,
+            return_turns: 0,
             system_prompt_tokens: 512,
             user_tokens: LengthDistribution::Uniform { min: 24, max: 96 },
             output_tokens: LengthDistribution::Uniform { min: 48, max: 160 },
             think_time_s: 20.0,
+            idle_s: 0.0,
+            seed,
+        }
+    }
+
+    /// A cold-return fleet: sessions open with two turns over a 256-token
+    /// system prompt, accumulate a substantial transcript, go idle for
+    /// ~5 simulated minutes, then return for two more turns.
+    #[must_use]
+    pub fn cold_return(rate_per_sec: f64, sessions: usize, seed: u64) -> Self {
+        SharedPrefixChatSpec {
+            rate_per_sec,
+            sessions,
+            turns_per_session: 2,
+            return_turns: 2,
+            system_prompt_tokens: 256,
+            user_tokens: LengthDistribution::Uniform { min: 64, max: 192 },
+            output_tokens: LengthDistribution::Uniform { min: 48, max: 160 },
+            think_time_s: 10.0,
+            idle_s: 300.0,
             seed,
         }
     }
@@ -556,10 +643,12 @@ impl SharedPrefixChatSpec {
             rate_per_sec: 16.0,
             sessions,
             turns_per_session: 2,
+            return_turns: 0,
             system_prompt_tokens: 128,
             user_tokens: LengthDistribution::Uniform { min: 16, max: 48 },
             output_tokens: LengthDistribution::Uniform { min: 16, max: 48 },
             think_time_s: 5.0,
+            idle_s: 0.0,
             seed: 71,
         }
     }
@@ -577,7 +666,70 @@ impl SharedPrefixChatSpec {
     /// Requests the generated trace will contain.
     #[must_use]
     pub fn requests(&self) -> usize {
-        self.sessions * self.turns_per_session.max(1)
+        self.sessions * (self.turns_per_session.max(1) + self.return_turns)
+    }
+
+    /// The check [`SharedPrefixChatSpec::try_generate`] and
+    /// [`SharedPrefixChatSpec::stream`] share.
+    fn validated(&self) -> Result<(), WorkloadError> {
+        ArrivalProcess::Poisson {
+            rate_per_sec: self.rate_per_sec,
+        }
+        .validated()?;
+        if self.sessions == 0 {
+            return Err(WorkloadError::EmptySpec(
+                "a shared-prefix chat spec needs at least one session",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Draws session `session`: its start, one Poisson gap after
+    /// `previous_start`, then per turn the user message, the reply and the
+    /// gap to the next turn, with the idle gap drawn before the first
+    /// return turn. Hands each turn to `emit` in generation order and
+    /// returns the session's start. The materialized trace and the stream
+    /// both draw through here, so they consume the RNG identically.
+    fn draw_session(
+        &self,
+        session: usize,
+        previous_start: f64,
+        rng: &mut StdRng,
+        mut emit: impl FnMut(Request),
+    ) -> f64 {
+        let start = previous_start + exponential_gap(rng.gen(), self.rate_per_sec);
+        let stream = TokenStream::session(
+            splitmix64(self.seed ^ splitmix64(session as u64)),
+            self.system_prompt_tokens,
+        );
+        let think_rate = 1.0 / self.think_time_s.max(1e-6);
+        let idle_rate = 1.0 / self.idle_s.max(1e-6);
+        let opening_turns = self.turns_per_session.max(1);
+        let mut transcript = self.system_prompt_tokens;
+        let mut arrival = start;
+        for turn in 0..opening_turns + self.return_turns {
+            if turn == opening_turns {
+                // The user walks away; the session's KV goes cold.
+                arrival += exponential_gap(rng.gen(), idle_rate) + self.idle_s;
+            }
+            let user = self.user_tokens.sample(rng);
+            let output = self.output_tokens.sample(rng);
+            transcript += user;
+            emit(Request {
+                id: 0, // assigned in arrival order
+                arrival_s: arrival,
+                prompt_tokens: transcript,
+                output_tokens: output,
+                stream,
+                qos: QosClass::Interactive,
+                adapter: AdapterId::BASE,
+            });
+            transcript += output;
+            // Next turn: think time plus a generous decode allowance
+            // (~60 ms/token) so the reply is usually complete first.
+            arrival += exponential_gap(rng.gen(), think_rate) + output as f64 * 0.06;
+        }
+        start
     }
 
     /// Generates the replayable trace, or a clear error for a spec that
@@ -588,51 +740,14 @@ impl SharedPrefixChatSpec {
     /// [`WorkloadError::InvalidRate`] for a zero/negative/non-finite
     /// session rate; [`WorkloadError::EmptySpec`] when `sessions` is zero.
     pub fn try_generate(&self) -> Result<RequestTrace, WorkloadError> {
-        ArrivalProcess::Poisson {
-            rate_per_sec: self.rate_per_sec,
-        }
-        .validated()?;
-        if self.sessions == 0 {
-            return Err(WorkloadError::EmptySpec(
-                "a shared-prefix chat spec needs at least one session",
-            ));
-        }
+        self.validated()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut requests = Vec::with_capacity(self.requests());
-        let mut session_start = 0.0f64;
-        let think_rate = 1.0 / self.think_time_s.max(1e-6);
+        let mut start = 0.0;
         for session in 0..self.sessions {
-            session_start += exponential_gap(rng.gen(), self.rate_per_sec);
-            let stream = TokenStream::session(
-                splitmix64(self.seed ^ splitmix64(session as u64)),
-                self.system_prompt_tokens,
-            );
-            let mut transcript = self.system_prompt_tokens;
-            let mut arrival = session_start;
-            for _ in 0..self.turns_per_session.max(1) {
-                let user = self.user_tokens.sample(&mut rng);
-                let output = self.output_tokens.sample(&mut rng);
-                transcript += user;
-                requests.push(Request {
-                    id: 0, // assigned in arrival order below
-                    arrival_s: arrival,
-                    prompt_tokens: transcript,
-                    output_tokens: output,
-                    stream,
-                    qos: QosClass::Interactive,
-                    adapter: AdapterId::BASE,
-                });
-                transcript += output;
-                // Next turn: think time plus a generous decode allowance
-                // (~60 ms/token) so the reply is usually complete first.
-                arrival += exponential_gap(rng.gen(), think_rate) + output as f64 * 0.06;
-            }
+            start = self.draw_session(session, start, &mut rng, |turn| requests.push(turn));
         }
-        let mut trace = RequestTrace::new(requests);
-        for (index, request) in trace.requests.iter_mut().enumerate() {
-            request.id = index;
-        }
-        Ok(trace)
+        Ok(RequestTrace::in_arrival_order(requests))
     }
 
     /// Generates the replayable trace this spec describes.
@@ -657,10 +772,12 @@ impl SharedPrefixChatSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the session rate is not positive.
+    /// Panics where [`SharedPrefixChatSpec::try_generate`] errors.
     #[must_use]
     pub fn stream(&self) -> SharedPrefixChatStream {
-        assert!(self.rate_per_sec > 0.0, "session rate must be positive");
+        if let Err(error) = self.validated() {
+            panic!("{error}");
+        }
         SharedPrefixChatStream {
             spec: *self,
             rng: StdRng::seed_from_u64(self.seed),
@@ -733,40 +850,22 @@ pub struct SharedPrefixChatStream {
 }
 
 impl SharedPrefixChatStream {
-    /// Draws the next session's start and all of its turns into `pending`,
-    /// replicating `generate`'s per-session RNG draw order exactly.
+    /// Draws the next session's start and all of its turns into `pending`.
     fn generate_next_session(&mut self) {
-        let spec = &self.spec;
-        let think_rate = 1.0 / spec.think_time_s.max(1e-6);
-        self.session_start += exponential_gap(self.rng.gen(), spec.rate_per_sec);
-        let session = self.next_session;
-        self.next_session += 1;
-        let stream = TokenStream::session(
-            splitmix64(spec.seed ^ splitmix64(session as u64)),
-            spec.system_prompt_tokens,
+        let (pending, gen_seq) = (&mut self.pending, &mut self.gen_seq);
+        self.session_start = self.spec.draw_session(
+            self.next_session,
+            self.session_start,
+            &mut self.rng,
+            |request| {
+                pending.push(std::cmp::Reverse(PendingTurn {
+                    gen_seq: *gen_seq,
+                    request,
+                }));
+                *gen_seq += 1;
+            },
         );
-        let mut transcript = spec.system_prompt_tokens;
-        let mut arrival = self.session_start;
-        for _ in 0..spec.turns_per_session.max(1) {
-            let user = spec.user_tokens.sample(&mut self.rng);
-            let output = spec.output_tokens.sample(&mut self.rng);
-            transcript += user;
-            self.pending.push(std::cmp::Reverse(PendingTurn {
-                gen_seq: self.gen_seq,
-                request: Request {
-                    id: 0, // assigned in emission (arrival) order
-                    arrival_s: arrival,
-                    prompt_tokens: transcript,
-                    output_tokens: output.max(1),
-                    stream,
-                    qos: QosClass::Interactive,
-                    adapter: AdapterId::BASE,
-                },
-            }));
-            self.gen_seq += 1;
-            transcript += output;
-            arrival += exponential_gap(self.rng.gen(), think_rate) + output as f64 * 0.06;
-        }
+        self.next_session += 1;
     }
 }
 
@@ -802,153 +901,6 @@ impl Iterator for SharedPrefixChatStream {
 
 impl ExactSizeIterator for SharedPrefixChatStream {}
 
-/// A cold-session chat workload: conversations open with a burst of
-/// `first_turns` closely spaced turns, go idle for a long `idle_s` gap
-/// (the user walks away), then come back for `return_turns` more turns
-/// that still carry the whole transcript as their prompt.
-///
-/// This is the workload the KV tier hierarchy ([`crate::KvTierModel`])
-/// exists for: during the idle gap the session's blocks go cold and get
-/// evicted from HBM, so the returning turn either re-prefills its entire
-/// accumulated context (recompute) or promotes the demoted blocks back
-/// from DDR/disk at transfer cost — the swap-vs-recompute comparison
-/// `bench_disagg` prices.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ColdSessionSpec {
-    /// Session (conversation) arrival rate, sessions per second.
-    pub rate_per_sec: f64,
-    /// Number of conversations.
-    pub sessions: usize,
-    /// Turns in the opening burst (≥ 1).
-    pub first_turns: usize,
-    /// Turns after the idle gap (may be 0 for fire-and-forget sessions).
-    pub return_turns: usize,
-    /// System-prompt tokens shared by every session.
-    pub system_prompt_tokens: usize,
-    /// Length of each turn's fresh user message.
-    pub user_tokens: LengthDistribution,
-    /// Length of each turn's generated reply.
-    pub output_tokens: LengthDistribution,
-    /// Mean think time between turns inside a burst (exponential).
-    pub think_time_s: f64,
-    /// Mean idle gap between the opening burst and the return (an
-    /// exponential draw, so returns don't arrive in lockstep). Must be
-    /// much larger than `think_time_s` for the sessions to actually go
-    /// cold.
-    pub idle_s: f64,
-    /// RNG seed: the same spec always generates the same trace.
-    pub seed: u64,
-}
-
-impl ColdSessionSpec {
-    /// A cold-return fleet: sessions open with two turns over a 256-token
-    /// system prompt, accumulate a substantial transcript, go idle for
-    /// ~5 simulated minutes, then return for two more turns.
-    #[must_use]
-    pub fn fleet(rate_per_sec: f64, sessions: usize, seed: u64) -> Self {
-        ColdSessionSpec {
-            rate_per_sec,
-            sessions,
-            first_turns: 2,
-            return_turns: 2,
-            system_prompt_tokens: 256,
-            user_tokens: LengthDistribution::Uniform { min: 64, max: 192 },
-            output_tokens: LengthDistribution::Uniform { min: 48, max: 160 },
-            think_time_s: 10.0,
-            idle_s: 300.0,
-            seed,
-        }
-    }
-
-    /// The same sessions offered at a different rate (the capacity-search
-    /// knob).
-    #[must_use]
-    pub fn with_rate(self, rate_per_sec: f64) -> Self {
-        ColdSessionSpec {
-            rate_per_sec,
-            ..self
-        }
-    }
-
-    /// Requests the generated trace will contain.
-    #[must_use]
-    pub fn requests(&self) -> usize {
-        self.sessions * (self.first_turns.max(1) + self.return_turns)
-    }
-
-    /// Generates the replayable trace, or a clear error for a spec that
-    /// could never generate one.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError::InvalidRate`] for a zero/negative/non-finite
-    /// session rate; [`WorkloadError::EmptySpec`] when `sessions` is zero.
-    pub fn try_generate(&self) -> Result<RequestTrace, WorkloadError> {
-        ArrivalProcess::Poisson {
-            rate_per_sec: self.rate_per_sec,
-        }
-        .validated()?;
-        if self.sessions == 0 {
-            return Err(WorkloadError::EmptySpec(
-                "a cold-session spec needs at least one session",
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut requests = Vec::with_capacity(self.requests());
-        let mut session_start = 0.0f64;
-        let think_rate = 1.0 / self.think_time_s.max(1e-6);
-        let idle_rate = 1.0 / self.idle_s.max(1e-6);
-        for session in 0..self.sessions {
-            session_start += exponential_gap(rng.gen(), self.rate_per_sec);
-            let stream = TokenStream::session(
-                splitmix64(self.seed ^ splitmix64(session as u64)),
-                self.system_prompt_tokens,
-            );
-            let mut transcript = self.system_prompt_tokens;
-            let mut arrival = session_start;
-            let turns = self.first_turns.max(1) + self.return_turns;
-            for turn in 0..turns {
-                if turn == self.first_turns.max(1) {
-                    // The user walks away; the session's KV goes cold.
-                    arrival += exponential_gap(rng.gen(), idle_rate) + self.idle_s;
-                }
-                let user = self.user_tokens.sample(&mut rng);
-                let output = self.output_tokens.sample(&mut rng);
-                transcript += user;
-                requests.push(Request {
-                    id: 0, // assigned in arrival order below
-                    arrival_s: arrival,
-                    prompt_tokens: transcript,
-                    output_tokens: output,
-                    stream,
-                    qos: QosClass::Interactive,
-                    adapter: AdapterId::BASE,
-                });
-                transcript += output;
-                arrival += exponential_gap(rng.gen(), think_rate) + output as f64 * 0.06;
-            }
-        }
-        let mut trace = RequestTrace::new(requests);
-        for (index, request) in trace.requests.iter_mut().enumerate() {
-            request.id = index;
-        }
-        Ok(trace)
-    }
-
-    /// Generates the replayable trace this spec describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`ColdSessionSpec::try_generate`] errors.
-    #[must_use]
-    pub fn generate(&self) -> RequestTrace {
-        match self.try_generate() {
-            Ok(trace) => trace,
-            Err(error) => panic!("{error}"),
-        }
-    }
-}
-
 /// A mixed long-document + interactive-chat workload: two independent
 /// Poisson streams share one server. Chat requests are short-prompt,
 /// decode-heavy, and latency-sensitive; document requests carry
@@ -962,7 +914,7 @@ impl ColdSessionSpec {
 /// [`DocChatMixSpec::is_document`] can classify a generated request from
 /// its prompt length alone (the merged trace re-ids requests in arrival
 /// order, so provenance is not recoverable from the id).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DocChatMixSpec {
     /// Chat arrival rate, requests per second.
     pub chat_rate_per_sec: f64,
@@ -1054,58 +1006,34 @@ impl DocChatMixSpec {
                 "chat prompts must stay strictly shorter than document prompts",
             ));
         }
-        if self.requests() == 0 {
-            return Err(WorkloadError::EmptySpec(
-                "a doc/chat mix needs at least one request in some lane",
-            ));
-        }
-        let mut requests = Vec::with_capacity(self.requests());
-        let mut lane = |count: usize,
-                        rate: f64,
-                        prompts: LengthDistribution,
-                        outputs: LengthDistribution,
-                        salt: u64|
-         -> Result<(), WorkloadError> {
-            if count == 0 {
-                return Ok(());
-            }
-            ArrivalProcess::Poisson { rate_per_sec: rate }.validated()?;
-            let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ salt));
-            let mut t = 0.0f64;
-            for _ in 0..count {
-                t += exponential_gap(rng.gen(), rate);
-                requests.push(Request {
-                    id: 0, // assigned in arrival order below
-                    arrival_s: t,
-                    prompt_tokens: prompts.sample(&mut rng),
-                    output_tokens: outputs.sample(&mut rng),
-                    stream: TokenStream::unique(0),
-                    qos: QosClass::Interactive,
-                    adapter: AdapterId::BASE,
-                });
-            }
-            Ok(())
+        let lane = |requests, rate_per_sec, prompts, outputs, salt: u64| Lane {
+            requests,
+            arrivals: ArrivalProcess::Poisson { rate_per_sec },
+            prompts,
+            outputs,
+            qos: QosClass::Interactive,
+            tenants: 0,
+            seed: splitmix64(self.seed ^ salt),
         };
-        lane(
-            self.chat_requests,
-            self.chat_rate_per_sec,
-            self.chat_prompt_tokens,
-            self.chat_output_tokens,
-            0x5EED_C4A7,
-        )?;
-        lane(
-            self.doc_requests,
-            self.doc_rate_per_sec,
-            self.doc_prompt_tokens,
-            self.doc_output_tokens,
-            0xD0C_F00D,
-        )?;
-        let mut trace = RequestTrace::new(requests);
-        for (index, request) in trace.requests.iter_mut().enumerate() {
-            request.id = index;
-            request.stream = TokenStream::unique(index);
-        }
-        Ok(trace)
+        merge_lanes(
+            &[
+                lane(
+                    self.chat_requests,
+                    self.chat_rate_per_sec,
+                    self.chat_prompt_tokens,
+                    self.chat_output_tokens,
+                    CHAT_LANE_SALT,
+                ),
+                lane(
+                    self.doc_requests,
+                    self.doc_rate_per_sec,
+                    self.doc_prompt_tokens,
+                    self.doc_output_tokens,
+                    DOC_LANE_SALT,
+                ),
+            ],
+            "a doc/chat mix needs at least one request in some lane",
+        )
     }
 
     /// Generates the replayable trace this spec describes.
@@ -1125,15 +1053,17 @@ impl DocChatMixSpec {
 /// An ordered, replayable list of requests. Traces can come from
 /// [`WorkloadSpec::generate`] or be constructed directly (e.g. replayed from
 /// a serialized production log).
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RequestTrace {
     requests: Vec<Request>,
 }
 
 impl RequestTrace {
-    /// Builds a trace from explicit requests, sorting by arrival time
-    /// (ties keep their relative order, so replays are stable) and
-    /// enforcing the [`Request::output_tokens`] ≥ 1 invariant — a replayed
+    /// Builds a trace from explicit requests, sorting by arrival time in
+    /// [`f64::total_cmp`] order (ties keep their relative order, so replays
+    /// are stable, and a NaN arrival sorts to an end instead of scrambling
+    /// the finite requests around it) and enforcing the
+    /// [`Request::output_tokens`] ≥ 1 invariant — a replayed
     /// log entry with a zero-length output is served as a single-token
     /// (prefill-only) request rather than wedging the scheduler.
     #[must_use]
@@ -1141,25 +1071,24 @@ impl RequestTrace {
         for request in &mut requests {
             request.output_tokens = request.output_tokens.max(1);
         }
-        requests.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
         RequestTrace { requests }
+    }
+
+    /// [`RequestTrace::new`], then ids `0..` in arrival order — how every
+    /// generator numbers the requests it drew.
+    pub(crate) fn in_arrival_order(requests: Vec<Request>) -> Self {
+        let mut trace = RequestTrace::new(requests);
+        for (id, request) in trace.requests.iter_mut().enumerate() {
+            request.id = id;
+        }
+        trace
     }
 
     /// The requests in arrival order.
     #[must_use]
     pub fn requests(&self) -> &[Request] {
         &self.requests
-    }
-
-    /// Mutable access for in-crate generators that re-id requests after
-    /// the arrival sort. Crate-private: external mutation could break the
-    /// sorted-by-arrival invariant.
-    pub(crate) fn requests_mut(&mut self) -> &mut [Request] {
-        &mut self.requests
     }
 
     /// Number of requests.
@@ -1231,6 +1160,43 @@ mod tests {
         assert_ne!(a, other_seed);
     }
 
+    /// Regression: `RequestTrace::new` sorted with
+    /// `partial_cmp(..).unwrap_or(Equal)`, so one NaN arrival in a replayed
+    /// log left `[3.0, NaN, 1.0]` in that order, and the simulator gave the
+    /// 1.0 s request NaN first-token and completion times. The total order
+    /// sorts the finite arrivals and puts the NaN last.
+    #[test]
+    fn a_nan_arrival_does_not_scramble_the_finite_ones() {
+        use crate::cost::LinearCostModel;
+        use crate::scheduler::{ServingConfig, ServingSimulator};
+        let request = |id, arrival_s| Request {
+            id,
+            arrival_s,
+            prompt_tokens: 16,
+            output_tokens: 4,
+            stream: TokenStream::unique(id),
+            qos: QosClass::Interactive,
+            adapter: AdapterId::BASE,
+        };
+        let trace = RequestTrace::new(vec![request(0, 3.0), request(1, f64::NAN), request(2, 1.0)]);
+        let ids: Vec<usize> = trace.requests().iter().map(|r| r.id).collect();
+        assert_eq!(ids, [2, 0, 1]);
+        let config = ServingConfig::continuous(4, 1_000);
+        let report = ServingSimulator::new(LinearCostModel::default_70b(), config).run(&trace);
+        let finite: Vec<_> = report
+            .records
+            .iter()
+            .filter(|r| r.arrival_s.is_finite())
+            .collect();
+        assert_eq!(finite.len(), 2);
+        for record in finite {
+            assert!(
+                record.first_token_s.is_finite() && record.completion_s.is_finite(),
+                "{record:?}"
+            );
+        }
+    }
+
     /// Regression: a unit draw of exactly 1.0 used to hit `ln(0) = -inf`,
     /// producing an infinite inter-arrival gap (and NaN timestamps after
     /// it). The clamp keeps the transform finite over the whole closed
@@ -1260,9 +1226,18 @@ mod tests {
     /// to panic deep inside generation — or, for a zero Poisson rate, spin
     /// `next_arrival` forever chasing an infinite boundary. Every spec now
     /// rejects such parameters (and zero-session shapes) up front with a
-    /// clear `Err`, at any seed.
+    /// clear `Err`, at any seed, and a session spec's `stream()` panics on
+    /// every input its `try_generate` rejects (it used to emit every
+    /// session of an infinite-rate spec at t = 0).
     #[test]
     fn invalid_specs_error_instead_of_hanging() {
+        let rejected = |spec: SharedPrefixChatSpec| {
+            assert!(
+                std::panic::catch_unwind(|| spec.stream()).is_err(),
+                "stream() accepted {spec:?}"
+            );
+            spec.try_generate().unwrap_err()
+        };
         for seed in [0, 1, u64::MAX, u64::MAX - 1, 0x8000_0000_0000_0000] {
             for rate in [0.0, -3.0, f64::NAN, f64::INFINITY] {
                 assert!(matches!(
@@ -1270,12 +1245,12 @@ mod tests {
                     Err(WorkloadError::InvalidRate(_))
                 ));
                 assert!(matches!(
-                    SharedPrefixChatSpec::fleet(rate, 4, seed).try_generate(),
-                    Err(WorkloadError::InvalidRate(_))
+                    rejected(SharedPrefixChatSpec::fleet(rate, 4, seed)),
+                    WorkloadError::InvalidRate(_)
                 ));
                 assert!(matches!(
-                    ColdSessionSpec::fleet(rate, 4, seed).try_generate(),
-                    Err(WorkloadError::InvalidRate(_))
+                    rejected(SharedPrefixChatSpec::cold_return(rate, 4, seed)),
+                    WorkloadError::InvalidRate(_)
                 ));
                 assert!(matches!(
                     DocChatMixSpec::fleet(rate, 16, seed).try_generate(),
@@ -1287,12 +1262,12 @@ mod tests {
                 Err(WorkloadError::EmptySpec(_))
             ));
             assert!(matches!(
-                SharedPrefixChatSpec::fleet(4.0, 0, seed).try_generate(),
-                Err(WorkloadError::EmptySpec(_))
+                rejected(SharedPrefixChatSpec::fleet(4.0, 0, seed)),
+                WorkloadError::EmptySpec(_)
             ));
             assert!(matches!(
-                ColdSessionSpec::fleet(4.0, 0, seed).try_generate(),
-                Err(WorkloadError::EmptySpec(_))
+                rejected(SharedPrefixChatSpec::cold_return(4.0, 0, seed)),
+                WorkloadError::EmptySpec(_)
             ));
             let overlapping = DocChatMixSpec {
                 chat_prompt_tokens: LengthDistribution::Fixed(4_096),
@@ -1352,9 +1327,7 @@ mod tests {
             .count();
         // base_rate = 0: every arrival must fall inside a burst window.
         assert_eq!(in_burst, trace.len());
-        // Mean rate matches the homogeneous equivalent.
-        let mean = spec.arrivals.mean_rate();
-        assert!((mean - 4.0).abs() < 1e-12);
+        // The realized rate matches the homogeneous equivalent.
         let realized = trace.offered_rate();
         assert!((3.0..5.5).contains(&realized), "realized {realized:.2}");
     }
@@ -1492,24 +1465,29 @@ mod tests {
     /// The lazy stream must be indistinguishable from the materialized
     /// trace: same requests, same ids, same (sorted) order, bit-identical
     /// floats — including under heavy cross-session interleaving (long
-    /// think times push a session's later turns far past the starts of
-    /// many following sessions) and arrival ties.
+    /// think times and cold-return idle gaps push a session's later turns
+    /// far past the starts of many following sessions) and arrival ties.
     #[test]
     fn streamed_requests_match_the_materialized_trace_exactly() {
         let interleaved = SharedPrefixChatSpec {
             rate_per_sec: 50.0,
             sessions: 60,
             turns_per_session: 5,
+            return_turns: 0,
             system_prompt_tokens: 16,
             user_tokens: LengthDistribution::Uniform { min: 1, max: 8 },
             output_tokens: LengthDistribution::Uniform { min: 1, max: 8 },
             think_time_s: 200.0,
+            idle_s: 0.0,
             seed: 3,
         };
         for spec in [
             SharedPrefixChatSpec::fleet(2.0, 40, 9),
             SharedPrefixChatSpec::simspeed(300),
             interleaved,
+            // Returns ~5-10 minutes later land among the starts of
+            // hundreds of later sessions.
+            SharedPrefixChatSpec::cold_return(2.0, 1_000, 13),
         ] {
             let stream = spec.stream();
             assert_eq!(stream.len(), spec.requests(), "exact size hint");
@@ -1520,7 +1498,7 @@ mod tests {
 
     #[test]
     fn cold_sessions_return_after_a_long_idle_gap_with_their_transcript() {
-        let spec = ColdSessionSpec::fleet(1.0, 8, 13);
+        let spec = SharedPrefixChatSpec::cold_return(1.0, 8, 13);
         let trace = spec.generate();
         assert_eq!(trace.len(), spec.requests());
         assert_eq!(trace, spec.generate(), "deterministic");
@@ -1538,7 +1516,7 @@ mod tests {
         assert_eq!(by_session.len(), 8);
         for turns in by_session.values_mut() {
             turns.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-            assert_eq!(turns.len(), spec.first_turns + spec.return_turns);
+            assert_eq!(turns.len(), spec.turns_per_session + spec.return_turns);
             // Transcript keeps growing across the gap: the returning turn
             // still carries everything said before the idle.
             for pair in turns.windows(2) {
@@ -1546,7 +1524,8 @@ mod tests {
             }
             // The gap between the opening burst and the return dwarfs any
             // in-burst think time.
-            let gap = turns[spec.first_turns].arrival_s - turns[spec.first_turns - 1].arrival_s;
+            let opening = spec.turns_per_session;
+            let gap = turns[opening].arrival_s - turns[opening - 1].arrival_s;
             assert!(gap >= spec.idle_s, "idle gap {gap:.1}s");
         }
     }

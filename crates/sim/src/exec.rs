@@ -19,7 +19,7 @@ use crate::{CacheConfig, GemmStats, MemoryController, MemoryTrace, PrefetchConfi
 
 /// How the core invokes the decompression engine, which determines how much
 /// cross-iteration overlap survives (§5.2–5.3).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InvocationModel {
     /// Iterations overlap freely up to the buffering depth: the software
     /// double-buffer scheme, or TEPL-based DECA invocation. Decompression of
@@ -37,7 +37,7 @@ pub enum InvocationModel {
 }
 
 /// The per-tile execution profile of a compressed-GeMM kernel on one core.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileExecModel {
     /// Bytes fetched from memory per weight tile (compressed size).
     pub bytes_per_tile: f64,

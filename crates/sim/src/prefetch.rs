@@ -7,7 +7,7 @@
 //! stream prefetcher and the DECA prefetcher; nowhere for no prefetching).
 
 /// Which prefetcher, if any, covers the compressed-tile stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetchKind {
     /// No prefetching: every tile fetch exposes the full demand-miss
     /// latency.
@@ -20,7 +20,7 @@ pub enum PrefetchKind {
 }
 
 /// Prefetch behaviour for a tile stream.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchConfig {
     /// Which engine issues the prefetches.
     pub kind: PrefetchKind,

@@ -119,26 +119,19 @@ fn capacity_table(
         slo.ttft_s,
         slo.tpot_s * 1e3
     );
-    let colocated = fleet_capacity_search_with(
-        || proto.clone(),
-        config,
-        SOCKETS,
-        &spec,
-        |rate| doc_workload(rate).generate(),
-    );
+    let colocated =
+        fleet_capacity_search_with(&mut proto.clone(), config, SOCKETS, &spec, |rate| {
+            doc_workload(rate).generate()
+        });
     println!(
         "  colocated x{SOCKETS}     sustains {:>5.2} req/s (p99 TPOT {:.0} ms)",
         colocated.max_rate_rps,
         colocated.p99_tpot_s * 1e3
     );
-    let splits = disagg_capacity_search_with(
-        || proto.clone(),
-        config,
-        SOCKETS,
-        ship,
-        &spec,
-        |rate| doc_workload(rate).generate(),
-    );
+    let splits =
+        disagg_capacity_search_with(&mut proto.clone(), config, SOCKETS, ship, &spec, |rate| {
+            doc_workload(rate).generate()
+        });
     for split in &splits {
         println!(
             "  {}p+{}d           sustains {:>5.2} req/s (p99 TPOT {:.0} ms)",

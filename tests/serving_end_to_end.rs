@@ -12,7 +12,7 @@ use deca_kernels::Engine;
 use deca_llm::{footprint, InferenceEstimator, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
-    hbm_kv_budget_tokens, simulate_fleet, EstimatorCostModel, SchedulerKind, ServingConfig,
+    hbm_kv_budget_tokens, simulate_fleet_with, EstimatorCostModel, SchedulerKind, ServingConfig,
     ServingSimulator, SloTarget, WorkloadSpec,
 };
 
@@ -164,24 +164,10 @@ fn continuous_batching_and_replicas_absorb_bursts() {
     assert!(continuous.goodput_rps(&slo) >= static_.goodput_rps(&slo));
 
     let config = ServingConfig::continuous(MAX_BATCH, budget);
-    let one = simulate_fleet(
-        &machine,
-        &model,
-        &scheme,
-        Engine::deca_default(),
-        &config,
-        1,
-        &trace,
-    );
-    let four = simulate_fleet(
-        &machine,
-        &model,
-        &scheme,
-        Engine::deca_default(),
-        &config,
-        4,
-        &trace,
-    );
+    let engine = Engine::deca_default();
+    let cost = || EstimatorCostModel::new(machine.clone(), model.clone(), scheme, engine);
+    let one = simulate_fleet_with(cost, &config, 1, &trace);
+    let four = simulate_fleet_with(cost, &config, 4, &trace);
     assert_eq!(four.records().len() + four.rejected(), trace.len());
     assert!(four.metrics().e2e.p99_s <= one.metrics().e2e.p99_s);
 }

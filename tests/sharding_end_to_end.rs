@@ -11,7 +11,7 @@ use deca_llm::footprint::{fits_in_hbm, fits_in_hbm_with_kv, max_kv_tokens};
 use deca_llm::{InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
-    min_sockets_for_slo, ArrivalProcess, EstimatorCostModel, LengthDistribution, RequestRecord,
+    sharding_sweep, ArrivalProcess, EstimatorCostModel, LengthDistribution, RequestRecord,
     ServingConfig, ServingSimulator, ShardingSearchSpec, SloTarget, WorkloadSpec,
 };
 
@@ -145,7 +145,7 @@ fn q4_working_set_needs_sharding_and_deca_serves_it() {
         required_kv_tokens: working_set,
     };
     let plans = [ShardSpec::single(), ShardSpec::tp(2), ShardSpec::tp(4)];
-    let winner = min_sockets_for_slo(
+    let winner = sharding_sweep(
         &machine,
         &model,
         &q4,
@@ -154,6 +154,9 @@ fn q4_working_set_needs_sharding_and_deca_serves_it() {
         &plans,
         &search,
     )
+    .into_iter()
+    .filter(|r| r.feasible)
+    .min_by_key(|r| r.spec.sockets())
     .expect("DECA serves the working set at some TP degree");
     assert!(
         winner.spec.sockets() >= 2,
