@@ -32,7 +32,9 @@
 //!   copy-on-write), sized from [`deca_llm::footprint::max_kv_tokens`]
 //!   (via [`hbm_kv_budget_tokens`] on one socket),
 //! * [`prefix`] — a radix-tree [`PrefixCache`] over token-id prefixes with
-//!   copy-on-write block sharing and LRU eviction of unreferenced blocks,
+//!   copy-on-write block sharing and LRU eviction of unreferenced blocks;
+//!   each cached block is identified by the chain hash of its whole prefix
+//!   plus an independent fingerprint, held in one cache-wide map,
 //! * [`scheduler`] — vLLM/Orca-style continuous batching (admission at
 //!   token boundaries against an HBM-derived KV budget), the static
 //!   run-to-completion baseline, and the paged policy

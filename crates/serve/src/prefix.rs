@@ -18,6 +18,25 @@
 //! to their sequence, which keeps every shared block immutable (sequence
 //! growth always appends at a block boundary or inside a private block).
 //!
+//! # What identifies a block
+//!
+//! A cached block is identified by its whole prefix, the way vLLM's
+//! automatic prefix caching identifies KV blocks: by its *chain hash*
+//! ([`crate::tier::chain_hash`] of its parent's chain hash and its own
+//! token ids, starting from [`crate::tier::PATH_HASH_SEED`]) plus a second,
+//! independent 64-bit *fingerprint* of the same path, chained with its own
+//! seed and step. Both are computed once, when the block is inserted, and
+//! one cache-wide map from chain hash to node replaces per-node child
+//! maps. A demoting eviction therefore hands back a stored hash — the key
+//! [`crate::TierResidency`] files the demoted block under — instead of
+//! re-hashing the victim's root path.
+//!
+//! A hit needs the chain hash, the fingerprint *and* the parent to match.
+//! On any mismatch a lookup stops, and an insert leaves the rest of the
+//! sequence private, so a chain-hash collision costs a cache hit, never a
+//! wrong block (a wrong block would take both 64-bit values and the
+//! parent colliding at once).
+//!
 //! # Invariants (enforced by `crates/serve/tests/property_serving.rs`)
 //!
 //! * The cache holds exactly one reference per resident node; a lookup
@@ -32,24 +51,34 @@
 //!
 //! # Bookkeeping contract and complexity
 //!
+//! A lookup or an insert costs one map probe per block plus hashing that
+//! block's tokens. The token-keyed [`PrefixCache::lookup`] and
+//! [`PrefixCache::insert`] hash lazily, block by block, so a lookup stops
+//! hashing at its first miss. The scheduler instead hashes each
+//! sequence's transcript once per admission and hands the crate-private
+//! chain API (`lookup_links`, `insert_links`) the links it holds.
+//!
 //! The cache tracks incrementally, per node, whether its block is *shared*
 //! (the allocator's ref-count exceeds the cache's own reference) and how
 //! many of its children root a shared descendant. That makes
 //! [`PrefixCache::evictable_blocks`] O(1) and [`PrefixCache::evict_lru`]
-//! O(log evictable) — the original full-arena scans cost O(cache size) per
-//! admission decision, which dominated the simulator at million-session
-//! scale. The price is a contract: once a block is resident, a caller must
-//! drop its references through [`PrefixCache::release`] rather than
-//! [`BlockAllocator::free`], so the shared flags resync as the ref-count
-//! crosses back to one. (References are only *acquired* through
-//! [`PrefixCache::lookup`] and [`PrefixCache::insert`], which resync on
-//! their own; `release` degrades to a plain `free` for blocks the cache
-//! never saw.) Debug builds cross-check both the evictable counter and
-//! every eviction choice against the original reference scans.
+//! (or [`PrefixCache::evict_lru_demoting`]) O(log evictable) — the
+//! original full-arena scans cost O(cache size) per admission decision,
+//! which dominated the simulator at million-session scale. The price is a
+//! contract: once a block is resident, a caller must drop its references
+//! through [`PrefixCache::release`] rather than [`BlockAllocator::free`],
+//! so the shared flags resync as the ref-count crosses back to one.
+//! (References are only *acquired* through [`PrefixCache::lookup`] and
+//! [`PrefixCache::insert`], which resync on their own; `release` degrades
+//! to a plain `free` for blocks the cache never saw.) Debug builds
+//! cross-check both the evictable counter and every eviction choice
+//! against the original reference scans.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::kv::{BlockAllocator, BlockId};
+use crate::tier::{chain_hash, PATH_HASH_SEED};
 
 /// Arena index of one radix-tree node.
 type NodeId = usize;
@@ -57,15 +86,83 @@ type NodeId = usize;
 /// The root occupies arena slot 0 and holds no block.
 const ROOT: NodeId = 0;
 
+/// The fingerprint a path starts from (the first 64 bits of √2).
+const FINGERPRINT_SEED: u64 = 0x6a09_e667_f3bc_c908;
+
+/// The fingerprint step's odd multiplier (MurmurHash3's first finalizer
+/// constant).
+const FINGERPRINT_MUL: u64 = 0xff51_afd7_ed55_8ccd;
+
+/// The identity of one full block: the chained hash of every token from
+/// the root through the block, and an independent fingerprint of the same
+/// path. Each is a function of the parent's value and the block's tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockLink {
+    /// [`chain_hash`] of the parent's hash and the block's token ids: the
+    /// key of the cache's map and of the tier residency map.
+    pub(crate) hash: u64,
+    /// The collision guard: a multiply-rotate chain, unrelated to
+    /// [`chain_hash`]'s xor-mix, over the same tokens.
+    pub(crate) fingerprint: u64,
+}
+
+impl BlockLink {
+    /// The link every path starts from; the root holds no block.
+    pub(crate) const ROOT: BlockLink = BlockLink {
+        hash: PATH_HASH_SEED,
+        fingerprint: FINGERPRINT_SEED,
+    };
+
+    /// The link of the block holding `block_tokens` under `self`.
+    pub(crate) fn child(self, block_tokens: &[u64]) -> BlockLink {
+        BlockLink {
+            hash: chain_hash(self.hash, block_tokens),
+            fingerprint: block_tokens.iter().fold(self.fingerprint, |fp, &token| {
+                (fp ^ token).wrapping_mul(FINGERPRINT_MUL).rotate_left(29)
+            }),
+        }
+    }
+}
+
+/// The links of the full blocks of `tokens`, hashed as they are consumed.
+fn links_of(tokens: &[u64], block_size: usize) -> impl Iterator<Item = BlockLink> + '_ {
+    tokens
+        .chunks_exact(block_size)
+        .scan(BlockLink::ROOT, |link, block| {
+            *link = link.child(block);
+            Some(*link)
+        })
+}
+
+/// Hashes a `u64` key to itself: chain hashes are already mixed, so the
+/// map needs no second hash.
+#[derive(Debug, Default, Clone, Copy)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the chain-hash map hashes only u64 keys");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
-    /// Token ids of this node's block (the edge label from the parent);
-    /// empty for the root.
-    key: Vec<u64>,
+    /// The identity of this node's block ([`BlockLink::ROOT`] for the
+    /// root).
+    link: BlockLink,
     /// The KV block backing this node (unused by the root).
     block: BlockId,
     parent: NodeId,
-    children: HashMap<Vec<u64>, NodeId>,
+    /// Resident children; a leaf has none.
+    children: usize,
     /// Logical LRU timestamp of the last lookup that traversed this node.
     last_use: u64,
     /// True while the block's ref-count exceeds the cache's own reference
@@ -98,19 +195,25 @@ pub struct PrefixCacheStats {
     pub insertions: u64,
 }
 
-/// A radix tree of cached KV blocks keyed by token-id prefixes.
+/// A radix tree of cached KV blocks, each identified by the chain hash
+/// and fingerprint of its token-id prefix (see the [module
+/// docs](crate::prefix)).
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
     block_size: usize,
     nodes: Vec<Option<Node>>,
     recycled: Vec<NodeId>,
+    /// Chain hash → the resident node carrying it. At most one node holds
+    /// a hash: an insert that meets a colliding entry stops instead.
+    by_hash: HashMap<u64, NodeId, BuildHasherDefault<PassThrough>>,
     clock: u64,
     resident: usize,
     peak_resident: usize,
     evictions: u64,
     insertions: u64,
-    /// Resident block → its tree node, for [`PrefixCache::release`] resync.
-    by_block: HashMap<BlockId, NodeId>,
+    /// Block id → its tree node, [`ROOT`] when the block is not resident,
+    /// for [`PrefixCache::release`] resync.
+    by_block: Vec<NodeId>,
     /// Eviction candidates — exactly the unshared leaves — ordered by
     /// `(last_use, id)` so iteration order matches the reference LRU scan.
     lru: BTreeSet<(u64, NodeId)>,
@@ -131,21 +234,22 @@ impl PrefixCache {
         PrefixCache {
             block_size,
             nodes: vec![Some(Node {
-                key: Vec::new(),
+                link: BlockLink::ROOT,
                 block: 0,
                 parent: ROOT,
-                children: HashMap::new(),
+                children: 0,
                 last_use: 0,
                 shared: false,
                 pinned_children: 0,
             })],
             recycled: Vec::new(),
+            by_hash: HashMap::default(),
             clock: 0,
             resident: 0,
             peak_resident: 0,
             evictions: 0,
             insertions: 0,
-            by_block: HashMap::new(),
+            by_block: Vec::new(),
             lru: BTreeSet::new(),
             pinned_count: 0,
         }
@@ -226,7 +330,7 @@ impl PrefixCache {
             let Some(node) = self.nodes[id].as_ref() else {
                 continue;
             };
-            if !node.children.is_empty() || allocator.ref_count(node.block) != 1 {
+            if node.children > 0 || allocator.ref_count(node.block) != 1 {
                 continue;
             }
             let candidate = (node.last_use, id);
@@ -251,7 +355,7 @@ impl PrefixCache {
     /// Bumps `id`'s LRU timestamp, keeping its candidate-set key in sync.
     fn touch(&mut self, id: NodeId, now: u64) {
         let node = self.node(id);
-        if node.children.is_empty() && !node.shared {
+        if node.children == 0 && !node.shared {
             let stale = (node.last_use, id);
             self.lru.remove(&stale);
             self.lru.insert((now, id));
@@ -267,7 +371,7 @@ impl PrefixCache {
             return;
         }
         let was_pinned = node.pinned();
-        if node.children.is_empty() {
+        if node.children == 0 {
             let key = (node.last_use, id);
             if shared {
                 self.lru.remove(&key);
@@ -310,18 +414,37 @@ impl PrefixCache {
         }
     }
 
+    /// The resident node `link` names under `parent`, if its chain hash,
+    /// fingerprint and parent all match.
+    fn child(&self, parent: NodeId, link: BlockLink) -> Option<NodeId> {
+        let &id = self.by_hash.get(&link.hash)?;
+        let node = self.node(id);
+        (node.link == link && node.parent == parent).then_some(id)
+    }
+
     /// Matches the longest cached block-aligned prefix of `tokens` and
     /// shares every matched block with the caller: each returned block has
     /// been [`BlockAllocator::fork`]ed once, and the caller owns that
     /// reference (releases it with [`PrefixCache::release`]). The cached
-    /// prefix length in tokens is `result.len() * block_size`.
+    /// prefix length in tokens is `result.len() * block_size`. Blocks are
+    /// hashed one at a time, and hashing stops at the first miss.
     pub fn lookup(&mut self, tokens: &[u64], allocator: &mut BlockAllocator) -> Vec<BlockId> {
+        self.lookup_links(links_of(tokens, self.block_size), allocator)
+    }
+
+    /// [`PrefixCache::lookup`] over a sequence's block links (from the
+    /// root), consuming them only up to the first miss.
+    pub(crate) fn lookup_links(
+        &mut self,
+        links: impl IntoIterator<Item = BlockLink>,
+        allocator: &mut BlockAllocator,
+    ) -> Vec<BlockId> {
         self.clock += 1;
         let now = self.clock;
         let mut node = ROOT;
         let mut matched = Vec::new();
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let Some(&child) = self.node(node).children.get(chunk) else {
+        for link in links {
+            let Some(child) = self.child(node, link) else {
                 break;
             };
             allocator.fork(self.node(child).block);
@@ -353,40 +476,62 @@ impl PrefixCache {
             blocks.len(),
             full_blocks
         );
+        self.insert_links(links_of(tokens, self.block_size), blocks, allocator);
+    }
+
+    /// [`PrefixCache::insert`] over a sequence's block links (from the
+    /// root); `blocks[i]` backs the `i`-th link. A link whose chain hash is
+    /// resident under a different fingerprint or parent is a collision: it
+    /// and every later block stay private to the sequence.
+    pub(crate) fn insert_links(
+        &mut self,
+        links: impl IntoIterator<Item = BlockLink>,
+        blocks: &[BlockId],
+        allocator: &mut BlockAllocator,
+    ) {
         self.clock += 1;
         let now = self.clock;
         let mut node = ROOT;
-        for (i, chunk) in tokens.chunks_exact(self.block_size).enumerate() {
-            if let Some(&child) = self.node(node).children.get(chunk) {
-                self.touch(child, now);
-                node = child;
+        for (i, link) in links.into_iter().enumerate() {
+            if let Some(&id) = self.by_hash.get(&link.hash) {
+                let resident = self.node(id);
+                if resident.link != link || resident.parent != node {
+                    return; // a collision: the rest stays private
+                }
+                self.touch(id, now);
+                node = id;
                 continue;
             }
-            allocator.fork(blocks[i]);
+            let block = blocks[i];
+            allocator.fork(block);
             // The parent gains its first child below: eviction is
             // leaf-only, so it stops being a candidate.
-            if node != ROOT && self.node(node).children.is_empty() && !self.node(node).shared {
-                self.lru.remove(&(self.node(node).last_use, node));
+            let parent = self.node(node);
+            if node != ROOT && parent.children == 0 && !parent.shared {
+                self.lru.remove(&(parent.last_use, node));
             }
+            self.node_mut(node).children += 1;
             // The sequence still holds its own reference, so a fresh node
             // starts shared; computed from the live count for robustness.
-            let shared = allocator.ref_count(blocks[i]) > 1;
+            let shared = allocator.ref_count(block) > 1;
             let fresh = self.new_node(Node {
-                key: chunk.to_vec(),
-                block: blocks[i],
+                link,
+                block,
                 parent: node,
-                children: HashMap::new(),
+                children: 0,
                 last_use: now,
                 shared,
                 pinned_children: 0,
             });
-            self.node_mut(node).children.insert(chunk.to_vec(), fresh);
-            let displaced = self.by_block.insert(blocks[i], fresh);
-            debug_assert!(
-                displaced.is_none(),
-                "block {} resident under two tree nodes",
-                blocks[i]
+            self.by_hash.insert(link.hash, fresh);
+            if self.by_block.len() <= block {
+                self.by_block.resize(block + 1, ROOT);
+            }
+            debug_assert_eq!(
+                self.by_block[block], ROOT,
+                "block {block} resident under two tree nodes"
             );
+            self.by_block[block] = fresh;
             self.resident += 1;
             self.peak_resident = self.peak_resident.max(self.resident);
             self.insertions += 1;
@@ -417,7 +562,8 @@ impl PrefixCache {
     /// or one already evicted) it degrades to a plain `free`.
     pub fn release(&mut self, block: BlockId, allocator: &mut BlockAllocator) {
         allocator.free(block);
-        if let Some(&id) = self.by_block.get(&block) {
+        let id = self.by_block.get(block).copied().unwrap_or(ROOT);
+        if id != ROOT {
             let refs = allocator.ref_count(block);
             debug_assert!(
                 refs >= 1,
@@ -433,66 +579,44 @@ impl PrefixCache {
     /// evictable (every resident block is still shared with a running
     /// sequence, or the tree is empty).
     pub fn evict_lru(&mut self, allocator: &mut BlockAllocator) -> bool {
+        self.evict_lru_demoting(allocator).is_some()
+    }
+
+    /// [`PrefixCache::evict_lru`], but returns the victim's chain hash
+    /// ([`crate::tier::chain_hash`] folded from
+    /// [`crate::tier::PATH_HASH_SEED`] over every block's tokens from the
+    /// root, stored since its insert), so the caller can *demote* the
+    /// evicted block into a lower KV tier ([`crate::TierResidency::demote`])
+    /// instead of dropping it. Returns `None` when nothing is evictable.
+    pub fn evict_lru_demoting(&mut self, allocator: &mut BlockAllocator) -> Option<u64> {
         debug_assert_eq!(
             self.lru.first().copied(),
             self.scan_victim(allocator),
             "incremental LRU candidates diverged from the reference scan \
              (was a resident block freed without PrefixCache::release?)"
         );
-        let Some((_, id)) = self.lru.pop_first() else {
-            return false;
-        };
+        let (_, id) = self.lru.pop_first()?;
         let node = self.nodes[id].take().expect("victim is live");
         debug_assert_eq!(
             allocator.ref_count(node.block),
             1,
             "eviction candidate is not sole-owner"
         );
-        self.node_mut(node.parent).children.remove(&node.key);
-        self.by_block.remove(&node.block);
+        self.by_hash.remove(&node.link.hash);
+        self.by_block[node.block] = ROOT;
         allocator.free(node.block);
         self.recycled.push(id);
         self.resident -= 1;
         self.evictions += 1;
         // The victim was an unshared leaf, hence unpinned: no counter
         // propagation. Its parent may have just become a candidate leaf.
-        if node.parent != ROOT {
-            let parent = self.node(node.parent);
-            if parent.children.is_empty() && !parent.shared {
-                self.lru.insert((parent.last_use, node.parent));
-            }
+        let parent = self.node_mut(node.parent);
+        parent.children -= 1;
+        if node.parent != ROOT && parent.children == 0 && !parent.shared {
+            let key = (parent.last_use, node.parent);
+            self.lru.insert(key);
         }
-        true
-    }
-
-    /// [`PrefixCache::evict_lru`], but additionally returns the victim's
-    /// chained path hash ([`crate::tier::chain_hash`] folded from
-    /// [`crate::tier::PATH_HASH_SEED`] over every block's tokens from the
-    /// root), so the caller can *demote* the evicted block into a lower
-    /// KV tier ([`crate::TierResidency::demote`]) instead of dropping it.
-    /// Returns `None` when nothing is evictable. The plain `evict_lru`
-    /// stays hash-free, so untiered runs pay nothing for this hook.
-    pub fn evict_lru_demoting(&mut self, allocator: &mut BlockAllocator) -> Option<u64> {
-        let &(_, id) = self.lru.first()?;
-        let hash = self.path_hash(id);
-        let evicted = self.evict_lru(allocator);
-        debug_assert!(evicted, "a present LRU candidate must evict");
-        Some(hash)
-    }
-
-    /// The chained hash of every token from the root through `id`'s block.
-    fn path_hash(&self, id: NodeId) -> u64 {
-        let mut chain = Vec::new();
-        let mut at = id;
-        while at != ROOT {
-            chain.push(at);
-            at = self.node(at).parent;
-        }
-        let mut hash = crate::tier::PATH_HASH_SEED;
-        for &node in chain.iter().rev() {
-            hash = crate::tier::chain_hash(hash, &self.node(node).key);
-        }
-        hash
+        Some(node.link.hash)
     }
 
     /// Releases every resident block the cache is the sole owner of (leaf
@@ -504,8 +628,15 @@ impl PrefixCache {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
     use super::*;
+    use crate::workload::TokenStream;
 
     fn ids(range: std::ops::Range<u64>) -> Vec<u64> {
         range.collect()
@@ -723,5 +854,202 @@ mod tests {
         cache.release(block, &mut pool);
         assert_eq!(pool.allocated_blocks(), 0);
         assert_eq!(cache.evictable_blocks(&pool), 0);
+    }
+
+    /// A chain hash colliding with a resident block's, under another
+    /// fingerprint, is a different block: the lookup misses, and the
+    /// insert leaves it — and the rest of its sequence — private. A
+    /// resident link reached under the wrong parent misses too.
+    #[test]
+    fn colliding_chain_hashes_miss_and_stay_private() {
+        let mut pool = BlockAllocator::new(4, 16);
+        let mut cache = PrefixCache::new(4);
+        let tokens = ids(0..8);
+        let resident = seq_blocks(&mut pool, 2);
+        cache.insert(&tokens, &resident, &mut pool);
+        let first = BlockLink::ROOT.child(&tokens[..4]);
+        let second = first.child(&tokens[4..]);
+        let forged = BlockLink {
+            hash: first.hash,
+            fingerprint: first.fingerprint ^ 1,
+        };
+        assert!(cache.lookup_links([forged], &mut pool).is_empty());
+        assert!(
+            cache.lookup_links([second], &mut pool).is_empty(),
+            "a resident link under another parent misses"
+        );
+
+        let private = seq_blocks(&mut pool, 2);
+        cache.insert_links([forged, forged.child(&ids(20..24))], &private, &mut pool);
+        assert_eq!(cache.resident_blocks(), 2);
+        assert_eq!(
+            pool.ref_count(private[0]),
+            1,
+            "the colliding block stays private"
+        );
+        assert_eq!(pool.ref_count(private[1]), 1, "and so does the rest");
+
+        // The genuine blocks still hit.
+        let matched = cache.lookup(&tokens, &mut pool);
+        assert_eq!(matched, resident);
+        for block in matched.into_iter().chain(resident).chain(private) {
+            cache.release(block, &mut pool);
+        }
+        cache.flush(&mut pool);
+        assert_eq!(pool.allocated_blocks(), 0);
+    }
+
+    /// Both caches, each on its own pool, after the same operations:
+    /// equal counters, evictable totals and per-block ref-counts.
+    fn same_state(
+        cache: &PrefixCache,
+        pool: &BlockAllocator,
+        old: &reference::PrefixCache,
+        old_pool: &BlockAllocator,
+        at: &str,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(cache.stats(), old.stats(), "{}: stats", at);
+        prop_assert_eq!(cache.resident_blocks(), old.resident_blocks(), "{}", at);
+        prop_assert_eq!(
+            cache.evictable_blocks(pool),
+            old.evictable_blocks(old_pool),
+            "{}: evictable blocks",
+            at
+        );
+        for block in 0..pool.total_blocks() {
+            prop_assert_eq!(
+                pool.ref_count(block),
+                old_pool.ref_count(block),
+                "{}: ref-count of block {}",
+                at,
+                block
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The chain-hash cache returns what the token-keyed cache it
+        /// replaced returns. Chat sessions sharing a system prompt and RAG
+        /// sessions sharing two documents arrive (lookup, allocate,
+        /// insert), retire after generating (insert the transcript,
+        /// release), get preempted (release only), and cold blocks are
+        /// evicted plainly or for demotion, on a pool small enough that
+        /// arrivals evict too. After every operation both caches agree on
+        /// the returned blocks, eviction results, demotion hashes,
+        /// counters, evictable totals and ref-counts. (The vendored
+        /// proptest does not shrink: a failure names its seed and
+        /// operation.)
+        #[test]
+        fn hashed_cache_matches_the_token_keyed_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let block_size = rng.gen_range(1..33usize);
+            let total_blocks = rng.gen_range(4..40usize);
+            let mut pool = BlockAllocator::new(block_size, total_blocks);
+            let mut old_pool = BlockAllocator::new(block_size, total_blocks);
+            let mut cache = PrefixCache::new(block_size);
+            let mut old = reference::PrefixCache::new(block_size);
+            let system = rng.gen_range(0..3 * block_size);
+            let documents = [rng.gen_range(0..4 * block_size), rng.gen_range(0..4 * block_size)];
+            let streams: Vec<TokenStream> = (0..4u64)
+                .map(|session| TokenStream::session(session, system))
+                .chain((0..4u64).map(|session| {
+                    let document = session % 2;
+                    let tokens = documents[document as usize];
+                    TokenStream::document(document, 100 + session, tokens)
+                }))
+                .collect();
+            // Live sequences: stream, transcript length, held blocks.
+            let mut live: Vec<(TokenStream, usize, Vec<BlockId>)> = Vec::new();
+            for op in 0..160 {
+                let at = format!("seed {seed}, operation {op}");
+                match rng.gen_range(0..8u32) {
+                    0..=2 => {
+                        let stream = streams[rng.gen_range(0..streams.len())];
+                        let len = rng.gen_range(1..6 * block_size + 1);
+                        let tokens = stream.token_ids(len);
+                        let mut blocks = cache.lookup(&tokens, &mut pool);
+                        let old_blocks = old.lookup(&tokens, &mut old_pool);
+                        prop_assert_eq!(&blocks, &old_blocks, "{}: lookup", &at);
+                        while blocks.len() < pool.blocks_for_tokens(len) {
+                            let block = pool.alloc();
+                            prop_assert_eq!(block, old_pool.alloc(), "{}: alloc", &at);
+                            if let Some(block) = block {
+                                blocks.push(block);
+                                continue;
+                            }
+                            let evicted = cache.evict_lru(&mut pool);
+                            let old_evicted = old.evict_lru(&mut old_pool);
+                            prop_assert_eq!(evicted, old_evicted, "{}: evict", &at);
+                            if !evicted {
+                                break;
+                            }
+                        }
+                        if blocks.len() < pool.blocks_for_tokens(len) {
+                            for &block in &blocks {
+                                cache.release(block, &mut pool);
+                                old.release(block, &mut old_pool);
+                            }
+                        } else {
+                            cache.insert(&tokens, &blocks, &mut pool);
+                            old.insert(&tokens, &blocks, &mut old_pool);
+                            live.push((stream, len, blocks));
+                        }
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let sequence = rng.gen_range(0..live.len());
+                        let (stream, mut len, mut blocks) = live.swap_remove(sequence);
+                        // Three in four retire: the generated tokens fill the
+                        // blocks' slack (and any block the pool still has
+                        // free), then the transcript is published. The rest
+                        // are preempted and publish nothing.
+                        if rng.gen_range(0..4u32) > 0 {
+                            len += rng.gen_range(0..2 * block_size);
+                            while blocks.len() < pool.blocks_for_tokens(len) {
+                                let block = pool.alloc();
+                                prop_assert_eq!(block, old_pool.alloc(), "{}: alloc", &at);
+                                match block {
+                                    Some(block) => blocks.push(block),
+                                    None => len = blocks.len() * block_size,
+                                }
+                            }
+                            let tokens = stream.token_ids(len);
+                            cache.insert(&tokens, &blocks, &mut pool);
+                            old.insert(&tokens, &blocks, &mut old_pool);
+                        }
+                        for &block in &blocks {
+                            cache.release(block, &mut pool);
+                            old.release(block, &mut old_pool);
+                        }
+                    }
+                    5 => {
+                        let evicted = cache.evict_lru(&mut pool);
+                        prop_assert_eq!(evicted, old.evict_lru(&mut old_pool), "{}: evict", &at);
+                    }
+                    _ => {
+                        let hash = cache.evict_lru_demoting(&mut pool);
+                        prop_assert_eq!(
+                            hash,
+                            old.evict_lru_demoting(&mut old_pool),
+                            "{}: demotion hash",
+                            &at
+                        );
+                    }
+                }
+                same_state(&cache, &pool, &old, &old_pool, &at)?;
+            }
+            for (_, _, blocks) in live {
+                for block in blocks {
+                    cache.release(block, &mut pool);
+                    old.release(block, &mut old_pool);
+                }
+            }
+            cache.flush(&mut pool);
+            old.flush(&mut old_pool);
+            same_state(&cache, &pool, &old, &old_pool, &format!("seed {seed}, drained"))?;
+            prop_assert_eq!(pool.allocated_blocks(), 0);
+        }
     }
 }

@@ -48,10 +48,10 @@ use crate::event::{Event, EventQueue};
 use crate::kv::{BlockAllocator, BlockId};
 use crate::lora::{AdapterCache, AdapterId, AdapterModel, AdapterStats};
 use crate::metrics::{RequestRecord, ServingMetrics, SloTarget, TimeWeightedMean};
-use crate::prefix::PrefixCache;
+use crate::prefix::{BlockLink, PrefixCache};
 use crate::tenant::{QosAdmission, QosClass, QosStats};
-use crate::tier::{chain_hash, KvShipSpec, KvTierModel, TierKind, TierResidency, PATH_HASH_SEED};
-use crate::workload::{splitmix64, Request, RequestTrace};
+use crate::tier::{KvShipSpec, KvTierModel, TierKind, TierResidency};
+use crate::workload::{splitmix64, Request, RequestTrace, TokenStream};
 
 /// Which admission policy the simulated server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -618,6 +618,10 @@ struct PagedActive {
     swapping: bool,
     /// KV blocks this sequence holds a reference to, in sequence order.
     blocks: Vec<BlockId>,
+    /// Prefix-cache links of the sequence's leading full blocks hashed so
+    /// far (empty without a prefix cache, and after a swap-in): extended,
+    /// never recomputed, as its transcript grows.
+    chain: Vec<BlockLink>,
     /// Time the last output token was produced (set once generation
     /// finishes; under static batching the slot may stay blocked longer).
     done_s: Option<f64>,
@@ -633,6 +637,7 @@ impl PagedActive {
         promoted_tokens: usize,
         promote_wait_s: f64,
         blocks: Vec<BlockId>,
+        chain: Vec<BlockLink>,
     ) -> Self {
         PagedActive {
             idx,
@@ -646,8 +651,65 @@ impl PagedActive {
             promote_wait_s,
             swapping: false,
             blocks,
+            chain,
             done_s: None,
         }
+    }
+}
+
+/// Hashes sequences' transcripts into prefix-cache links: each token once
+/// per admission, and each full block of a shared prefix (a system prompt
+/// or a RAG document) once per run, memoized by its
+/// [`TokenStream::shared`] key.
+struct ChainHasher {
+    block_size: usize,
+    /// Links of the leading full blocks of each shared stream hashed so
+    /// far. They depend on the shared key alone: every stream reading
+    /// that key draws the same token ids below its `system_tokens`.
+    shared: HashMap<u64, Vec<BlockLink>>,
+    /// One block's token ids, reused so hashing allocates nothing.
+    tokens: Vec<u64>,
+}
+
+impl ChainHasher {
+    fn new(block_size: usize) -> Self {
+        ChainHasher {
+            block_size,
+            shared: HashMap::new(),
+            tokens: Vec::with_capacity(block_size),
+        }
+    }
+
+    /// The links of the full blocks among `stream`'s first `len` tokens.
+    /// `chain` holds the links of its first `chain.len()` blocks and is
+    /// extended to cover them.
+    fn full_blocks<'c>(
+        &mut self,
+        chain: &'c mut Vec<BlockLink>,
+        stream: &TokenStream,
+        len: usize,
+    ) -> &'c [BlockLink] {
+        let block_size = self.block_size;
+        let blocks = len / block_size;
+        let ChainHasher { shared, tokens, .. } = self;
+        let mut link = |parent: Option<&BlockLink>, block: usize| {
+            let start = block * block_size;
+            tokens.clear();
+            tokens.extend((start..start + block_size).map(|p| stream.token_id(p)));
+            parent.copied().unwrap_or(BlockLink::ROOT).child(tokens)
+        };
+        let shared_blocks = (stream.system_tokens / block_size).min(blocks);
+        if chain.len() < shared_blocks {
+            let memo = shared.entry(stream.shared).or_default();
+            while memo.len() < shared_blocks {
+                memo.push(link(memo.last(), memo.len()));
+            }
+            chain.extend_from_slice(&memo[chain.len()..shared_blocks]);
+        }
+        while chain.len() < blocks {
+            chain.push(link(chain.last(), chain.len()));
+        }
+        &chain[..blocks]
     }
 }
 
@@ -743,6 +805,8 @@ struct RunCore<I> {
     records: Vec<RequestRecord>,
     allocator: BlockAllocator,
     cache: Option<PrefixCache>,
+    /// Hashes transcripts into the links `cache` is keyed by.
+    chains: ChainHasher,
     /// Occupancy of the KV tiers below HBM (demoted prefix blocks and
     /// swap-out reservations).
     residency: TierResidency,
@@ -766,6 +830,9 @@ struct RunCore<I> {
     /// (empty when adapter paging is disabled). Held for the whole run:
     /// adapter residency churns *within* this reservation.
     adapter_blocks: Vec<BlockId>,
+    /// The distinct adapters of the step being priced (kept between steps
+    /// so pricing allocates nothing).
+    step_adapters: Vec<AdapterId>,
     /// Victims preempted inside the step being launched; their re-queue
     /// events are scheduled at the step's completion time (the reference
     /// loop pushes them mid-step, but the queue is only read at
@@ -857,6 +924,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             records: Vec::new(),
             allocator,
             cache,
+            chains: ChainHasher::new(config.block_size),
             residency: TierResidency::new(config.tiers),
             tiers_enabled: !reserve && config.tiers.enabled(),
             swapped: HashMap::new(),
@@ -867,6 +935,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             qos: QosAdmission::new(),
             adapter_cache,
             adapter_blocks,
+            step_adapters: Vec::new(),
             pending_preemptions: Vec::new(),
             pending_swap_outs: Vec::new(),
             run_refs: vec![0; total_blocks],
@@ -1146,30 +1215,24 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     }
 
     /// Probes the lower tiers for demoted continuations of a cached
-    /// prefix: each consecutive demoted block promotes back to HBM, its
-    /// prefill priced as a swap-in transfer instead of compute. Returns
-    /// the promoted token count and the modeled transfer wait.
-    fn promote_demoted_suffix(&mut self, ids: &[u64], cached_tokens: usize) -> (usize, f64) {
-        if !self.tiers_enabled || self.cache.is_none() {
+    /// prefix — `uncached`, the links following the cache hit: each
+    /// consecutive demoted block promotes back to HBM, its prefill priced
+    /// as a swap-in transfer instead of compute. Returns the promoted
+    /// token count and the modeled transfer wait.
+    fn promote_demoted_suffix(&mut self, uncached: &[BlockLink]) -> (usize, f64) {
+        if !self.tiers_enabled {
             return (0, 0.0);
-        }
-        let block_size = self.config.block_size;
-        let mut hash = PATH_HASH_SEED;
-        for chunk in ids[..cached_tokens].chunks_exact(block_size) {
-            hash = chain_hash(hash, chunk);
         }
         let model = *self.residency.model();
         let mut promoted_tokens = 0;
         let mut promote_wait_s = 0.0;
-        for chunk in ids[cached_tokens..].chunks_exact(block_size) {
-            let next = chain_hash(hash, chunk);
-            let Some(tier) = self.residency.promote(next) else {
+        for link in uncached {
+            let Some(tier) = self.residency.promote(link.hash) else {
                 break;
             };
-            promoted_tokens += block_size;
+            promoted_tokens += self.config.block_size;
             promote_wait_s += model.swap_in_seconds(tier, 1);
             self.tier_promotions += 1;
-            hash = next;
         }
         (promoted_tokens, promote_wait_s)
     }
@@ -1247,19 +1310,30 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 return None;
             }
             self.reserved += footprint;
-            return Some(PagedActive::admitted(head, 0, 0, 0.0, Vec::new()));
+            return Some(PagedActive::admitted(
+                head,
+                0,
+                0,
+                0.0,
+                Vec::new(),
+                Vec::new(),
+            ));
         }
         let request = self.slots[head].request;
         let prompt = self.effective_prompt(head);
-        // At least one prompt token must be prefilled to produce the next
-        // output token, so the lookup stops one short of the prompt end.
-        let ids = if self.cache.is_some() {
-            request.stream.token_ids(prompt.saturating_sub(1))
-        } else {
-            Vec::new()
-        };
+        let mut chain = Vec::new();
         let matched = match &mut self.cache {
-            Some(cache) => cache.lookup(&ids, &mut self.allocator),
+            Some(cache) => {
+                // The chain reaches the whole transcript by retirement.
+                chain.reserve_exact(footprint / self.config.block_size);
+                // At least one prompt token must be prefilled to produce
+                // the next output token, so the lookup stops one short of
+                // the prompt end.
+                let links =
+                    self.chains
+                        .full_blocks(&mut chain, &request.stream, prompt.saturating_sub(1));
+                cache.lookup_links(links.iter().copied(), &mut self.allocator)
+            }
             None => Vec::new(),
         };
         let cached_tokens = matched.len() * self.config.block_size;
@@ -1273,7 +1347,8 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             }
             return None;
         }
-        let (promoted_tokens, promote_wait_s) = self.promote_demoted_suffix(&ids, cached_tokens);
+        let (promoted_tokens, promote_wait_s) =
+            self.promote_demoted_suffix(&chain[matched.len()..]);
         let mut blocks = matched;
         for _ in 0..need_now {
             blocks.push(self.allocator.alloc().expect("free blocks checked"));
@@ -1287,6 +1362,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             promoted_tokens,
             promote_wait_s,
             blocks,
+            chain,
         ))
     }
 
@@ -1332,6 +1408,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             promote_wait_s: 0.0,
             swapping: true,
             blocks,
+            chain: Vec::new(),
             done_s: None,
         });
         true
@@ -1342,8 +1419,10 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     /// checked *before* evicting: a head request that cannot be admitted
     /// even with the cache fully drained must not flush resident blocks
     /// for nothing (later same-prefix arrivals would lose their hits to a
-    /// failed admission). The O(cache nodes) evictable scan only runs when
-    /// the free list alone cannot cover the need. The count is the
+    /// failed admission). The evictable count is read only when the free
+    /// list alone cannot cover the need; it is an O(1) counter read
+    /// ([`PrefixCache::evictable_blocks`], whose O(cache nodes) scan runs
+    /// only as a debug-build cross-check). The count is the
     /// cascade-deliverable total, but if eviction ever under-delivers,
     /// this gives up rather than spinning on an unevictable cache.
     fn make_room(&mut self, need: usize) -> bool {
@@ -1447,7 +1526,8 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         }
         let weight_tokens = self.config.adapters.weight_tokens;
         let mut wait = 0.0;
-        let mut seen: Vec<AdapterId> = Vec::new();
+        let seen = &mut self.step_adapters;
+        seen.clear();
         let slots = &self.slots;
         let cache = &mut self.adapter_cache;
         for active in self.running.iter().filter(|a| !a.swapping) {
@@ -1501,8 +1581,10 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             self.prefix_hit_tokens += cached as u64;
             self.prefix_uncached_tokens += (prompt - cached - active.promoted_tokens) as u64;
             if let Some(cache) = &mut self.cache {
-                let ids = request.stream.token_ids(prompt);
-                cache.insert(&ids, &active.blocks, &mut self.allocator);
+                let links = self
+                    .chains
+                    .full_blocks(&mut active.chain, &request.stream, prompt);
+                cache.insert_links(links.iter().copied(), &active.blocks, &mut self.allocator);
             }
         }
         self.pending_prefill = 0;
@@ -1652,10 +1734,15 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             }
             if let Some(cache) = &mut self.cache {
                 // Publish the chunk-completed blocks now, not at the end
-                // of the whole prompt.
-                let active = &self.running[pos];
-                let ids = request.stream.token_ids(active.prefilled_tokens);
-                cache.insert(&ids, &active.blocks, &mut self.allocator);
+                // of the whole prompt. (The claim's chain runs ahead of
+                // them: it covers the prompt but its last token.)
+                let active = &mut self.running[pos];
+                let links = self.chains.full_blocks(
+                    &mut active.chain,
+                    &request.stream,
+                    active.prefilled_tokens,
+                );
+                cache.insert_links(links.iter().copied(), &active.blocks, &mut self.allocator);
             }
         }
         dt
@@ -1827,16 +1914,25 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 return true;
             }
             let blocks = std::mem::take(&mut active.blocks);
-            retired.push(PagedActive { blocks, ..*active });
+            let chain = std::mem::take(&mut active.chain);
+            retired.push(PagedActive {
+                blocks,
+                chain,
+                ..*active
+            });
             false
         });
-        for active in retired.drain(..) {
+        for mut active in retired.drain(..) {
             let done_s = active.done_s.expect("retired implies done");
             let slot = self.slots[active.idx];
             let request = slot.request;
             if let Some(cache) = &mut self.cache {
-                let ids = request.stream.token_ids(active.context_tokens);
-                cache.insert(&ids, &active.blocks, &mut self.allocator);
+                let links = self.chains.full_blocks(
+                    &mut active.chain,
+                    &request.stream,
+                    active.context_tokens,
+                );
+                cache.insert_links(links.iter().copied(), &active.blocks, &mut self.allocator);
             }
             if self.reserve() {
                 self.reserved -= request.kv_tokens_at_completion();

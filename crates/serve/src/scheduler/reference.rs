@@ -674,6 +674,7 @@ impl<'a> PagedRunState<'a> {
                 promote_wait_s: 0.0,
                 swapping: false,
                 blocks,
+                chain: Vec::new(),
                 done_s: None,
             });
         }

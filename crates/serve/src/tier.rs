@@ -239,9 +239,15 @@ fn mix(mut x: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct TierResidency {
     model: KvTierModel,
-    demoted: HashMap<u64, TierKind>,
-    ddr_order: VecDeque<u64>,
-    disk_order: VecDeque<u64>,
+    /// Demoted block → its tier and the sequence number of its demotion.
+    demoted: HashMap<u64, (TierKind, u64)>,
+    /// Demotions per tier, oldest first, as `(hash, sequence number)`. A
+    /// promotion leaves its entry behind; the sequence number tells that
+    /// stale entry from a later re-demotion of the same hash.
+    ddr_order: VecDeque<(u64, u64)>,
+    disk_order: VecDeque<(u64, u64)>,
+    /// Demotions so far: the next demotion's sequence number.
+    demotions: u64,
     /// Demoted prefix blocks per tier (droppable to make swap room).
     ddr_demoted: usize,
     disk_demoted: usize,
@@ -259,6 +265,7 @@ impl TierResidency {
             demoted: HashMap::new(),
             ddr_order: VecDeque::new(),
             disk_order: VecDeque::new(),
+            demotions: 0,
             ddr_demoted: 0,
             disk_demoted: 0,
             ddr_reserved: 0,
@@ -321,12 +328,12 @@ impl TierResidency {
                 TierKind::Ddr => &mut self.ddr_order,
                 TierKind::Disk => &mut self.disk_order,
             };
-            let Some(hash) = order.pop_front() else {
+            let Some((hash, seq)) = order.pop_front() else {
                 return;
             };
-            // Lazy deletion: skip entries promoted (or re-demoted to the
-            // other tier) since they were queued.
-            if self.demoted.get(&hash) == Some(&tier) {
+            // Lazy deletion: skip entries promoted (and perhaps demoted
+            // again since) after they were queued.
+            if self.demoted.get(&hash) == Some(&(tier, seq)) {
                 self.demoted.remove(&hash);
                 *self.demoted_mut(tier) -= 1;
             }
@@ -365,16 +372,18 @@ impl TierResidency {
     /// the receiving tier, or `None` when both tiers are full — the
     /// block is then simply gone, exactly as under plain eviction.
     pub fn demote(&mut self, hash: u64) -> Option<TierKind> {
-        if let Some(&tier) = self.demoted.get(&hash) {
+        if let Some(&(tier, _)) = self.demoted.get(&hash) {
             return Some(tier); // already resident below HBM
         }
         for tier in [TierKind::Ddr, TierKind::Disk] {
             if self.free_blocks(tier) >= 1 {
-                self.demoted.insert(hash, tier);
+                let seq = self.demotions;
+                self.demotions += 1;
+                self.demoted.insert(hash, (tier, seq));
                 *self.demoted_mut(tier) += 1;
                 match tier {
-                    TierKind::Ddr => self.ddr_order.push_back(hash),
-                    TierKind::Disk => self.disk_order.push_back(hash),
+                    TierKind::Ddr => self.ddr_order.push_back((hash, seq)),
+                    TierKind::Disk => self.disk_order.push_back((hash, seq)),
                 }
                 return Some(tier);
             }
@@ -385,14 +394,14 @@ impl TierResidency {
     /// Looks up a demoted block by path hash without moving it.
     #[must_use]
     pub fn demoted_tier(&self, hash: u64) -> Option<TierKind> {
-        self.demoted.get(&hash).copied()
+        self.demoted.get(&hash).map(|&(tier, _)| tier)
     }
 
     /// Promotes a demoted block back to HBM: removes it from its tier
     /// and returns which tier it came from (pricing the swap-in), or
     /// `None` if the hash is not resident.
     pub fn promote(&mut self, hash: u64) -> Option<TierKind> {
-        let tier = self.demoted.remove(&hash)?;
+        let (tier, _) = self.demoted.remove(&hash)?;
         *self.demoted_mut(tier) -= 1;
         Some(tier)
     }
@@ -484,6 +493,21 @@ mod tests {
         assert_eq!(residency.demoted_tier(11), None);
         assert_eq!(residency.demoted_tier(22), None);
         assert_eq!(residency.demoted_tier(33), Some(TierKind::Ddr));
+    }
+
+    /// A promotion leaves its queue entry behind; a later re-demotion of
+    /// the same hash must not inherit that entry's place at the front.
+    #[test]
+    fn swap_room_drops_the_oldest_demotion_even_after_a_re_demotion() {
+        let mut residency = TierResidency::new(KvTierModel::ddr_only(1024.0, 2));
+        assert_eq!(residency.demote(1), Some(TierKind::Ddr));
+        assert_eq!(residency.demote(2), Some(TierKind::Ddr));
+        assert_eq!(residency.promote(1), Some(TierKind::Ddr));
+        assert_eq!(residency.demote(1), Some(TierKind::Ddr));
+        // Block 2 is now the oldest demotion: it makes the room.
+        assert_eq!(residency.reserve_swap(1), Some(TierKind::Ddr));
+        assert_eq!(residency.demoted_tier(2), None);
+        assert_eq!(residency.demoted_tier(1), Some(TierKind::Ddr));
     }
 
     #[test]
