@@ -1,20 +1,16 @@
 //! The machine-readable benchmark baseline.
 //!
 //! `cargo run -p deca-bench --release --bin bench_baseline` regenerates
-//! `BENCH_baseline.json`: per-experiment wall time plus the modeled numbers
-//! (Roof-Surface TFLOPS, simulated pipeline cycles/speedups, LLM next-token
-//! latencies, the serving experiments) that future optimization PRs are
-//! measured against, plus the text every paper artifact prints (`paper`).
-//! Everything except the wall times is deterministic, so a diff of the
-//! committed artifact shows exactly which modeled quantities a change
-//! moved.
+//! `BENCH_baseline.json`: the modeled numbers (Roof-Surface TFLOPS,
+//! simulated pipeline cycles/speedups, LLM next-token latencies, the
+//! serving experiments) that future optimization PRs are measured
+//! against, plus the text every paper artifact prints (`paper`). Nothing
+//! here reads a clock, so the file is a pure function of the tree: a
+//! regeneration leaves every unmoved record byte-identical, and a diff of
+//! the committed artifact shows exactly which modeled quantities a change
+//! moved. Host time is measured by `perfbench/`, not here.
 
-use std::time::Instant;
-
-use deca_compress::{
-    generator::WeightGenerator, CompressionScheme, Compressor, Decompressor, EngineKind, SchemeSet,
-    WeightMatrix,
-};
+use deca_compress::{CompressionScheme, SchemeSet};
 use deca_kernels::{avx_model::software_signature, CompressedGemmExecutor, Engine};
 use deca_llm::{footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::{MachineConfig, RoofSurface};
@@ -30,7 +26,7 @@ use deca_serve::{
 use crate::json::Json;
 
 /// Schema version of the emitted document; bump on breaking layout changes.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The command that regenerates the artifact.
 pub const REGENERATE_COMMAND: &str = "cargo run -p deca-bench --release --bin bench_baseline";
@@ -163,104 +159,6 @@ pub fn paper_results() -> Json {
     Json::obj(vec![("artifacts", Json::Arr(artifacts))])
 }
 
-/// Rows of the synthetic matrix the engine benchmark streams (shrunk in
-/// debug builds so plain `cargo test` stays fast; the committed baseline is
-/// always regenerated in release mode).
-const ENGINE_BENCH_ROWS: usize = if cfg!(debug_assertions) { 256 } else { 1024 };
-/// Columns of the engine-benchmark matrix.
-const ENGINE_BENCH_COLS: usize = if cfg!(debug_assertions) { 256 } else { 1024 };
-/// Timed whole-matrix decompressions per engine per sample.
-const ENGINE_BENCH_ITERS: usize = if cfg!(debug_assertions) { 2 } else { 6 };
-/// Timing samples per engine; throughput is the fastest sample. The
-/// samples are interleaved round-robin across the engines so a noisy
-/// neighbor on a shared runner degrades every engine's worst samples
-/// alike instead of biasing whichever engine it overlapped.
-const ENGINE_BENCH_SAMPLES: usize = if cfg!(debug_assertions) { 1 } else { 5 };
-
-/// Matrix-decompression throughput of every pluggable engine, per scheme:
-/// dense GB/s produced (decompressed BF16 bytes over wall time), the
-/// speedup over the scalar reference, and a bit-exactness check against it.
-///
-/// The GB/s and speedup values are wall-clock measurements and therefore
-/// machine-dependent; the CI drift check strips them (like `wall_ms`)
-/// before comparing baselines. The `bit_exact` flags are deterministic.
-#[must_use]
-pub fn engine_results() -> Json {
-    let generator = WeightGenerator::new(77);
-    let weights = generator.dense_matrix(ENGINE_BENCH_ROWS, ENGINE_BENCH_COLS);
-    let dense_bytes = (ENGINE_BENCH_ROWS * ENGINE_BENCH_COLS * 2) as f64;
-    let mut scheme_entries = Vec::new();
-    for scheme in [
-        CompressionScheme::bf8_sparse(0.5),
-        CompressionScheme::bf8_sparse(0.05),
-        CompressionScheme::mxfp4(),
-    ] {
-        let compressed = Compressor::new(scheme)
-            .compress_matrix(&weights)
-            .expect("compress");
-        let reference = Decompressor::new()
-            .decompress_matrix(&compressed)
-            .expect("reference");
-        let kinds = EngineKind::all();
-        let mut built = Vec::new();
-        for kind in kinds {
-            let engine = kind.build();
-            let mut out = WeightMatrix::zeros(ENGINE_BENCH_ROWS, ENGINE_BENCH_COLS);
-            engine
-                .decompress_matrix_into(&compressed, &mut out)
-                .expect("warmup");
-            let bit_exact = out == reference;
-            built.push((engine, out, bit_exact, f64::INFINITY));
-        }
-        for _ in 0..ENGINE_BENCH_SAMPLES {
-            for (engine, out, _, best_secs) in &mut built {
-                let start = Instant::now();
-                for _ in 0..ENGINE_BENCH_ITERS {
-                    engine
-                        .decompress_matrix_into(&compressed, out)
-                        .expect("decompress");
-                }
-                *best_secs = best_secs.min(start.elapsed().as_secs_f64().max(1e-9));
-            }
-        }
-        let mut engines = Vec::new();
-        let mut scalar_gbps = 0.0f64;
-        for (kind, (_, _, bit_exact, best_secs)) in kinds.into_iter().zip(built) {
-            let gbps = dense_bytes * ENGINE_BENCH_ITERS as f64 / best_secs / 1e9;
-            if kind == EngineKind::Scalar {
-                scalar_gbps = gbps;
-            }
-            engines.push(Json::obj(vec![
-                ("engine", Json::str(kind.label())),
-                ("dense_gbps", num(gbps)),
-                (
-                    "speedup_vs_scalar",
-                    num(if scalar_gbps > 0.0 {
-                        gbps / scalar_gbps
-                    } else {
-                        1.0
-                    }),
-                ),
-                ("bit_exact", Json::Bool(bit_exact)),
-            ]));
-        }
-        scheme_entries.push(Json::obj(vec![
-            ("scheme", Json::str(scheme.label())),
-            ("compressed_bytes", num(compressed.total_bytes() as f64)),
-            ("engines", Json::Arr(engines)),
-        ]));
-    }
-    Json::obj(vec![
-        (
-            "matrix",
-            Json::str(format!("{ENGINE_BENCH_ROWS}x{ENGINE_BENCH_COLS}")),
-        ),
-        ("dense_bytes", num(dense_bytes)),
-        ("iters", num(ENGINE_BENCH_ITERS as f64)),
-        ("schemes", Json::Arr(scheme_entries)),
-    ])
-}
-
 /// Requests per probed rate of the serving capacity search (shrunk in
 /// debug builds so plain `cargo test` stays fast; the committed baseline is
 /// regenerated in release mode).
@@ -357,8 +255,7 @@ fn bursty_scheduler_rows(
 /// scheme, the maximum requests/sec one SPR-HBM socket sustains at the
 /// interactive p99 SLO with continuous batching — software decompression
 /// versus DECA — plus a continuous-vs-static goodput comparison on a bursty
-/// trace. Everything here is modeled/deterministic (the simulation has no
-/// wall-clock inputs); only the surrounding `wall_ms` is volatile.
+/// trace.
 #[must_use]
 pub fn serving_results() -> Json {
     let machine = MachineConfig::spr_hbm();
@@ -638,8 +535,7 @@ fn sharding_curve_point(
 /// working set grows (Q4) — the TP scaling curve of the decode latency and
 /// the minimum socket count that holds the working set *and* meets the
 /// interactive p99 SLO, software decompression versus DECA, over a
-/// UPI-class interconnect. Fully deterministic (only `wall_ms` is
-/// volatile).
+/// UPI-class interconnect.
 #[must_use]
 pub fn sharding_results() -> Json {
     let machine = MachineConfig::spr_hbm();
@@ -923,7 +819,6 @@ fn paged_overload_row(
 /// admission — software decompression and DECA, single-socket and TP2 —
 /// plus a fixed-load utilization/hit-rate comparison and a deliberately
 /// overloaded small-pool scenario that exercises preemption-by-recompute.
-/// Fully deterministic (only the surrounding `wall_ms` is volatile).
 #[must_use]
 pub fn paged_results() -> Json {
     let machine = MachineConfig::spr_hbm();
@@ -1281,8 +1176,7 @@ fn disagg_pool_rows(
 /// The tiered-offload + disaggregation experiment (`bench_disagg`): the
 /// swap-vs-recompute capacity comparison on the cold-return trace, and the
 /// disaggregated-vs-colocated capacity comparison on the long-document
-/// trace, both software and DECA. Fully deterministic (only the
-/// surrounding `wall_ms` is volatile).
+/// trace, both software and DECA.
 #[must_use]
 pub fn disagg_results() -> Json {
     let machine = MachineConfig::spr_hbm();
@@ -1514,8 +1408,6 @@ fn chunked_speculation_section(
 ///   Llama-2-7B draft model against the 70B target on a decode-heavy chat
 ///   trace: p99 TPOT and SLO goodput as the acceptance rate rises from 0
 ///   to 1, software versus DECA.
-///
-/// Fully deterministic (only the surrounding `wall_ms` is volatile).
 #[must_use]
 pub fn chunked_results() -> Json {
     let machine = MachineConfig::spr_hbm();
@@ -1914,8 +1806,6 @@ fn tenant_prefix_rows(
 ///   prefix-sharing replica: the RAG corpus's shared documents and the
 ///   agents' growing transcripts turn into radix-cache hits that
 ///   unique-prompt chat cannot get.
-///
-/// Fully deterministic (only the surrounding `wall_ms` is volatile).
 #[must_use]
 pub fn multitenant_results() -> Json {
     let machine = MachineConfig::spr_hbm();
@@ -1981,24 +1871,20 @@ const SIMSPEED_MAX_BATCH: usize = 64;
 /// reserve-up-front policies rarely queue, tight enough to stay realistic.
 const SIMSPEED_KV_BUDGET: usize = 100_000;
 
-/// One sim-speed row: simulate the deterministic workload under `config`
-/// and report throughput in sessions per second *of simulation wall time*
-/// — the figure of merit of the event core — alongside the simulated
-/// makespan and the step/queue counters that pin the simulation itself
-/// (everything except the `wall`-named fields is deterministic; the drift
-/// check strips those recursively). The workload streams through
+/// One sim-speed row: stream the deterministic workload under `config`
+/// through the event core and record the simulated makespan, the
+/// simulated-time throughput and the step/queue counters that pin the
+/// simulation itself. The workload streams through
 /// [`ServingSimulator::run_streamed`] — arrivals are generated lazily and
 /// request slots recycled, so the run never materializes the million-entry
-/// trace (and the wall clock covers generation + simulation together, the
-/// honest cost of the streaming loop).
+/// trace. How long the host takes is perfbench's `chat_stream` figure,
+/// not this row's.
 fn simspeed_row(policy: &str, sessions: usize, config: &ServingConfig) -> Json {
     let spec = SharedPrefixChatSpec::simspeed(sessions);
     let stream = spec.stream();
     let requests = stream.len();
-    let start = Instant::now();
     let report = ServingSimulator::new(deca_serve::LinearCostModel::default_70b(), *config)
         .run_streamed(stream);
-    let wall_secs = start.elapsed().as_secs_f64();
     Json::obj(vec![
         ("policy", Json::str(policy)),
         ("sessions", num(sessions as f64)),
@@ -2008,9 +1894,9 @@ fn simspeed_row(policy: &str, sessions: usize, config: &ServingConfig) -> Json {
         ("admitted", num(report.admitted as f64)),
         ("makespan_s", num(report.makespan_s)),
         (
-            // Deterministic throughput: sessions per second of *simulated*
-            // time — how much serving the modeled replica sustains, fixed
-            // by the trace and the cost model, unlike the wall fields.
+            // Sessions per second of *simulated* time: how much serving
+            // the modeled replica sustains, fixed by the trace and the
+            // cost model.
             "sessions_per_sim_sec",
             num(if report.makespan_s > 0.0 {
                 sessions as f64 / report.makespan_s
@@ -2022,27 +1908,14 @@ fn simspeed_row(policy: &str, sessions: usize, config: &ServingConfig) -> Json {
         ("prefill_steps", num(report.prefill_steps as f64)),
         ("peak_batch", num(report.peak_batch as f64)),
         ("peak_queue_depth", num(report.peak_queue_depth as f64)),
-        ("wall_secs", num(wall_secs)),
-        (
-            "sessions_per_wall_sec",
-            num(if wall_secs > 0.0 {
-                sessions as f64 / wall_secs
-            } else {
-                0.0
-            }),
-        ),
     ])
 }
 
 /// The simulator-speed experiment (`bench_simspeed`): the deterministic
 /// [`SharedPrefixChatSpec::simspeed`] workload streamed through the event
-/// core at million-session scale. Three rows, all at the full session
-/// count: continuous batching, paged (no sharing), and paged + prefix
-/// sharing — the last runs at full scale now that the radix cache
-/// maintains its evictable count and LRU order incrementally (admission
-/// is O(log cache) instead of the old O(cache) scan that forced a
-/// tenth-scale row). Every field except the `wall`-named ones is
-/// deterministic.
+/// core at million-session scale, pinning its modeled counters over two
+/// million requests. Three rows, all at the full session count:
+/// continuous batching, paged (no sharing), and paged + prefix sharing.
 #[must_use]
 pub fn simspeed_results() -> Json {
     let continuous = ServingConfig::continuous(SIMSPEED_MAX_BATCH, SIMSPEED_KV_BUDGET);
@@ -2066,31 +1939,23 @@ pub fn simspeed_results() -> Json {
     ])
 }
 
-/// Runs one experiment, wrapping its results with the name and wall time —
-/// the record shape `collect` assembles and `refresh_experiment` splices.
+/// Runs one experiment, wrapping its results with the name — the record
+/// shape `collect` assembles.
 fn experiment_record(name: &str, run: fn() -> Json) -> Json {
-    let start = Instant::now();
-    let results = run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("wall_ms", num(wall_ms)),
-        ("results", results),
-    ])
+    Json::obj(vec![("name", Json::str(name)), ("results", run())])
 }
 
 /// An experiment runner, as registered in [`experiments`].
 pub type ExperimentFn = fn() -> Json;
 
 /// The baseline experiment registry, in document order — the single list
-/// [`collect`] runs and `bench_drift --write --experiment` refreshes from.
+/// [`collect`] runs.
 #[must_use]
 pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
     vec![
         ("roofsurface", roofsurface_results),
         ("pipeline", pipeline_results),
         ("llm_latency", llm_latency_results),
-        ("bench_engines", engine_results),
         ("bench_serving", serving_results),
         ("bench_sharding", sharding_results),
         ("bench_paged", paged_results),
@@ -2102,8 +1967,7 @@ pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
     ]
 }
 
-/// Runs every baseline experiment, recording wall time per experiment, and
-/// assembles the full document.
+/// Runs every baseline experiment and assembles the full document.
 #[must_use]
 pub fn collect() -> Json {
     let records = experiments()
@@ -2117,81 +1981,34 @@ pub fn collect() -> Json {
     ])
 }
 
-/// Renders `doc` and writes it to `path` with the committed-artifact
-/// convention (compact JSON, trailing newline) — the write half of
-/// `bench_drift --write`.
+/// Writes `doc` to `path` as compact JSON with each record of the
+/// top-level `experiments` array on a line of its own, so `git diff`
+/// names the experiments a change moved, and a trailing newline.
 ///
 /// # Errors
 ///
 /// Propagates the I/O error when the path cannot be written.
 pub fn write_artifact(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
-    let mut rendered = doc.render();
-    rendered.push('\n');
-    std::fs::write(path, rendered)
-}
-
-/// Re-runs the registered experiment `name` and replaces its records in
-/// `doc` in place (every other experiment's committed numbers are left
-/// untouched) — the selective half of `bench_drift --write`. A registered
-/// experiment the document does not carry yet (a freshly added one) is
-/// appended instead, so growing the registry never forces a full-document
-/// regeneration.
-///
-/// # Errors
-///
-/// Returns a message naming the registry when `name` is not a registered
-/// experiment, or when `doc` carries no `experiments` array to extend.
-pub fn refresh_experiment(doc: Json, name: &str) -> Result<Json, String> {
-    let Some((_, run)) = experiments().into_iter().find(|(n, _)| *n == name) else {
-        let known: Vec<&str> = experiments().iter().map(|(n, _)| *n).collect();
-        return Err(format!(
-            "no registered experiment {name:?} (registered: {})",
-            known.join(", ")
-        ));
-    };
-    let Json::Obj(entries) = doc else {
-        return Err("baseline document must be an object".to_string());
-    };
-    let mut replaced = false;
-    let mut extended = false;
-    let entries = entries
-        .into_iter()
-        .map(|(key, value)| {
-            if key != "experiments" {
-                return (key, value);
-            }
-            let Json::Arr(records) = value else {
-                return (key, value);
-            };
-            let mut records: Vec<Json> = records
-                .into_iter()
-                .map(|record| {
-                    let is_named = matches!(&record, Json::Obj(fields)
-                        if fields.iter().any(|(k, v)| k == "name"
-                            && matches!(v, Json::Str(s) if s == name)));
-                    if is_named && !replaced {
-                        replaced = true;
-                        experiment_record(name, run)
-                    } else {
-                        record
-                    }
+    let text = match doc {
+        Json::Obj(entries) => {
+            let fields: Vec<String> = entries
+                .iter()
+                .map(|(key, value)| {
+                    let value = match value {
+                        Json::Arr(records) if key == "experiments" => {
+                            let lines: Vec<String> = records.iter().map(Json::render).collect();
+                            format!("[\n{}\n]", lines.join(",\n"))
+                        }
+                        other => other.render(),
+                    };
+                    format!("{}:{value}", Json::str(key.as_str()).render())
                 })
                 .collect();
-            if !replaced {
-                // A registered experiment the artifact predates: append
-                // its first record, leaving every committed one intact.
-                records.push(experiment_record(name, run));
-                extended = true;
-            }
-            (key, Json::Arr(records))
-        })
-        .collect();
-    if !replaced && !extended {
-        return Err(format!(
-            "the document carries no `experiments` array to refresh {name:?} in"
-        ));
-    }
-    Ok(Json::Obj(entries))
+            format!("{{{}}}", fields.join(","))
+        }
+        other => other.render(),
+    };
+    std::fs::write(path, text + "\n")
 }
 
 #[cfg(test)]
@@ -2230,7 +2047,6 @@ mod tests {
                 "roofsurface",
                 "pipeline",
                 "llm_latency",
-                "bench_engines",
                 "bench_serving",
                 "bench_sharding",
                 "bench_paged",
@@ -2242,10 +2058,11 @@ mod tests {
             ]
         );
         for experiment in experiments {
-            match find(experiment, "wall_ms") {
-                Json::Num(ms) => assert!(*ms >= 0.0),
-                other => panic!("wall_ms must be a number, got {other:?}"),
-            }
+            let Json::Obj(fields) = experiment else {
+                panic!("an experiment record must be an object");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["name", "results"]);
         }
     }
 
@@ -2260,6 +2077,9 @@ mod tests {
     fn single_socket_experiments_match_the_committed_baseline() {
         let committed = crate::drift::parse(include_str!("../../../BENCH_baseline.json"))
             .expect("the committed baseline must parse");
+        let Json::Arr(records) = find(&committed, "experiments") else {
+            panic!("experiments must be an array");
+        };
         let pinned: [(&str, ExperimentFn); 4] = [
             ("roofsurface", roofsurface_results),
             ("pipeline", pipeline_results),
@@ -2267,12 +2087,16 @@ mod tests {
             ("paper", paper_results),
         ];
         for (name, run) in pinned {
-            let records = crate::drift::select_experiment(&committed, name);
-            assert_eq!(records.len(), 1, "{name} must be committed once");
-            let lines = crate::drift::diff(
-                &crate::drift::strip_volatile(records[0].clone()),
-                &crate::drift::strip_volatile(experiment_record(name, run)),
-            );
+            let named: Vec<&Json> = records
+                .iter()
+                .filter(|record| matches!(find(record, "name"), Json::Str(s) if s == name))
+                .collect();
+            assert_eq!(named.len(), 1, "{name} must be committed once");
+            // Through the file's own text, so a non-finite number compares
+            // as the `null` the artifact stores.
+            let fresh = crate::drift::parse(&experiment_record(name, run).render())
+                .expect("a rendered record must parse");
+            let lines = crate::drift::diff(named[0], &fresh);
             assert!(lines.is_empty(), "{name} drifted: {lines:?}");
         }
     }
@@ -2283,100 +2107,31 @@ mod tests {
             "deca_bench_write_roundtrip_{}.json",
             std::process::id()
         ));
-        let document = || {
-            Json::obj(vec![
-                ("schema_version", num(f64::from(SCHEMA_VERSION))),
-                ("command", Json::str(REGENERATE_COMMAND)),
-                (
-                    "experiments",
-                    Json::Arr(vec![experiment_record("roofsurface", roofsurface_results)]),
-                ),
-            ])
+        let records = || {
+            vec![
+                experiment_record("roofsurface", roofsurface_results),
+                experiment_record("pipeline", pipeline_results),
+            ]
         };
-        write_artifact(&path, &document()).expect("artifact must be writable");
+        let document = Json::obj(vec![
+            ("schema_version", num(f64::from(SCHEMA_VERSION))),
+            ("command", Json::str(REGENERATE_COMMAND)),
+            ("experiments", Json::Arr(records())),
+        ]);
+        write_artifact(&path, &document).expect("artifact must be writable");
         let text = std::fs::read_to_string(&path).expect("artifact must read back");
         std::fs::remove_file(&path).ok();
         assert!(text.ends_with('\n'), "artifact must end with a newline");
+        // One line opens the document, one closes it, and each record
+        // sits on a line of its own in between.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), records().len() + 2, "{text}");
+        for (line, record) in lines[1..].iter().zip(records()) {
+            assert_eq!(line.trim_end_matches(','), record.render());
+        }
         let reparsed = crate::drift::parse(&text).expect("artifact must reparse");
-        let fresh = document();
-        let lines = crate::drift::diff(
-            &crate::drift::strip_volatile(reparsed),
-            &crate::drift::strip_volatile(fresh),
-        );
+        let lines = crate::drift::diff(&reparsed, &document);
         assert!(lines.is_empty(), "write-then-check drifted: {lines:?}");
-    }
-
-    #[test]
-    fn refresh_experiment_replaces_only_the_named_record() {
-        let stale = |name: &str, results: &str| {
-            Json::obj(vec![
-                ("name", Json::str(name)),
-                ("wall_ms", num(0.0)),
-                ("results", Json::str(results)),
-            ])
-        };
-        let doc = Json::obj(vec![
-            ("schema_version", num(f64::from(SCHEMA_VERSION))),
-            ("command", Json::str(REGENERATE_COMMAND)),
-            (
-                "experiments",
-                Json::Arr(vec![
-                    stale("roofsurface", "stale"),
-                    stale("handwritten", "untouched"),
-                ]),
-            ),
-        ]);
-        let refreshed = refresh_experiment(doc.clone(), "roofsurface").expect("refresh must work");
-        let Json::Arr(records) = find(&refreshed, "experiments") else {
-            panic!("experiments must be an array");
-        };
-        assert_eq!(records.len(), 2, "record count must be preserved");
-        assert_eq!(
-            records[1],
-            stale("handwritten", "untouched"),
-            "unnamed records must be untouched"
-        );
-        let fresh = experiment_record("roofsurface", roofsurface_results);
-        let lines = crate::drift::diff(
-            &crate::drift::strip_volatile(records[0].clone()),
-            &crate::drift::strip_volatile(fresh),
-        );
-        assert!(lines.is_empty(), "refreshed record drifted: {lines:?}");
-
-        let unknown = refresh_experiment(doc, "no_such_experiment").unwrap_err();
-        assert!(
-            unknown.contains("roofsurface"),
-            "error must name the registry"
-        );
-    }
-
-    /// A registered experiment the committed artifact predates is appended
-    /// by `refresh_experiment` — the committed records stay byte-for-byte
-    /// intact, so adding an experiment never forces regenerating the rest.
-    #[test]
-    fn refresh_experiment_appends_a_missing_registered_experiment() {
-        let stale = Json::obj(vec![
-            ("name", Json::str("handwritten")),
-            ("wall_ms", num(0.0)),
-            ("results", Json::str("untouched")),
-        ]);
-        let doc = Json::obj(vec![
-            ("schema_version", num(f64::from(SCHEMA_VERSION))),
-            ("command", Json::str(REGENERATE_COMMAND)),
-            ("experiments", Json::Arr(vec![stale.clone()])),
-        ]);
-        let refreshed = refresh_experiment(doc, "roofsurface").expect("append must work");
-        let Json::Arr(records) = find(&refreshed, "experiments") else {
-            panic!("experiments must be an array");
-        };
-        assert_eq!(records.len(), 2, "the new record must be appended");
-        assert_eq!(records[0], stale, "committed records must be untouched");
-        let fresh = experiment_record("roofsurface", roofsurface_results);
-        let lines = crate::drift::diff(
-            &crate::drift::strip_volatile(records[1].clone()),
-            &crate::drift::strip_volatile(fresh),
-        );
-        assert!(lines.is_empty(), "appended record drifted: {lines:?}");
     }
 
     #[test]
@@ -2397,31 +2152,6 @@ mod tests {
                 match find(kernel, key) {
                     Json::Num(v) => assert!(v.is_finite() && *v > 0.0, "{key} = {v}"),
                     other => panic!("{key} must be a number, got {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_results_verify_bit_exactness() {
-        let engines = engine_results();
-        let Json::Arr(schemes) = find(&engines, "schemes") else {
-            panic!("schemes must be an array");
-        };
-        assert_eq!(schemes.len(), 3);
-        for scheme in schemes {
-            let Json::Arr(entries) = find(scheme, "engines") else {
-                panic!("engines must be an array");
-            };
-            assert_eq!(entries.len(), EngineKind::all().len());
-            for entry in entries {
-                match find(entry, "bit_exact") {
-                    Json::Bool(exact) => assert!(*exact, "engine must match the reference"),
-                    other => panic!("bit_exact must be a bool, got {other:?}"),
-                }
-                match find(entry, "dense_gbps") {
-                    Json::Num(v) => assert!(v.is_finite() && *v > 0.0),
-                    other => panic!("dense_gbps must be a number, got {other:?}"),
                 }
             }
         }
@@ -2746,36 +2476,6 @@ mod tests {
             rate(&workloads[2], "prefix_hit_rate") > rate(&workloads[0], "prefix_hit_rate"),
             "agent transcripts must reuse their own history"
         );
-    }
-
-    /// Baseline artifacts written before the multi-tenant counters existed
-    /// carry no `qos`/`adapters` fields anywhere — they must still parse,
-    /// refresh, and drift-diff cleanly (the artifact schema is
-    /// append-only), and the serve-side counters they predate must default
-    /// to zero so reports round-trip unchanged.
-    #[test]
-    fn pre_tenant_artifacts_still_parse_and_refresh() {
-        let old = r#"{"schema_version":1,
-            "command":"cargo run -p deca-bench --release --bin bench_baseline",
-            "experiments":[{"name":"bench_paged","wall_ms":12.5,
-                "results":{"completed":12,"rejected":0,"mean_kv_occupancy":0.5}}]}"#;
-        let parsed = crate::drift::parse(old).expect("pre-tenant artifacts must parse");
-        let lines = crate::drift::diff(
-            &crate::drift::strip_volatile(parsed.clone()),
-            &crate::drift::strip_volatile(parsed.clone()),
-        );
-        assert!(lines.is_empty(), "self-diff must be clean: {lines:?}");
-        let refreshed =
-            refresh_experiment(parsed, "bench_multitenant").expect("append into an old artifact");
-        let names = crate::drift::experiment_names(&refreshed);
-        assert_eq!(names, ["bench_paged", "bench_multitenant"]);
-
-        // Nothing deserializes reports; the counters those artifacts
-        // predate only need to start at zero.
-        assert_eq!(deca_serve::QosStats::default().admitted(), 0);
-        let adapters = deca_serve::AdapterStats::default();
-        assert_eq!(adapters.cache_loads, 0);
-        assert!(adapters.hit_rate().abs() < f64::EPSILON);
     }
 
     #[test]

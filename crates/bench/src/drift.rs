@@ -1,117 +1,23 @@
-//! The baseline drift check: parse two benchmark artifacts, strip every
-//! volatile (wall-clock) field recursively, and diff what remains.
+//! The baseline drift check: parse two benchmark artifacts and diff them
+//! as JSON trees.
 //!
 //! `BENCH_baseline.json` is committed so a PR's diff shows exactly which
-//! modeled quantities moved — but the artifact also records wall-clock
-//! detail (`wall_ms` per experiment, `wall_secs`/`sessions_per_wall_sec`
-//! inside the `bench_simspeed` experiment's rows), which is machine noise,
-//! not drift. CI
-//! used to strip a hand-kept allowlist of such keys per experiment; that
-//! broke every time an experiment nested new timing detail. [`strip_volatile`]
-//! instead walks the whole tree and removes any object entry whose key
-//! *names wall-clock time*:
+//! modeled quantities moved. Every field of it is deterministic (the
+//! baseline reads no clock), so [`diff`] compares two documents exactly —
+//! bit-for-bit on numbers — and reports every divergence with its JSON
+//! path, so a CI failure names the drifted quantity instead of dumping two
+//! documents.
 //!
-//! * contains `wall` (`wall_ms`, `wall_secs`, `sessions_per_wall_sec`), or
-//! * ends with `_secs` (a duration measured, not modeled — modeled times
-//!   use the `_s`/`_ms` suffixes), or
-//! * is one of the legacy machine-dependent signature fields
-//!   (`dense_gbps`, `speedup_vs_scalar` from `bench_engines`).
-//!
-//! [`diff`] then compares the stripped trees exactly (bit-for-bit on
-//! numbers — everything left is deterministic by construction) and
-//! reports every divergence with its JSON path, so a CI failure names the
-//! drifted quantity instead of dumping two documents.
-//!
-//! [`parse`] reads the dialect [`Json::render`] emits (compact RFC 8259)
-//! plus the standard escapes a hand-edited baseline might contain.
+//! [`parse`] reads the dialect [`Json::render`] emits (compact RFC 8259,
+//! with the artifact's newline between records) plus the standard escapes
+//! a hand-edited baseline might contain.
 
 use crate::json::Json;
 
-/// Whether an object key names a volatile (machine-dependent) quantity
-/// that the drift check must ignore.
-#[must_use]
-pub fn is_volatile_key(key: &str) -> bool {
-    key.contains("wall")
-        || key.ends_with("_secs")
-        || key == "dense_gbps"
-        || key == "speedup_vs_scalar"
-}
-
-/// Recursively removes every volatile-keyed entry from `value` (the
-/// replacement for the old per-experiment allowlist).
-#[must_use]
-pub fn strip_volatile(value: Json) -> Json {
-    match value {
-        Json::Obj(entries) => Json::Obj(
-            entries
-                .into_iter()
-                .filter(|(key, _)| !is_volatile_key(key))
-                .map(|(key, inner)| (key, strip_volatile(inner)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.into_iter().map(strip_volatile).collect()),
-        scalar => scalar,
-    }
-}
-
-/// Selects the experiment records named `name` from a baseline document
-/// (`{"experiments": [{"name": ..., ...}]}`), preserving document order.
-/// Returns an empty vec when the document has no such experiment.
-#[must_use]
-pub fn select_experiment(doc: &Json, name: &str) -> Vec<Json> {
-    let Json::Obj(entries) = doc else {
-        return Vec::new();
-    };
-    let Some(Json::Arr(experiments)) = entries
-        .iter()
-        .find(|(key, _)| key == "experiments")
-        .map(|(_, v)| v)
-    else {
-        return Vec::new();
-    };
-    experiments
-        .iter()
-        .filter(|record| {
-            matches!(record, Json::Obj(fields)
-                if fields.iter().any(|(k, v)| k == "name" && matches!(v, Json::Str(s) if s == name)))
-        })
-        .cloned()
-        .collect()
-}
-
-/// Lists the experiment names a baseline document carries
-/// (`{"experiments": [{"name": ..., ...}]}`), in document order, deduped.
-/// Returns an empty vec for documents without an `experiments` array —
-/// the caller can tell "no such experiment" from "not a baseline at all".
-#[must_use]
-pub fn experiment_names(doc: &Json) -> Vec<String> {
-    let Json::Obj(entries) = doc else {
-        return Vec::new();
-    };
-    let Some(Json::Arr(experiments)) = entries
-        .iter()
-        .find(|(key, _)| key == "experiments")
-        .map(|(_, v)| v)
-    else {
-        return Vec::new();
-    };
-    let mut names = Vec::new();
-    for record in experiments {
-        let Json::Obj(fields) = record else { continue };
-        let Some(Json::Str(name)) = fields.iter().find(|(k, _)| k == "name").map(|(_, v)| v) else {
-            continue;
-        };
-        if !names.iter().any(|n| n == name) {
-            names.push(name.clone());
-        }
-    }
-    names
-}
-
 /// Collects every divergence between two values as `path: left != right`
 /// lines. Equal values produce an empty vec. Numbers compare exactly
-/// (`f64::to_bits`): everything surviving [`strip_volatile`] is
-/// deterministic, so any difference at all is drift.
+/// (`f64::to_bits`): the artifact is deterministic, so any difference at
+/// all is drift.
 #[must_use]
 pub fn diff(left: &Json, right: &Json) -> Vec<String> {
     let mut out = Vec::new();
@@ -384,71 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn stripper_removes_wall_fields_recursively() {
-        let doc = Json::obj(vec![
-            ("wall_ms", Json::Num(12.0)),
-            ("makespan_s", Json::Num(60.5)),
-            (
-                "rows",
-                Json::Arr(vec![Json::obj(vec![
-                    ("policy", Json::str("continuous")),
-                    ("wall_secs", Json::Num(2.5)),
-                    ("sessions_per_wall_sec", Json::Num(400_000.0)),
-                    (
-                        "inner",
-                        Json::obj(vec![
-                            ("search_wall_ms", Json::Num(3.0)),
-                            ("elapsed_secs", Json::Num(1.0)),
-                            ("p99_ttft_s", Json::Num(0.2)),
-                        ]),
-                    ),
-                ])]),
-            ),
-            ("dense_gbps", Json::Num(100.0)),
-            ("speedup_vs_scalar", Json::Num(9.0)),
-        ]);
-        let stripped = strip_volatile(doc);
-        assert_eq!(
-            stripped,
-            Json::obj(vec![
-                ("makespan_s", Json::Num(60.5)),
-                (
-                    "rows",
-                    Json::Arr(vec![Json::obj(vec![
-                        ("policy", Json::str("continuous")),
-                        ("inner", Json::obj(vec![("p99_ttft_s", Json::Num(0.2))])),
-                    ])])
-                ),
-            ])
-        );
-    }
-
-    #[test]
-    fn volatile_keys_spare_modeled_time_fields() {
-        // Modeled, deterministic quantities survive...
-        for key in [
-            "makespan_s",
-            "p99_ttft_s",
-            "slo_tpot_ms",
-            "sessions_per_sim_sec",
-        ] {
-            assert!(!is_volatile_key(key), "{key} must survive");
-        }
-        // ...measured wall-clock (and legacy machine-dependent) ones don't.
-        for key in [
-            "wall_ms",
-            "wall_secs",
-            "sessions_per_wall_sec",
-            "search_wall_ms",
-            "elapsed_secs",
-            "dense_gbps",
-            "speedup_vs_scalar",
-        ] {
-            assert!(is_volatile_key(key), "{key} must be stripped");
-        }
-    }
-
-    #[test]
     fn diff_reports_paths_and_equal_trees_report_nothing() {
         let base = Json::obj(vec![
             ("a", Json::Num(1.0)),
@@ -466,46 +307,5 @@ mod tests {
         let lines = diff(&base, &reshaped);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("$: object keys"), "{}", lines[0]);
-    }
-
-    #[test]
-    fn select_experiment_filters_by_name() {
-        let doc = Json::obj(vec![
-            ("schema_version", Json::Num(1.0)),
-            (
-                "experiments",
-                Json::Arr(vec![
-                    Json::obj(vec![("name", Json::str("alpha")), ("x", Json::Num(1.0))]),
-                    Json::obj(vec![("name", Json::str("beta")), ("x", Json::Num(2.0))]),
-                ]),
-            ),
-        ]);
-        let beta = select_experiment(&doc, "beta");
-        assert_eq!(beta.len(), 1);
-        assert_eq!(
-            beta[0],
-            Json::obj(vec![("name", Json::str("beta")), ("x", Json::Num(2.0))])
-        );
-        assert!(select_experiment(&doc, "gamma").is_empty());
-        assert!(select_experiment(&Json::Null, "alpha").is_empty());
-    }
-
-    #[test]
-    fn experiment_names_lists_in_document_order_and_dedupes() {
-        let doc = Json::obj(vec![(
-            "experiments",
-            Json::Arr(vec![
-                Json::obj(vec![("name", Json::str("beta")), ("x", Json::Num(1.0))]),
-                Json::obj(vec![("name", Json::str("alpha"))]),
-                // A second record of an already-seen experiment (partial
-                // artifacts repeat names) must not list twice.
-                Json::obj(vec![("name", Json::str("beta"))]),
-                // Records without a name are skipped, not an error.
-                Json::obj(vec![("x", Json::Num(2.0))]),
-            ]),
-        )]);
-        assert_eq!(experiment_names(&doc), vec!["beta", "alpha"]);
-        assert!(experiment_names(&Json::Null).is_empty());
-        assert!(experiment_names(&Json::obj(vec![("other", Json::Num(1.0))])).is_empty());
     }
 }

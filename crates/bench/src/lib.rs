@@ -5,7 +5,9 @@
 //! the same rows/series on the simulated machine; the `paper` binary prints
 //! one by name. The README's "Regenerating paper artifacts" section maps
 //! paper artifacts to these names; [`baseline`] pins the modeled numbers
-//! and the printed artifacts in `BENCH_baseline.json`.
+//! and the printed artifacts in `BENCH_baseline.json`, a pure function of
+//! the tree (no clock is read), and [`drift`] diffs two such files
+//! exactly.
 //!
 //! Run everything with:
 //!

@@ -25,12 +25,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     fn column_widths(&self) -> Vec<usize> {
         let columns = self
             .headers
@@ -102,10 +96,8 @@ mod tests {
         assert!(text.contains("=== Demo ==="));
         assert!(text.contains("Q8_20%"));
         assert!(text.contains("3.14"));
-        assert_eq!(t.row_count(), 2);
-        // Columns are right-aligned to the same width.
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() >= 4);
+        // Title, header, rule and the two rows.
+        assert_eq!(text.lines().count(), 5);
     }
 
     #[test]
