@@ -190,11 +190,13 @@ impl CostMemoStats {
 }
 
 /// Inserts into a memo table only while it is under [`MEMO_CAPACITY`] —
-/// the answer is still returned, just not cached.
-fn memo_insert<K: std::hash::Hash + Eq>(cache: &mut HashMap<K, f64>, key: K, seconds: f64) {
-    if cache.len() < MEMO_CAPACITY {
+/// the answer is still returned, just not cached. Returns whether it was.
+fn memo_insert<K: std::hash::Hash + Eq>(cache: &mut HashMap<K, f64>, key: K, seconds: f64) -> bool {
+    let room = cache.len() < MEMO_CAPACITY;
+    if room {
         cache.insert(key, seconds);
     }
+    room
 }
 
 /// The production cost model: every answer comes from
@@ -217,6 +219,10 @@ pub struct EstimatorCostModel {
     /// default prices drafts as target decode steps).
     draft: Option<LlmModel>,
     decode_cache: HashMap<(usize, usize), f64>,
+    /// The `decode_cache` entry answered last, checked before the table:
+    /// quiet decode stretches repeat one key. Only entries in the table
+    /// are remembered, so hits and misses count as the table alone would.
+    last_decode: Option<((usize, usize), f64)>,
     prefill_cache: HashMap<usize, f64>,
     cached_prefill_cache: HashMap<(usize, usize), f64>,
     draft_cache: HashMap<(usize, usize), f64>,
@@ -263,6 +269,7 @@ impl EstimatorCostModel {
             engine,
             draft: None,
             decode_cache: HashMap::new(),
+            last_decode: None,
             prefill_cache: HashMap::new(),
             cached_prefill_cache: HashMap::new(),
             draft_cache: HashMap::new(),
@@ -318,18 +325,30 @@ impl ServingCostModel for EstimatorCostModel {
     }
 
     fn decode_step_seconds(&mut self, batch: usize, max_context_tokens: usize) -> f64 {
-        let batch = batch.max(1);
-        let context = bucket_up(max_context_tokens, CONTEXT_BUCKET_TOKENS);
-        if let Some(&seconds) = self.decode_cache.get(&(batch, context)) {
+        let key = (
+            batch.max(1),
+            bucket_up(max_context_tokens, CONTEXT_BUCKET_TOKENS),
+        );
+        if let Some((last, seconds)) = self.last_decode {
+            if last == key {
+                self.memo_hits += 1;
+                return seconds;
+            }
+        }
+        if let Some(&seconds) = self.decode_cache.get(&key) {
             self.memo_hits += 1;
+            self.last_decode = Some((key, seconds));
             return seconds;
         }
         self.memo_misses += 1;
+        let (batch, context) = key;
         let seconds = self
             .estimator
             .next_token(&self.model, &self.scheme, self.engine, batch, context)
             .total_seconds();
-        memo_insert(&mut self.decode_cache, (batch, context), seconds);
+        if memo_insert(&mut self.decode_cache, key, seconds) {
+            self.last_decode = Some((key, seconds));
+        }
         seconds
     }
 
@@ -650,6 +669,22 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.entries, 1);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        // Alternating keys A, B, A, A, B: the last-key check answers the
+        // repeat, and the counts are the ones the table alone gives.
+        let (a, b) = ((4, 300), (8, 300));
+        for (batch, context) in [a, b, a, a, b] {
+            let _ = cost.decode_step_seconds(batch, context);
+        }
+        let stats = cost.memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (6, 2, 2));
+        // A key the full table refuses is not remembered either: asking
+        // for it twice misses twice.
+        cost.decode_cache
+            .extend((0..MEMO_CAPACITY).map(|batch| ((1_000 + batch, 256), 1.0)));
+        let _ = cost.decode_step_seconds(16, 300);
+        let _ = cost.decode_step_seconds(16, 300);
+        assert_eq!(cost.memo_stats().misses, 4);
+        assert_eq!(cost.memo_stats().hits, 6);
     }
 
     #[test]

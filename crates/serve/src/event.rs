@@ -15,7 +15,9 @@
 //! * [`Event::PrefillDone`] / [`Event::DecodeDone`] — the engine finishes
 //!   a prefill wave or one decode step. These are the *batch boundaries*
 //!   of iteration-level scheduling: retirement, admission, and the next
-//!   step launch all happen when one fires.
+//!   step launch all happen when one fires. (A boundary that would only
+//!   launch another decode step is not queued: the scheduler runs such
+//!   quiet steps inline, and one completion ends the stretch.)
 //! * [`Event::Preemption`] — a preempt-by-recompute victim re-enters the
 //!   admission queue at the step boundary that evicted it. (Prefix-cache
 //!   *eviction* itself stays synchronous inside the allocation that needs

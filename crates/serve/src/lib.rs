@@ -33,8 +33,9 @@
 //!   (via [`hbm_kv_budget_tokens`] on one socket),
 //! * [`prefix`] — a radix-tree [`PrefixCache`] over token-id prefixes with
 //!   copy-on-write block sharing and LRU eviction of unreferenced blocks;
-//!   each cached block is identified by the chain hash of its whole prefix
-//!   plus an independent fingerprint, held in one cache-wide map,
+//!   each cached block is identified by a hash of its whole prefix plus an
+//!   independent fingerprint, held in one cache-wide map (the scheduler
+//!   derives both in O(1) from a [`TokenStream`]'s keys),
 //! * [`scheduler`] — vLLM/Orca-style continuous batching (admission at
 //!   token boundaries against an HBM-derived KV budget), the static
 //!   run-to-completion baseline, and the paged policy

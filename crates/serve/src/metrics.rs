@@ -136,9 +136,12 @@ impl SloTarget {
 /// the finite values, making the tail optimistic instead of conservative).
 #[must_use]
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
+    nearest_rank(&sorted_nan_last(values), p)
+}
+
+/// A copy of `values` stably sorted in [`percentile`]'s order: finite
+/// values by `total_cmp`, then every NaN.
+fn sorted_nan_last(values: &[f64]) -> Vec<f64> {
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| match (a.is_nan(), b.is_nan()) {
         (true, true) => std::cmp::Ordering::Equal,
@@ -146,6 +149,15 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
         (false, true) => std::cmp::Ordering::Less,
         (false, false) => a.total_cmp(b),
     });
+    sorted
+}
+
+/// The nearest-rank `p`-th percentile of a sorted sample (0 for an empty
+/// one).
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -166,7 +178,10 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a sample (all zeros for an empty one).
+    /// Summarizes a sample (all zeros for an empty one). One sorted copy
+    /// serves every order statistic: the percentiles are
+    /// [`percentile`]'s, bit for bit, and the maximum is the top of the
+    /// same order, so a NaN in the sample is the maximum too.
     #[must_use]
     pub fn from_sample(values: &[f64]) -> Self {
         let mean = if values.is_empty() {
@@ -174,12 +189,13 @@ impl LatencySummary {
         } else {
             values.iter().sum::<f64>() / values.len() as f64
         };
+        let sorted = sorted_nan_last(values);
         LatencySummary {
-            p50_s: percentile(values, 50.0),
-            p95_s: percentile(values, 95.0),
-            p99_s: percentile(values, 99.0),
+            p50_s: nearest_rank(&sorted, 50.0),
+            p95_s: nearest_rank(&sorted, 95.0),
+            p99_s: nearest_rank(&sorted, 99.0),
             mean_s: mean,
-            max_s: values.iter().fold(0.0, |a, &b| a.max(b)),
+            max_s: nearest_rank(&sorted, 100.0),
         }
     }
 }
@@ -251,6 +267,9 @@ impl ServingMetrics {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -319,6 +338,44 @@ mod tests {
         assert!(percentile(&values, 100.0).is_nan());
         // A NaN-free sample is untouched by the comparator change.
         assert_eq!(percentile(&[5.0, 1.0, 3.0], 50.0), 3.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `from_sample` reads its quantiles off one sorted copy; they equal
+        /// `percentile`'s bit for bit, and `max_s` is `percentile`'s p100,
+        /// on samples mixing NaNs of both signs, ±0.0, infinities and
+        /// duplicates, the empty sample included.
+        #[test]
+        fn summary_quantiles_match_percentile_bit_for_bit(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let specials = [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let values: Vec<f64> = (0..rng.gen_range(0..40usize))
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    _ => f64::from(rng.gen_range(0..12u32)) * 0.25 - 1.0,
+                })
+                .collect();
+            let summary = LatencySummary::from_sample(&values);
+            for (quantile, p) in [(summary.p50_s, 50.0), (summary.p95_s, 95.0), (summary.p99_s, 99.0)] {
+                prop_assert_eq!(quantile.to_bits(), percentile(&values, p).to_bits(), "seed {} p{}: {:?}", seed, p, &values);
+            }
+            prop_assert_eq!(summary.max_s.to_bits(), percentile(&values, 100.0).to_bits(), "seed {} max: {:?}", seed, &values);
+        }
+    }
+
+    /// Regression: `max_s` folded `f64::max` from 0.0, which skips NaN, so
+    /// a NaN sample reported a NaN p99 but a finite maximum below it.
+    #[test]
+    fn max_is_the_top_of_the_nan_last_order() {
+        let summary = LatencySummary::from_sample(&[1.0, f64::NAN]);
+        assert!(summary.p99_s.is_nan());
+        assert!(
+            summary.max_s.is_nan(),
+            "max {} below a NaN p99",
+            summary.max_s
+        );
     }
 
     /// Regression: an all-rejected (or empty) run has no records and a

@@ -21,21 +21,39 @@
 //! # What identifies a block
 //!
 //! A cached block is identified by its whole prefix, the way vLLM's
-//! automatic prefix caching identifies KV blocks: by its *chain hash*
-//! ([`crate::tier::chain_hash`] of its parent's chain hash and its own
-//! token ids, starting from [`crate::tier::PATH_HASH_SEED`]) plus a second,
-//! independent 64-bit *fingerprint* of the same path, chained with its own
-//! seed and step. Both are computed once, when the block is inserted, and
-//! one cache-wide map from chain hash to node replaces per-node child
-//! maps. A demoting eviction therefore hands back a stored hash — the key
-//! [`crate::TierResidency`] files the demoted block under — instead of
-//! re-hashing the victim's root path.
+//! automatic prefix caching identifies KV blocks: by a 64-bit *hash* of
+//! that prefix plus a second, independent 64-bit *fingerprint* of it. Both
+//! are stored when the block is inserted, and one cache-wide map from hash
+//! to node replaces per-node child maps. A demoting eviction therefore
+//! hands back a stored hash — the key [`crate::TierResidency`] files the
+//! demoted block under — instead of re-hashing the victim's root path.
 //!
-//! A hit needs the chain hash, the fingerprint *and* the parent to match.
-//! On any mismatch a lookup stops, and an insert leaves the rest of the
-//! sequence private, so a chain-hash collision costs a cache hit, never a
-//! wrong block (a wrong block would take both 64-bit values and the
-//! parent colliding at once).
+//! A cache is keyed one of two ways, and never both:
+//!
+//! - **By token ids** ([`PrefixCache::lookup`], [`PrefixCache::insert`]):
+//!   the hash is the *chain hash* ([`crate::tier::chain_hash`] of the
+//!   parent's chain hash and the block's own token ids, starting from
+//!   [`crate::tier::PATH_HASH_SEED`]), and the fingerprint is chained over
+//!   the same tokens with its own seed and step.
+//! - **By stream keys** (the scheduler's cache): a [`TokenStream`]'s
+//!   token `p` is `splitmix64(key(p) ^ splitmix64(p))`, where `key(p)` is
+//!   the shared key below `system_tokens` and the session key from there
+//!   on. `splitmix64` is a bijection, so two equal-length prefixes have
+//!   equal token ids exactly when the same key covers each position. A
+//!   prefix is therefore described exactly by its runs of keys — one run,
+//!   or a shared run then a session run — with their lengths, and the
+//!   block's hash and fingerprint hash that tagged description, in O(1)
+//!   whatever the block size or depth. The description includes the
+//!   prefix length, so prefixes of different lengths never match; the
+//!   tree and the residency map only compare blocks by their whole
+//!   prefix, so the stream keys identify exactly the blocks the token ids
+//!   would.
+//!
+//! A hit needs the hash, the fingerprint *and* the parent to match. On
+//! any mismatch a lookup stops, and an insert leaves the rest of the
+//! sequence private, so a hash collision costs a cache hit, never a wrong
+//! block (a wrong block would take both 64-bit values and the parent
+//! colliding at once).
 //!
 //! # Invariants (enforced by `crates/serve/tests/property_serving.rs`)
 //!
@@ -51,12 +69,13 @@
 //!
 //! # Bookkeeping contract and complexity
 //!
-//! A lookup or an insert costs one map probe per block plus hashing that
-//! block's tokens. The token-keyed [`PrefixCache::lookup`] and
-//! [`PrefixCache::insert`] hash lazily, block by block, so a lookup stops
-//! hashing at its first miss. The scheduler instead hashes each
-//! sequence's transcript once per admission and hands the crate-private
-//! chain API (`lookup_links`, `insert_links`) the links it holds.
+//! A lookup or an insert costs one map probe per block plus that block's
+//! link. Links are computed lazily, block by block, so a lookup stops
+//! hashing at its first miss. A token-keyed link hashes the block's
+//! `block_size` token ids; a stream-keyed link costs O(1), so the
+//! scheduler keeps no per-sequence chain: each claim, prefill, chunk
+//! publication and retirement hands the crate-private link API
+//! (`lookup_links`, `insert_links`) a fresh iterator of its links.
 //!
 //! The cache tracks incrementally, per node, whether its block is *shared*
 //! (the allocator's ref-count exceeds the cache's own reference) and how
@@ -76,9 +95,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use crate::kv::{BlockAllocator, BlockId};
 use crate::tier::{chain_hash, PATH_HASH_SEED};
+use crate::workload::{PrefixRuns, TokenStream};
 
 /// Arena index of one radix-tree node.
 type NodeId = usize;
@@ -93,16 +114,19 @@ const FINGERPRINT_SEED: u64 = 0x6a09_e667_f3bc_c908;
 /// constant).
 const FINGERPRINT_MUL: u64 = 0xff51_afd7_ed55_8ccd;
 
-/// The identity of one full block: the chained hash of every token from
-/// the root through the block, and an independent fingerprint of the same
-/// path. Each is a function of the parent's value and the block's tokens.
+/// The identity of one full block: a hash of its whole prefix, and an
+/// independent fingerprint of the same prefix. Token-keyed links chain
+/// both from the parent's link over the block's token ids
+/// ([`BlockLink::child`]); stream-keyed links hash the prefix's runs of
+/// stream keys ([`stream_links`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockLink {
-    /// [`chain_hash`] of the parent's hash and the block's token ids: the
-    /// key of the cache's map and of the tier residency map.
+    /// [`chain_hash`] of the parent's hash and the block's token ids, or
+    /// of the prefix's runs: the key of the cache's map and of the tier
+    /// residency map.
     pub(crate) hash: u64,
     /// The collision guard: a multiply-rotate chain, unrelated to
-    /// [`chain_hash`]'s xor-mix, over the same tokens.
+    /// [`chain_hash`]'s xor-mix, over the same input.
     pub(crate) fingerprint: u64,
 }
 
@@ -122,7 +146,25 @@ impl BlockLink {
             }),
         }
     }
+
+    /// The link of the block ending a [`TokenStream`] prefix with `runs`:
+    /// the description, tagged by its form, hashed as one block.
+    fn of_prefix(runs: PrefixRuns) -> BlockLink {
+        match runs {
+            PrefixRuns::One { key, len } => Self::ROOT.child(&[ONE_RUN, key, len as u64]),
+            PrefixRuns::Two {
+                shared,
+                split,
+                session,
+                len,
+            } => Self::ROOT.child(&[TWO_RUNS, shared, split as u64, session, len as u64]),
+        }
+    }
 }
+
+/// Tags of the two forms of a [`PrefixRuns`] description.
+const ONE_RUN: u64 = 1;
+const TWO_RUNS: u64 = 2;
 
 /// The links of the full blocks of `tokens`, hashed as they are consumed.
 fn links_of(tokens: &[u64], block_size: usize) -> impl Iterator<Item = BlockLink> + '_ {
@@ -132,6 +174,16 @@ fn links_of(tokens: &[u64], block_size: usize) -> impl Iterator<Item = BlockLink
             *link = link.child(block);
             Some(*link)
         })
+}
+
+/// The links of `stream`'s full blocks `blocks` (block `k` ends at
+/// position `(k + 1) · block_size`), each in O(1) from its prefix's runs.
+pub(crate) fn stream_links(
+    stream: TokenStream,
+    block_size: usize,
+    blocks: Range<usize>,
+) -> impl Iterator<Item = BlockLink> {
+    blocks.map(move |block| BlockLink::of_prefix(stream.prefix_runs((block + 1) * block_size)))
 }
 
 /// Hashes a `u64` key to itself: chain hashes are already mixed, so the
@@ -195,8 +247,8 @@ pub struct PrefixCacheStats {
     pub insertions: u64,
 }
 
-/// A radix tree of cached KV blocks, each identified by the chain hash
-/// and fingerprint of its token-id prefix (see the [module
+/// A radix tree of cached KV blocks, each identified by a hash and a
+/// fingerprint of its whole prefix (see the [module
 /// docs](crate::prefix)).
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
@@ -479,8 +531,33 @@ impl PrefixCache {
         self.insert_links(links_of(tokens, self.block_size), blocks, allocator);
     }
 
+    /// [`PrefixCache::lookup`] of `stream`'s first `len` tokens, keyed by
+    /// stream keys ([`stream_links`]).
+    pub(crate) fn lookup_stream(
+        &mut self,
+        stream: TokenStream,
+        len: usize,
+        allocator: &mut BlockAllocator,
+    ) -> Vec<BlockId> {
+        let links = stream_links(stream, self.block_size, 0..len / self.block_size);
+        self.lookup_links(links, allocator)
+    }
+
+    /// [`PrefixCache::insert`] of `stream`'s first `len` tokens, keyed by
+    /// stream keys ([`stream_links`]).
+    pub(crate) fn insert_stream(
+        &mut self,
+        stream: TokenStream,
+        len: usize,
+        blocks: &[BlockId],
+        allocator: &mut BlockAllocator,
+    ) {
+        let links = stream_links(stream, self.block_size, 0..len / self.block_size);
+        self.insert_links(links, blocks, allocator);
+    }
+
     /// [`PrefixCache::insert`] over a sequence's block links (from the
-    /// root); `blocks[i]` backs the `i`-th link. A link whose chain hash is
+    /// root); `blocks[i]` backs the `i`-th link. A link whose hash is
     /// resident under a different fingerprint or parent is a collision: it
     /// and every later block stay private to the sequence.
     pub(crate) fn insert_links(
@@ -582,12 +659,13 @@ impl PrefixCache {
         self.evict_lru_demoting(allocator).is_some()
     }
 
-    /// [`PrefixCache::evict_lru`], but returns the victim's chain hash
-    /// ([`crate::tier::chain_hash`] folded from
+    /// [`PrefixCache::evict_lru`], but returns the victim's prefix hash,
+    /// stored since its insert (in a token-keyed cache,
+    /// [`crate::tier::chain_hash`] folded from
     /// [`crate::tier::PATH_HASH_SEED`] over every block's tokens from the
-    /// root, stored since its insert), so the caller can *demote* the
-    /// evicted block into a lower KV tier ([`crate::TierResidency::demote`])
-    /// instead of dropping it. Returns `None` when nothing is evictable.
+    /// root), so the caller can *demote* the evicted block into a lower KV
+    /// tier ([`crate::TierResidency::demote`]) instead of dropping it.
+    /// Returns `None` when nothing is evictable.
     pub fn evict_lru_demoting(&mut self, allocator: &mut BlockAllocator) -> Option<u64> {
         debug_assert_eq!(
             self.lru.first().copied(),
@@ -636,7 +714,6 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     use super::*;
-    use crate::workload::TokenStream;
 
     fn ids(range: std::ops::Range<u64>) -> Vec<u64> {
         range.collect()
@@ -897,6 +974,59 @@ mod tests {
         }
         cache.flush(&mut pool);
         assert_eq!(pool.allocated_blocks(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The stream keys identify exactly what token ids do. Over random
+        /// `TokenStream` pairs (keys from a pool of three, so `shared ==
+        /// session` and shared keys come up often; `system_tokens` zero,
+        /// on a block edge, mid-block, or beyond every compared prefix)
+        /// and block sizes 1–32, two equal-length block prefixes have equal
+        /// runs, and equal links, exactly when their token ids are equal;
+        /// prefixes of different lengths never match.
+        #[test]
+        fn stream_keys_identify_exactly_what_token_ids_do(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let block_size = rng.gen_range(1..33usize);
+            let keys: [u64; 3] = [rng.gen(), rng.gen(), rng.gen()];
+            let blocks = 4;
+            let draw = |rng: &mut StdRng| TokenStream {
+                session: keys[rng.gen_range(0..3usize)],
+                system_tokens: match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1..blocks) * block_size,
+                    2 => rng.gen_range(1..blocks * block_size),
+                    _ => blocks * block_size + rng.gen_range(0..2 * block_size),
+                },
+                shared: keys[rng.gen_range(0..3usize)],
+            };
+            for pair in 0..32 {
+                let (a, b) = (draw(&mut rng), draw(&mut rng));
+                let at = format!("seed {seed}, pair {pair}: {a:?} vs {b:?}, block size {block_size}");
+                let links_a: Vec<BlockLink> = stream_links(a, block_size, 0..blocks).collect();
+                let links_b: Vec<BlockLink> = stream_links(b, block_size, 0..blocks).collect();
+                for k in 0..blocks {
+                    let len = (k + 1) * block_size;
+                    let same_ids = a.token_ids(len) == b.token_ids(len);
+                    prop_assert_eq!(a.prefix_runs(len) == b.prefix_runs(len), same_ids, "{}: runs at {}", &at, len);
+                    prop_assert_eq!(links_a[k] == links_b[k], same_ids, "{}: links at {}", &at, len);
+                    for j in (0..blocks).filter(|&j| j != k) {
+                        let other = (j + 1) * block_size;
+                        prop_assert!(
+                            a.prefix_runs(len) != b.prefix_runs(other)
+                                && a.prefix_runs(len) != a.prefix_runs(other)
+                                && links_a[k] != links_b[j],
+                            "{}: lengths {} and {} match",
+                            &at,
+                            len,
+                            other
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Both caches, each on its own pool, after the same operations:

@@ -23,7 +23,11 @@
 //!   stamp walk over every sequence's block list),
 //! * the time-weighted means integrate the signals over exact inter-event
 //!   intervals — including idle gaps and the partial intervals an arrival
-//!   splits a step into — via [`crate::metrics::TimeWeightedMean`].
+//!   splits a step into — via [`crate::metrics::TimeWeightedMean`],
+//! * a *quiet* decode step — one whose boundary would only launch the next
+//!   decode step — runs inline, without an event round trip: the clock
+//!   and the means advance exactly as the event path would advance them,
+//!   and one completion event ends each quiet stretch.
 //!
 //! The policies differ only in three rules the core derives from
 //! [`ServingConfig::scheduler`]. *Admission*: the reserve-up-front
@@ -48,10 +52,10 @@ use crate::event::{Event, EventQueue};
 use crate::kv::{BlockAllocator, BlockId};
 use crate::lora::{AdapterCache, AdapterId, AdapterModel, AdapterStats};
 use crate::metrics::{RequestRecord, ServingMetrics, SloTarget, TimeWeightedMean};
-use crate::prefix::{BlockLink, PrefixCache};
+use crate::prefix::{stream_links, BlockLink, PrefixCache};
 use crate::tenant::{QosAdmission, QosClass, QosStats};
 use crate::tier::{KvShipSpec, KvTierModel, TierKind, TierResidency};
-use crate::workload::{splitmix64, Request, RequestTrace, TokenStream};
+use crate::workload::{splitmix64, Request, RequestTrace};
 
 /// Which admission policy the simulated server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -618,10 +622,6 @@ struct PagedActive {
     swapping: bool,
     /// KV blocks this sequence holds a reference to, in sequence order.
     blocks: Vec<BlockId>,
-    /// Prefix-cache links of the sequence's leading full blocks hashed so
-    /// far (empty without a prefix cache, and after a swap-in): extended,
-    /// never recomputed, as its transcript grows.
-    chain: Vec<BlockLink>,
     /// Time the last output token was produced (set once generation
     /// finishes; under static batching the slot may stay blocked longer).
     done_s: Option<f64>,
@@ -629,87 +629,30 @@ struct PagedActive {
 
 impl PagedActive {
     /// A freshly admitted sequence whose first `cached_prefix_tokens +
-    /// promoted_tokens` prompt tokens are already committed context
-    /// (chunked prefill resumes after them).
+    /// promoted_tokens` prompt tokens are already committed, resident
+    /// context: chunked prefill resumes after them, and occupancy counts
+    /// them while the sequence waits for its first chunk.
     fn admitted(
         idx: usize,
         cached_prefix_tokens: usize,
         promoted_tokens: usize,
         promote_wait_s: f64,
         blocks: Vec<BlockId>,
-        chain: Vec<BlockLink>,
     ) -> Self {
         PagedActive {
             idx,
             prefilled: false,
             prefilled_tokens: cached_prefix_tokens + promoted_tokens,
             spec_bursts: 0,
-            context_tokens: 0,
+            context_tokens: cached_prefix_tokens + promoted_tokens,
             remaining_decode: 0,
             cached_prefix_tokens,
             promoted_tokens,
             promote_wait_s,
             swapping: false,
             blocks,
-            chain,
             done_s: None,
         }
-    }
-}
-
-/// Hashes sequences' transcripts into prefix-cache links: each token once
-/// per admission, and each full block of a shared prefix (a system prompt
-/// or a RAG document) once per run, memoized by its
-/// [`TokenStream::shared`] key.
-struct ChainHasher {
-    block_size: usize,
-    /// Links of the leading full blocks of each shared stream hashed so
-    /// far. They depend on the shared key alone: every stream reading
-    /// that key draws the same token ids below its `system_tokens`.
-    shared: HashMap<u64, Vec<BlockLink>>,
-    /// One block's token ids, reused so hashing allocates nothing.
-    tokens: Vec<u64>,
-}
-
-impl ChainHasher {
-    fn new(block_size: usize) -> Self {
-        ChainHasher {
-            block_size,
-            shared: HashMap::new(),
-            tokens: Vec::with_capacity(block_size),
-        }
-    }
-
-    /// The links of the full blocks among `stream`'s first `len` tokens.
-    /// `chain` holds the links of its first `chain.len()` blocks and is
-    /// extended to cover them.
-    fn full_blocks<'c>(
-        &mut self,
-        chain: &'c mut Vec<BlockLink>,
-        stream: &TokenStream,
-        len: usize,
-    ) -> &'c [BlockLink] {
-        let block_size = self.block_size;
-        let blocks = len / block_size;
-        let ChainHasher { shared, tokens, .. } = self;
-        let mut link = |parent: Option<&BlockLink>, block: usize| {
-            let start = block * block_size;
-            tokens.clear();
-            tokens.extend((start..start + block_size).map(|p| stream.token_id(p)));
-            parent.copied().unwrap_or(BlockLink::ROOT).child(tokens)
-        };
-        let shared_blocks = (stream.system_tokens / block_size).min(blocks);
-        if chain.len() < shared_blocks {
-            let memo = shared.entry(stream.shared).or_default();
-            while memo.len() < shared_blocks {
-                memo.push(link(memo.last(), memo.len()));
-            }
-            chain.extend_from_slice(&memo[chain.len()..shared_blocks]);
-        }
-        while chain.len() < blocks {
-            chain.push(link(chain.last(), chain.len()));
-        }
-        &chain[..blocks]
     }
 }
 
@@ -766,7 +709,13 @@ impl Slot {
 /// progress is applied and its completion event scheduled `dt` ahead, so
 /// the arithmetic (and therefore every timestamp) is identical to the
 /// reference step loop's, while arrivals landing inside the step interval
-/// merely join the admission queue until the completion event fires.
+/// merely join the admission queue until the completion event fires. When
+/// the boundary at a step's end would provably do nothing but launch the
+/// next plain decode step ([`RunCore::quiet_until`]), that step starts
+/// inline instead: [`RunCore::boundary`] advances the clock to the end and
+/// starts it, the same calls in the same order the event path makes, so
+/// stretches of quiet steps cost no heap traffic and no admit or retire
+/// scans.
 ///
 /// The policy is read off the configured [`SchedulerKind`] in two rules.
 /// [`RunCore::reserve`] swaps paged admission for a charge of the whole
@@ -805,8 +754,6 @@ struct RunCore<I> {
     records: Vec<RequestRecord>,
     allocator: BlockAllocator,
     cache: Option<PrefixCache>,
-    /// Hashes transcripts into the links `cache` is keyed by.
-    chains: ChainHasher,
     /// Occupancy of the KV tiers below HBM (demoted prefix blocks and
     /// swap-out reservations).
     residency: TierResidency,
@@ -869,6 +816,12 @@ struct RunCore<I> {
     peak_occupied: usize,
     peak_batch: usize,
     peak_queue: usize,
+    /// Test-only: forces every step through the event queue.
+    #[cfg(test)]
+    event_path_only: bool,
+    /// Test-only: steps run inline by quiet stretches.
+    #[cfg(test)]
+    inline_steps: u64,
     decode_steps: u64,
     prefill_steps: u64,
     chunk_steps: u64,
@@ -924,7 +877,6 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             records: Vec::new(),
             allocator,
             cache,
-            chains: ChainHasher::new(config.block_size),
             residency: TierResidency::new(config.tiers),
             tiers_enabled: !reserve && config.tiers.enabled(),
             swapped: HashMap::new(),
@@ -959,6 +911,10 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             peak_occupied: 0,
             peak_batch: 0,
             peak_queue: 0,
+            #[cfg(test)]
+            event_path_only: false,
+            #[cfg(test)]
+            inline_steps: 0,
             decode_steps: 0,
             prefill_steps: 0,
             chunk_steps: 0,
@@ -1177,7 +1133,11 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         }
     }
 
-    /// One batch boundary: retire, admit, launch the next step.
+    /// One batch boundary: retire, admit, launch the next step. While the
+    /// boundary at that step's end would only launch another plain decode
+    /// step ([`RunCore::quiet_until`]), the boundary runs that step inline
+    /// — the clock advanced as the event path would — instead of through
+    /// the heap. One completion event ends the stretch.
     fn boundary<C: ServingCostModel>(&mut self, cost: &mut C) {
         if self.step_in_flight {
             self.step_in_flight = false;
@@ -1192,12 +1152,61 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             // (whose footprint fits outright, or it was rejected above).
             debug_assert!(self.queue.is_empty());
         } else if self.has_steppable_work() {
-            self.start_step(cost);
+            let (mut completion, mut end) = self.start_step(cost);
+            while self.quiet_until(end) {
+                #[cfg(test)]
+                {
+                    self.inline_steps += 1;
+                }
+                self.advance_to(end);
+                (completion, end) = self.start_step(cost);
+            }
+            self.events.push(end, completion);
             self.step_in_flight = true;
         }
         // Otherwise every running sequence is waiting on a swap-in: spin
         // no decode steps — each swapping sequence has a `SwapInDone`
         // pending in the heap, so the run is guaranteed to progress.
+    }
+
+    /// Whether the boundary at `end`, where the step just launched
+    /// completes, would provably do nothing but launch the next plain
+    /// decode step, so that step can run inline. It would do more when:
+    /// - an event fires at or before `end`: in the heap's `total_cmp`
+    ///   order, or under the co-timed drain's `<=` (this also catches the
+    ///   preemptions the step just scheduled);
+    /// - a prefill is pending or speculation is on (the next step would
+    ///   not be a plain decode step);
+    /// - outside static batching, the queue is non-empty and the batch has
+    ///   room (admission might change the batch);
+    /// - a sequence is waiting on its swap-in, has newly finished, or,
+    ///   outside static batching, is done (retirement would act).
+    fn quiet_until(&self, end: f64) -> bool {
+        #[cfg(test)]
+        if self.event_path_only {
+            return false;
+        }
+        if self.pending_prefill > 0 || self.config.speculation.enabled() {
+            return false;
+        }
+        if let Some(next) = self.events.peek() {
+            if next.at_s.total_cmp(&end).is_le() || next.at_s <= end {
+                return false;
+            }
+        }
+        let static_batch = self.static_batch();
+        if !static_batch && !self.queue.is_empty() && self.running.len() < self.config.max_batch {
+            return false;
+        }
+        let mut decoding = false;
+        for active in &self.running {
+            let held = static_batch && active.done_s.is_some();
+            if active.swapping || (active.remaining_decode == 0 && !held) {
+                return false;
+            }
+            decoding |= active.remaining_decode > 0;
+        }
+        decoding
     }
 
     /// Whether a step launched now would make progress: something to
@@ -1219,7 +1228,10 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     /// consecutive demoted block promotes back to HBM, its prefill priced
     /// as a swap-in transfer instead of compute. Returns the promoted
     /// token count and the modeled transfer wait.
-    fn promote_demoted_suffix(&mut self, uncached: &[BlockLink]) -> (usize, f64) {
+    fn promote_demoted_suffix(
+        &mut self,
+        uncached: impl Iterator<Item = BlockLink>,
+    ) -> (usize, f64) {
         if !self.tiers_enabled {
             return (0, 0.0);
         }
@@ -1293,6 +1305,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 self.admitted += 1;
             }
             self.pending_prefill += 1;
+            self.sum_context += active.context_tokens;
             self.running.push(active);
         }
         self.peak_reserved = self.peak_reserved.max(self.reserved);
@@ -1310,33 +1323,19 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 return None;
             }
             self.reserved += footprint;
-            return Some(PagedActive::admitted(
-                head,
-                0,
-                0,
-                0.0,
-                Vec::new(),
-                Vec::new(),
-            ));
+            return Some(PagedActive::admitted(head, 0, 0, 0.0, Vec::new()));
         }
-        let request = self.slots[head].request;
+        let stream = self.slots[head].request.stream;
         let prompt = self.effective_prompt(head);
-        let mut chain = Vec::new();
+        let block_size = self.config.block_size;
+        // At least one prompt token must be prefilled to produce the next
+        // output token, so the lookup stops one short of the prompt end.
+        let lookup_len = prompt.saturating_sub(1);
         let matched = match &mut self.cache {
-            Some(cache) => {
-                // The chain reaches the whole transcript by retirement.
-                chain.reserve_exact(footprint / self.config.block_size);
-                // At least one prompt token must be prefilled to produce
-                // the next output token, so the lookup stops one short of
-                // the prompt end.
-                let links =
-                    self.chains
-                        .full_blocks(&mut chain, &request.stream, prompt.saturating_sub(1));
-                cache.lookup_links(links.iter().copied(), &mut self.allocator)
-            }
+            Some(cache) => cache.lookup_stream(stream, lookup_len, &mut self.allocator),
             None => Vec::new(),
         };
-        let cached_tokens = matched.len() * self.config.block_size;
+        let cached_tokens = matched.len() * block_size;
         // Blocks for the post-prefill context (prompt + first token).
         let target = self.allocator.blocks_for_tokens(prompt + 1);
         let need_now = target - matched.len();
@@ -1347,8 +1346,13 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             }
             return None;
         }
-        let (promoted_tokens, promote_wait_s) =
-            self.promote_demoted_suffix(&chain[matched.len()..]);
+        // Only cache evictions demote, so without a cache the first probe
+        // misses.
+        let (promoted_tokens, promote_wait_s) = self.promote_demoted_suffix(stream_links(
+            stream,
+            block_size,
+            matched.len()..lookup_len / block_size,
+        ));
         let mut blocks = matched;
         for _ in 0..need_now {
             blocks.push(self.allocator.alloc().expect("free blocks checked"));
@@ -1362,7 +1366,6 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             promoted_tokens,
             promote_wait_s,
             blocks,
-            chain,
         ))
     }
 
@@ -1408,7 +1411,6 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             promote_wait_s: 0.0,
             swapping: true,
             blocks,
-            chain: Vec::new(),
             done_s: None,
         });
         true
@@ -1479,11 +1481,12 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             .max(self.residency.used_blocks(TierKind::Disk));
     }
 
-    /// Launches one engine step — prefill-prioritized, then decode — and
-    /// schedules its completion (plus any preemption re-queues) `dt`
-    /// ahead. Chunked prefill and speculation branch into their own step
-    /// kinds; with both off, the classic wave/decode paths run unchanged.
-    fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) {
+    /// Launches one engine step — prefill-prioritized, then decode —
+    /// schedules its preemption re-queues and swap-outs, and returns its
+    /// completion event and the time `end`, `dt` ahead, that it fires at.
+    /// Chunked prefill and speculation branch into their own step kinds;
+    /// with both off, the classic wave/decode paths run unchanged.
+    fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) -> (Event, f64) {
         self.peak_batch = self.peak_batch.max(self.running.len());
         let (completion, dt) = if self.pending_prefill > 0 {
             if self.config.chunk_budget_tokens.is_some() {
@@ -1509,7 +1512,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             self.events
                 .push(self.now + dur, Event::SwapOutDone { request: victim });
         }
-        self.events.push(end, completion);
+        (completion, end)
     }
 
     /// Adapter-load seconds this step pays: each distinct non-base adapter
@@ -1562,8 +1565,8 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 cursor += active.promote_wait_s;
             }
             active.prefilled = true;
+            self.sum_context += prompt + 1 - active.context_tokens;
             active.context_tokens = prompt + 1;
-            self.sum_context += active.context_tokens;
             // Saturating: a streamed request can bypass `RequestTrace::new`'s
             // output_tokens ≥ 1 normalization, and an underflow here would
             // wedge the run.
@@ -1581,10 +1584,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             self.prefix_hit_tokens += cached as u64;
             self.prefix_uncached_tokens += (prompt - cached - active.promoted_tokens) as u64;
             if let Some(cache) = &mut self.cache {
-                let links = self
-                    .chains
-                    .full_blocks(&mut active.chain, &request.stream, prompt);
-                cache.insert_links(links.iter().copied(), &active.blocks, &mut self.allocator);
+                cache.insert_stream(request.stream, prompt, &active.blocks, &mut self.allocator);
             }
         }
         self.pending_prefill = 0;
@@ -1638,7 +1638,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     /// their whole footprint.)
     fn needs_block(&self, i: usize) -> bool {
         let active = &self.running[i];
-        self.allocator.blocks_for_tokens(active.context_tokens + 1) > active.blocks.len()
+        active.context_tokens + 1 > active.blocks.len() * self.config.block_size
     }
 
     /// One chunked batch step: each unprefilled sequence contributes its
@@ -1734,15 +1734,10 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             }
             if let Some(cache) = &mut self.cache {
                 // Publish the chunk-completed blocks now, not at the end
-                // of the whole prompt. (The claim's chain runs ahead of
-                // them: it covers the prompt but its last token.)
-                let active = &mut self.running[pos];
-                let links = self.chains.full_blocks(
-                    &mut active.chain,
-                    &request.stream,
-                    active.prefilled_tokens,
-                );
-                cache.insert_links(links.iter().copied(), &active.blocks, &mut self.allocator);
+                // of the whole prompt.
+                let active = &self.running[pos];
+                let len = active.prefilled_tokens;
+                cache.insert_stream(request.stream, len, &active.blocks, &mut self.allocator);
             }
         }
         dt
@@ -1914,25 +1909,16 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 return true;
             }
             let blocks = std::mem::take(&mut active.blocks);
-            let chain = std::mem::take(&mut active.chain);
-            retired.push(PagedActive {
-                blocks,
-                chain,
-                ..*active
-            });
+            retired.push(PagedActive { blocks, ..*active });
             false
         });
-        for mut active in retired.drain(..) {
+        for active in retired.drain(..) {
             let done_s = active.done_s.expect("retired implies done");
             let slot = self.slots[active.idx];
             let request = slot.request;
             if let Some(cache) = &mut self.cache {
-                let links = self.chains.full_blocks(
-                    &mut active.chain,
-                    &request.stream,
-                    active.context_tokens,
-                );
-                cache.insert_links(links.iter().copied(), &active.blocks, &mut self.allocator);
+                let len = active.context_tokens;
+                cache.insert_stream(request.stream, len, &active.blocks, &mut self.allocator);
             }
             if self.reserve() {
                 self.reserved -= request.kv_tokens_at_completion();
@@ -2030,6 +2016,9 @@ mod reference;
 
 #[cfg(test)]
 mod equivalence_tests;
+
+#[cfg(test)]
+mod quiet_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2738,6 +2727,49 @@ mod tests {
             (512..2_048).contains(&(paged.prefix_hit_tokens as usize)),
             "hit {} tokens",
             paged.prefix_hit_tokens
+        );
+    }
+
+    /// Regression: same-prefix sequences admitted mid-document hold the
+    /// committed chunks they hit while they wait for chunk budget, and
+    /// occupancy counts those shared tokens once, like any sharer's. The
+    /// waiting sequences used to count as zero context beside their shared
+    /// blocks, so three of them drove the occupancy counter below zero: an
+    /// overflow panic in debug builds, a wrapped peak in release.
+    #[test]
+    fn waiting_chunked_sharers_count_their_cached_prefix_once() {
+        let doc = |id: usize, arrival_s: f64| Request {
+            id,
+            arrival_s,
+            prompt_tokens: 2_048,
+            output_tokens: 4,
+            stream: TokenStream::document(5, id as u64, 2_000),
+            qos: QosClass::default(),
+            adapter: AdapterId::BASE,
+        };
+        // The first document holds the whole 128-token chunk budget until
+        // its prefill is done, so the three arrivals that hit its
+        // committed chunks wait beside it.
+        let trace = RequestTrace::new(vec![doc(0, 0.0), doc(1, 0.3), doc(2, 0.3), doc(3, 0.3)]);
+        let config = ServingConfig::paged(4, 16_384, 16)
+            .with_prefix_sharing(true)
+            .with_chunked_prefill(Some(128));
+        let report = sim(config).run(&trace);
+        assert_eq!(report.completed(), 4);
+        assert!(report.paged.expect("paged stats").prefix_hit_tokens >= 3 * 512);
+        assert!(
+            report.peak_kv_occupied_tokens <= report.kv_budget_tokens,
+            "peak occupancy {} exceeds the {}-token pool",
+            report.peak_kv_occupied_tokens,
+            report.kv_budget_tokens
+        );
+        assert!(report.mean_kv_occupancy <= 1.0);
+        // The reference loop's per-step walk over every block list agrees.
+        let mut cost = LinearCostModel::default_70b();
+        let reference = reference::run_paged_reference(&mut cost, config, &trace);
+        assert_eq!(
+            reference.peak_kv_occupied_tokens,
+            report.peak_kv_occupied_tokens
         );
     }
 

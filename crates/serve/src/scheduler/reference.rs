@@ -667,14 +667,13 @@ impl<'a> PagedRunState<'a> {
                 prefilled: false,
                 prefilled_tokens: cached_tokens,
                 spec_bursts: 0,
-                context_tokens: 0,
+                context_tokens: cached_tokens,
                 remaining_decode: 0,
                 cached_prefix_tokens: cached_tokens,
                 promoted_tokens: 0,
                 promote_wait_s: 0.0,
                 swapping: false,
                 blocks,
-                chain: Vec::new(),
                 done_s: None,
             });
         }

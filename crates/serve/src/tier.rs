@@ -204,8 +204,11 @@ impl KvShipSpec {
 
 /// Chained path hash identifying one full block by *all* tokens from the
 /// prompt start through the block: `h_{k+1} = chain_hash(h_k, block_k)`,
-/// starting from [`PATH_HASH_SEED`]. The prefix cache and the residency
-/// map both key demoted blocks by this hash, so a demoted block is
+/// starting from [`PATH_HASH_SEED`]. The prefix cache keys its blocks by
+/// this hash when it is keyed by token ids; the scheduler's cache hashes
+/// each block's whole prefix in O(1) from its token stream's keys
+/// instead (see [`crate::prefix`]). Either way the residency map files a
+/// demoted block under the hash its cache stored, so a demoted block is
 /// recognized by any later prompt sharing its whole prefix.
 #[must_use]
 pub fn chain_hash(parent: u64, block_tokens: &[u64]) -> u64 {
@@ -229,8 +232,9 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Runtime occupancy of the tiers below HBM: which demoted prefix blocks
-/// live where (keyed by chained path hash), and how many blocks each
-/// tier holds (demoted prefixes *plus* swap-out reservations).
+/// live where (keyed by the prefix hash the cache evicted them under),
+/// and how many blocks each tier holds (demoted prefixes *plus* swap-out
+/// reservations).
 ///
 /// Swap-outs outrank cold prefixes: when a swap reservation needs room,
 /// the oldest demoted blocks are dropped (FIFO) to make it. Entirely
@@ -367,8 +371,8 @@ impl TierResidency {
         *reserved -= blocks;
     }
 
-    /// Demotes one evicted prefix block (identified by its chained path
-    /// hash) into the first tier with headroom, DDR before disk. Returns
+    /// Demotes one evicted prefix block (identified by its prefix hash)
+    /// into the first tier with headroom, DDR before disk. Returns
     /// the receiving tier, or `None` when both tiers are full — the
     /// block is then simply gone, exactly as under plain eviction.
     pub fn demote(&mut self, hash: u64) -> Option<TierKind> {
@@ -391,7 +395,7 @@ impl TierResidency {
         None
     }
 
-    /// Looks up a demoted block by path hash without moving it.
+    /// Looks up a demoted block by prefix hash without moving it.
     #[must_use]
     pub fn demoted_tier(&self, hash: u64) -> Option<TierKind> {
         self.demoted.get(&hash).map(|&(tier, _)| tier)

@@ -121,6 +121,48 @@ impl TokenStream {
     pub fn token_ids(&self, len: usize) -> Vec<u64> {
         (0..len).map(|p| self.token_id(p)).collect()
     }
+
+    /// The canonical description of the stream's first `len` positions
+    /// (`len > 0`): the runs of stream keys covering them, adjacent equal
+    /// keys merged. `splitmix64` is a bijection, so two equal-length
+    /// prefixes have equal token ids exactly when the same key covers each
+    /// position, that is, exactly when their runs are equal.
+    pub(crate) fn prefix_runs(&self, len: usize) -> PrefixRuns {
+        if self.system_tokens == 0 || self.shared == self.session {
+            PrefixRuns::One {
+                key: self.session,
+                len,
+            }
+        } else if len <= self.system_tokens {
+            PrefixRuns::One {
+                key: self.shared,
+                len,
+            }
+        } else {
+            PrefixRuns::Two {
+                shared: self.shared,
+                split: self.system_tokens,
+                session: self.session,
+                len,
+            }
+        }
+    }
+}
+
+/// The runs of stream keys covering a [`TokenStream`] prefix
+/// ([`TokenStream::prefix_runs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PrefixRuns {
+    /// One key covers all `len` positions.
+    One { key: u64, len: usize },
+    /// `shared` covers the first `split` positions and `session`, a
+    /// different key, the rest up to `len`.
+    Two {
+        shared: u64,
+        split: usize,
+        session: u64,
+        len: usize,
+    },
 }
 
 /// One inference request: when it arrives and how much work it carries.
