@@ -12,12 +12,13 @@
 //!   are scheduled lazily (one outstanding event cursors through the
 //!   sorted trace), so the heap stays O(batch) deep regardless of trace
 //!   length and the old per-iteration `next_arrival` probe disappears.
-//! * [`Event::PrefillDone`] / [`Event::DecodeDone`] — the engine finishes
-//!   a prefill wave or one decode step. These are the *batch boundaries*
-//!   of iteration-level scheduling: retirement, admission, and the next
-//!   step launch all happen when one fires. (A boundary that would only
-//!   launch another decode step is not queued: the scheduler runs such
-//!   quiet steps inline, and one completion ends the stretch.)
+//! * [`Event::StepDone`] — the engine finishes a step: a prefill wave, a
+//!   decode step (a draft-and-verify burst under speculation) or a chunked
+//!   batch step. These are the *batch boundaries* of iteration-level
+//!   scheduling: retirement, admission, and the next step launch all
+//!   happen when one fires. (A boundary that would only launch another
+//!   decode step is not queued: the scheduler runs such quiet steps
+//!   inline, and one completion ends the stretch.)
 //! * [`Event::Preemption`] — a preempt-by-recompute victim re-enters the
 //!   admission queue at the step boundary that evicted it. (Prefix-cache
 //!   *eviction* itself stays synchronous inside the allocation that needs
@@ -69,16 +70,11 @@ pub enum Event {
         /// Index of the swapped-in request in the trace's request slice.
         request: usize,
     },
-    /// The engine finished a prefill wave (a batch boundary).
-    PrefillDone,
-    /// The engine finished one decode step (a batch boundary). Under
-    /// speculative decoding the step is a draft-and-verify burst and every
-    /// decoding sequence retires its accepted tokens when this fires.
-    DecodeDone,
-    /// The engine finished a chunked batch step (a batch boundary): the
-    /// prefill chunks of a [`crate::cost::StepMix`] plus the decode batch
-    /// that ran with them.
-    ChunkDone,
+    /// The engine finished a step (a batch boundary): a prefill wave, one
+    /// decode step (a draft-and-verify burst under speculative decoding),
+    /// or a chunked batch step — the prefill chunks of a
+    /// [`crate::cost::StepMix`] plus the decode batch that ran with them.
+    StepDone,
 }
 
 impl Event {
@@ -93,7 +89,7 @@ impl Event {
         match self {
             Event::Arrival { .. } | Event::KvTransferDone { .. } => 0,
             Event::Preemption { .. } | Event::SwapOutDone { .. } | Event::SwapInDone { .. } => 1,
-            Event::PrefillDone | Event::DecodeDone | Event::ChunkDone => 2,
+            Event::StepDone => 2,
         }
     }
 }
@@ -208,9 +204,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(3.0, Event::DecodeDone);
+        q.push(3.0, Event::StepDone);
         q.push(1.0, Event::Arrival { request: 0 });
-        q.push(2.0, Event::PrefillDone);
+        q.push(2.0, Event::StepDone);
         let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|s| s.at_s).collect();
         assert_eq!(times, vec![1.0, 2.0, 3.0]);
     }
@@ -218,12 +214,12 @@ mod tests {
     #[test]
     fn co_timed_events_fire_arrivals_then_preemptions_then_step_ends() {
         let mut q = EventQueue::new();
-        q.push(1.0, Event::DecodeDone);
+        q.push(1.0, Event::StepDone);
         q.push(1.0, Event::Preemption { request: 7 });
         q.push(1.0, Event::Arrival { request: 3 });
         assert_eq!(q.pop().unwrap().event, Event::Arrival { request: 3 });
         assert_eq!(q.pop().unwrap().event, Event::Preemption { request: 7 });
-        assert_eq!(q.pop().unwrap().event, Event::DecodeDone);
+        assert_eq!(q.pop().unwrap().event, Event::StepDone);
         assert!(q.pop().is_none());
     }
 
@@ -243,20 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn chunk_completions_rank_with_the_step_completions() {
-        let mut q = EventQueue::new();
-        q.push(1.0, Event::ChunkDone);
-        q.push(1.0, Event::Arrival { request: 3 });
-        q.push(1.0, Event::Preemption { request: 7 });
-        assert_eq!(q.pop().unwrap().event, Event::Arrival { request: 3 });
-        assert_eq!(q.pop().unwrap().event, Event::Preemption { request: 7 });
-        assert_eq!(q.pop().unwrap().event, Event::ChunkDone);
-    }
-
-    #[test]
     fn swap_and_transfer_events_rank_with_their_class() {
         let mut q = EventQueue::new();
-        q.push(1.0, Event::DecodeDone);
+        q.push(1.0, Event::StepDone);
         q.push(1.0, Event::SwapInDone { request: 4 });
         q.push(1.0, Event::SwapOutDone { request: 2 });
         q.push(1.0, Event::KvTransferDone { request: 9 });
@@ -267,7 +252,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().event, Event::Arrival { request: 1 });
         assert_eq!(q.pop().unwrap().event, Event::SwapInDone { request: 4 });
         assert_eq!(q.pop().unwrap().event, Event::SwapOutDone { request: 2 });
-        assert_eq!(q.pop().unwrap().event, Event::DecodeDone);
+        assert_eq!(q.pop().unwrap().event, Event::StepDone);
     }
 
     #[test]

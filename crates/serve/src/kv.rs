@@ -7,7 +7,8 @@
 //! Allocating the KV cache in small fixed-size blocks *as the sequence
 //! grows* raises effective capacity, and ref-counting the blocks lets
 //! several sequences share a common prefix ([`crate::prefix`]) without
-//! copying — copy-on-write semantics via [`BlockAllocator::cow`].
+//! copying. A shared block is never written: sequence growth appends at a
+//! block boundary or inside a private block.
 //!
 //! # Invariants (enforced by `crates/serve/tests/property_serving.rs`)
 //!
@@ -143,19 +144,6 @@ impl BlockAllocator {
         }
     }
 
-    /// Internal fragmentation of the allocated blocks: the fraction of
-    /// their token slots not covered by `occupied_tokens` (0 when nothing
-    /// is allocated).
-    #[must_use]
-    pub fn internal_fragmentation(&self, occupied_tokens: usize) -> f64 {
-        let slots = self.allocated * self.block_size;
-        if slots == 0 {
-            0.0
-        } else {
-            1.0 - (occupied_tokens.min(slots) as f64 / slots as f64)
-        }
-    }
-
     /// Current reference count of a block.
     #[must_use]
     pub fn ref_count(&self, block: BlockId) -> u32 {
@@ -207,28 +195,6 @@ impl BlockAllocator {
             self.allocated -= 1;
             self.free_list.push(block);
         }
-    }
-
-    /// Copy-on-write: returns a block the caller may mutate exclusively.
-    /// A sole owner keeps its block; a shared block is released (one
-    /// reference dropped) and a fresh private copy allocated. `None` when a
-    /// copy is needed but the pool is exhausted — the shared reference is
-    /// retained so the caller can evict/preempt and retry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is free.
-    pub fn cow(&mut self, block: BlockId) -> Option<BlockId> {
-        assert!(
-            self.ref_counts[block] > 0,
-            "copy-on-write of free block {block}"
-        );
-        if self.ref_counts[block] == 1 {
-            return Some(block);
-        }
-        let copy = self.alloc()?;
-        self.free(block);
-        Some(copy)
     }
 
     /// Snapshot of the aggregate statistics.
@@ -300,36 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn cow_keeps_exclusive_blocks_and_copies_shared_ones() {
-        let mut pool = BlockAllocator::new(16, 3);
-        let block = pool.alloc().unwrap();
-        // Sole owner: no copy.
-        assert_eq!(pool.cow(block), Some(block));
-        // Shared: the writer gets a fresh block, the original keeps one ref.
-        pool.fork(block);
-        let copy = pool.cow(block).unwrap();
-        assert_ne!(copy, block);
-        assert_eq!(pool.ref_count(block), 1);
-        assert_eq!(pool.ref_count(copy), 1);
-        // Shared but exhausted: the reference is retained for a retry.
-        pool.fork(block);
-        let _spare = pool.alloc().unwrap();
-        assert_eq!(pool.cow(block), None);
-        assert_eq!(pool.ref_count(block), 2);
-    }
-
-    #[test]
-    fn token_rounding_and_fragmentation() {
-        let mut pool = BlockAllocator::from_token_budget(16, 100);
+    fn token_budgets_round_to_whole_blocks() {
+        let pool = BlockAllocator::from_token_budget(16, 100);
         assert_eq!(pool.total_blocks(), 6);
         assert_eq!(pool.blocks_for_tokens(1), 1);
         assert_eq!(pool.blocks_for_tokens(16), 1);
         assert_eq!(pool.blocks_for_tokens(17), 2);
-        let _a = pool.alloc().unwrap();
-        let _b = pool.alloc().unwrap();
-        // 2 blocks = 32 slots; 24 occupied tokens leave 25% internal waste.
-        assert!((pool.internal_fragmentation(24) - 0.25).abs() < 1e-12);
-        assert_eq!(pool.internal_fragmentation(40), 0.0, "clamped");
     }
 
     /// Regression: a zero-block pool used to divide by zero and leak NaN
@@ -342,7 +284,6 @@ mod tests {
         assert_eq!(pool.total_tokens(), 0);
         assert_eq!(pool.alloc(), None);
         assert_eq!(pool.utilization(), 0.0, "not NaN");
-        assert_eq!(pool.internal_fragmentation(0), 0.0, "not NaN");
         let stats = pool.stats();
         assert_eq!(stats.failed_allocs, 1);
         assert_eq!(stats.peak_allocated_blocks, 0);

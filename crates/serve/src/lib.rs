@@ -23,16 +23,16 @@
 //!   smaller draft [`deca_llm::LlmModel`] — memoized (bounded, with
 //!   [`CostMemoStats`] hit counters) in [`EstimatorCostModel`],
 //! * [`event`] — the discrete-event core: a deterministic binary-heap
-//!   [`EventQueue`] over typed [`Event`]s (arrivals, prefill/decode step
-//!   completions, preemption re-queues) that advances simulation time in
+//!   [`EventQueue`] over typed [`Event`]s (arrivals, step completions,
+//!   preemption re-queues) that advances simulation time in
 //!   O(log n) pops instead of per-step scans — what makes million-session
 //!   traces simulate in seconds,
 //! * [`kv`] — the paged KV-cache layer: a fixed-pool, ref-counted
-//!   [`BlockAllocator`] of block-granular token slots (alloc/free/fork and
-//!   copy-on-write), sized from [`deca_llm::footprint::max_kv_tokens`]
+//!   [`BlockAllocator`] of block-granular token slots (alloc/free/fork),
+//!   sized from [`deca_llm::footprint::max_kv_tokens`]
 //!   (via [`hbm_kv_budget_tokens`] on one socket),
 //! * [`prefix`] — a radix-tree [`PrefixCache`] over token-id prefixes with
-//!   copy-on-write block sharing and LRU eviction of unreferenced blocks;
+//!   ref-counted block sharing and LRU eviction of unreferenced blocks;
 //!   each cached block is identified by a hash of its whole prefix plus an
 //!   independent fingerprint, held in one cache-wide map (the scheduler
 //!   derives both in O(1) from a [`TokenStream`]'s keys),

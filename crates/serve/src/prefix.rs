@@ -1,5 +1,5 @@
 //! Radix-tree prefix cache over token-id prefixes, with block-granular
-//! copy-on-write sharing and LRU eviction of unreferenced blocks.
+//! ref-counted sharing and LRU eviction of unreferenced blocks.
 //!
 //! SGLang's RadixAttention idea on top of the [`crate::kv`] allocator: the
 //! cache is a radix tree whose edges are whole KV blocks
@@ -9,8 +9,7 @@
 //! so the prefill only has to process the *uncached suffix*. Shared blocks
 //! are immutable by construction — sequence growth appends at a block
 //! boundary or inside a private block — so the serving engine never writes
-//! one; [`BlockAllocator::cow`] exists for callers that do mutate a shared
-//! block. After a prefill (and again on completion, when the generated
+//! one. After a prefill (and again on completion, when the generated
 //! tokens are known) the sequence's full blocks are inserted, so later
 //! same-session turns and same-system-prompt sessions hit.
 //!

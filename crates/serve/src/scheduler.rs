@@ -4,12 +4,14 @@
 //!
 //! All three run on one discrete-event core ([`crate::event`]): simulation
 //! time advances by popping typed events — request arrivals, KV transfers,
-//! prefill/decode step completions, preemption re-queues, swap I/O — off a
-//! binary-heap event queue. The engine alternates *prefill steps* (process
-//! the prompts of newly admitted requests — prefill-prioritized, as in
-//! vLLM's default policy) and *decode steps* (one token for every running
-//! sequence), optionally fused into chunked batch steps or
-//! draft-and-verify bursts, and the bookkeeping around them is incremental:
+//! step completions, preemption re-queues, swap I/O — off a binary-heap
+//! event queue. The engine alternates *prefill steps* (process the prompts
+//! of newly admitted requests — prefill-prioritized, as in vLLM's default
+//! policy) and *decode steps* (one token for every running sequence),
+//! optionally fused into chunked batch steps or draft-and-verify bursts.
+//! Every step kind ends in the one [`Event::StepDone`] and shares one
+//! prompt-complete transition and one per-token decode loop, and the
+//! bookkeeping around them is incremental:
 //!
 //! * arrivals are heap events pulled lazily — one at a time — from the
 //!   request source, which can be a materialized [`RequestTrace`] or any
@@ -45,7 +47,7 @@
 //! suite proves the event core reproduces its reports exactly (modulo the
 //! interval-integrated means) on seeded traces for all three policies.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::cost::{ChunkWork, ServingCostModel, StepMix};
 use crate::event::{Event, EventQueue};
@@ -658,7 +660,8 @@ impl PagedActive {
 
 /// Where a swap-preempted sequence's KV sits while it waits to re-enter
 /// the batch: enough state to resume decode exactly where it stopped,
-/// without the recompute path's `generated_before` re-prefill.
+/// without the recompute path's `generated_before` re-prefill. Held in its
+/// [`Slot`] from swap-out until the swap-in transfer lands.
 #[derive(Debug, Clone, Copy)]
 struct SwappedSeq {
     /// Tokens resident when the sequence was preempted.
@@ -689,6 +692,8 @@ struct Slot {
     /// Whether the request was ever admitted (re-admissions after
     /// preemption do not count twice).
     was_admitted: bool,
+    /// Set while the request is swapped out, until its swap-in lands.
+    swapped: Option<SwappedSeq>,
 }
 
 impl Slot {
@@ -698,6 +703,7 @@ impl Slot {
             first_token: None,
             generated_before: 0,
             was_admitted: false,
+            swapped: None,
         }
     }
 }
@@ -760,9 +766,6 @@ struct RunCore<I> {
     /// Whether any tier below HBM has capacity; cached so the untiered
     /// hot path pays one branch, never a residency probe.
     tiers_enabled: bool,
-    /// Swapped-out sequences by slot id, from swap-out until their
-    /// swap-in transfer completes.
-    swapped: HashMap<usize, SwappedSeq>,
     now: f64,
     /// Whether a step-completion event is pending in the heap.
     step_in_flight: bool,
@@ -854,11 +857,8 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             // The adapter cache's weights live *inside* the KV pool
             // (the S-LoRA unified-paging scheme): carve its blocks out up
             // front so sequence admission competes against the remainder.
+            // `ServingSimulator::new` checked that the carve leaves blocks.
             let carve = config.adapters.reserved_blocks(config.block_size);
-            assert!(
-                carve < total_blocks,
-                "the adapter cache reservation must leave KV blocks for sequences"
-            );
             for _ in 0..carve {
                 adapter_blocks.push(allocator.alloc().expect("reservation fits the pool"));
             }
@@ -879,7 +879,6 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             cache,
             residency: TierResidency::new(config.tiers),
             tiers_enabled: !reserve && config.tiers.enabled(),
-            swapped: HashMap::new(),
             now: 0.0,
             step_in_flight: false,
             admitted: 0,
@@ -948,24 +947,36 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         self.total_run_refs += 1;
     }
 
-    /// A running sequence dropped its reference to `block`.
-    fn drop_run_ref(&mut self, block: BlockId) {
-        self.run_refs[block] -= 1;
-        if self.run_refs[block] == 0 {
-            self.distinct_blocks -= 1;
+    /// Allocates `fresh` blocks after `blocks` (room was made beforehand)
+    /// and takes a running-sequence reference to every block of the
+    /// result: the blocks a sequence holds as it enters the batch.
+    fn hold_blocks(&mut self, mut blocks: Vec<BlockId>, fresh: usize) -> Vec<BlockId> {
+        for _ in 0..fresh {
+            blocks.push(self.allocator.alloc().expect("free blocks checked"));
         }
-        self.total_run_refs -= 1;
+        for &block in &blocks {
+            self.add_run_ref(block);
+        }
+        blocks
     }
 
-    /// Drops one sequence-held block reference: through the prefix cache
-    /// when one is attached, so its shared-block bookkeeping resyncs as the
+    /// Drops a sequence's running reference to each of `blocks` as it
+    /// leaves the batch, and releases them: through the prefix cache when
+    /// one is attached, so its shared-block bookkeeping resyncs as the
     /// ref-count falls back to the cache's own reference (the
     /// [`PrefixCache::release`] contract), and straight to the allocator
     /// otherwise.
-    fn release_block(&mut self, block: BlockId) {
-        match &mut self.cache {
-            Some(cache) => cache.release(block, &mut self.allocator),
-            None => self.allocator.free(block),
+    fn release_blocks(&mut self, blocks: &[BlockId]) {
+        for &block in blocks {
+            self.run_refs[block] -= 1;
+            if self.run_refs[block] == 0 {
+                self.distinct_blocks -= 1;
+            }
+            self.total_run_refs -= 1;
+            match &mut self.cache {
+                Some(cache) => cache.release(block, &mut self.allocator),
+                None => self.allocator.free(block),
+            }
         }
     }
 
@@ -1094,9 +1105,9 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 false
             }
             Event::SwapInDone { request } => {
-                let swapped = self
+                let swapped = self.slots[request]
                     .swapped
-                    .remove(&request)
+                    .take()
                     .expect("swap-in completion for a sequence that is not swapped");
                 self.residency.release(swapped.tier, swapped.blocks_needed);
                 let active = self
@@ -1109,7 +1120,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 self.swap_ins += 1;
                 false
             }
-            Event::PrefillDone | Event::DecodeDone | Event::ChunkDone => true,
+            Event::StepDone => true,
         }
     }
 
@@ -1152,16 +1163,16 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             // (whose footprint fits outright, or it was rejected above).
             debug_assert!(self.queue.is_empty());
         } else if self.has_steppable_work() {
-            let (mut completion, mut end) = self.start_step(cost);
+            let mut end = self.start_step(cost);
             while self.quiet_until(end) {
                 #[cfg(test)]
                 {
                     self.inline_steps += 1;
                 }
                 self.advance_to(end);
-                (completion, end) = self.start_step(cost);
+                end = self.start_step(cost);
             }
-            self.events.push(end, completion);
+            self.events.push(end, Event::StepDone);
             self.step_in_flight = true;
         }
         // Otherwise every running sequence is waiting on a swap-in: spin
@@ -1270,7 +1281,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             };
             let head = self.queue[pick.position];
             let class = self.slots[head].request.qos;
-            if self.swapped.contains_key(&head) {
+            if self.slots[head].swapped.is_some() {
                 // A swapped-out victim resumes instead of re-prefilling:
                 // admission waits here (head-of-line within its class)
                 // until its blocks fit, then its swap-in transfer starts.
@@ -1340,9 +1351,12 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         let target = self.allocator.blocks_for_tokens(prompt + 1);
         let need_now = target - matched.len();
         if !self.make_room(need_now) {
-            // Head-of-line wait: hand the shared references back.
-            for block in matched {
-                self.release_block(block);
+            // Head-of-line wait: hand the shared references back (a match
+            // implies a cache).
+            if let Some(cache) = &mut self.cache {
+                for block in matched {
+                    cache.release(block, &mut self.allocator);
+                }
             }
             return None;
         }
@@ -1353,13 +1367,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             block_size,
             matched.len()..lookup_len / block_size,
         ));
-        let mut blocks = matched;
-        for _ in 0..need_now {
-            blocks.push(self.allocator.alloc().expect("free blocks checked"));
-        }
-        for &block in &blocks {
-            self.add_run_ref(block);
-        }
+        let blocks = self.hold_blocks(matched, need_now);
         Some(PagedActive::admitted(
             head,
             cached_tokens,
@@ -1376,7 +1384,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     /// transfer lands. Returns `false` when the blocks don't fit yet
     /// (admission waits head-of-line on the in-flight swap-in).
     fn admit_swap_in(&mut self, head: usize, pick: crate::tenant::QosPick) -> bool {
-        let swapped = self.swapped[&head];
+        let swapped = self.slots[head].swapped.expect("a swapped-out slot");
         let need = swapped.blocks_needed;
         if !self.make_room(need) {
             return false;
@@ -1385,13 +1393,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         // A resumed victim re-enters the batch: that is a per-class batch
         // entry, and it moves the aging clock like a fresh admission.
         self.qos.record_admit(self.slots[head].request.qos, pick);
-        let mut blocks = Vec::with_capacity(need);
-        for _ in 0..need {
-            blocks.push(self.allocator.alloc().expect("free blocks checked"));
-        }
-        for &block in &blocks {
-            self.add_run_ref(block);
-        }
+        let blocks = self.hold_blocks(Vec::with_capacity(need), need);
         self.sum_context += swapped.context_tokens;
         let swap_in = self
             .residency
@@ -1481,23 +1483,18 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             .max(self.residency.used_blocks(TierKind::Disk));
     }
 
-    /// Launches one engine step — prefill-prioritized, then decode —
-    /// schedules its preemption re-queues and swap-outs, and returns its
-    /// completion event and the time `end`, `dt` ahead, that it fires at.
-    /// Chunked prefill and speculation branch into their own step kinds;
-    /// with both off, the classic wave/decode paths run unchanged.
-    fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) -> (Event, f64) {
+    /// Launches one engine step — prefill-prioritized (a chunked step
+    /// under a chunk budget, else a prefill wave), then decode — schedules
+    /// its preemption re-queues and swap-outs, and returns the time `end`,
+    /// `dt` ahead, at which it completes.
+    fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.peak_batch = self.peak_batch.max(self.running.len());
-        let (completion, dt) = if self.pending_prefill > 0 {
-            if self.config.chunk_budget_tokens.is_some() {
-                (Event::ChunkDone, self.chunked_step(cost))
-            } else {
-                (Event::PrefillDone, self.prefill_step(cost))
-            }
-        } else if self.config.speculation.enabled() {
-            (Event::DecodeDone, self.speculative_decode_step(cost))
+        let dt = if self.pending_prefill == 0 {
+            self.decode_step(cost)
+        } else if self.config.chunk_budget_tokens.is_some() {
+            self.chunked_step(cost)
         } else {
-            (Event::DecodeDone, self.decode_step(cost))
+            self.prefill_step(cost)
         };
         let dt = dt + self.adapter_switch_seconds(cost);
         self.peak_occupied = self.peak_occupied.max(self.occupied_tokens());
@@ -1512,7 +1509,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             self.events
                 .push(self.now + dur, Event::SwapOutDone { request: victim });
         }
-        (completion, end)
+        end
     }
 
     /// Adapter-load seconds this step pays: each distinct non-base adapter
@@ -1553,45 +1550,71 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     fn prefill_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.prefill_steps += 1;
         let mut cursor = self.now;
-        for active in self.running.iter_mut().filter(|a| !a.prefilled) {
-            let slot = &mut self.slots[active.idx];
-            let request = slot.request;
-            let prompt = request.prompt_tokens + slot.generated_before;
-            let cached = active.cached_prefix_tokens;
+        for pos in 0..self.running.len() {
+            let active = &self.running[pos];
+            if active.prefilled {
+                continue;
+            }
+            let prompt = self.effective_prompt(active.idx);
             // Promoted tokens skip the prefill compute like cached ones,
             // but pay their swap-in transfer instead.
-            cursor += cost.prefill_seconds_cached(prompt, cached + active.promoted_tokens);
+            let committed = active.cached_prefix_tokens + active.promoted_tokens;
+            cursor += cost.prefill_seconds_cached(prompt, committed);
             if active.promote_wait_s > 0.0 {
                 cursor += active.promote_wait_s;
             }
-            active.prefilled = true;
-            self.sum_context += prompt + 1 - active.context_tokens;
-            active.context_tokens = prompt + 1;
-            // Saturating: a streamed request can bypass `RequestTrace::new`'s
-            // output_tokens ≥ 1 normalization, and an underflow here would
-            // wedge the run.
-            active.remaining_decode = request
-                .output_tokens
-                .saturating_sub(1 + slot.generated_before);
-            if slot.first_token.is_none() {
-                slot.first_token = Some(cursor);
-            }
-            if active.remaining_decode == 0 {
-                // The prefill produced the final token (single-token
-                // output, or a resume that had one token left).
-                active.done_s = Some(cursor);
-            }
-            self.prefix_hit_tokens += cached as u64;
-            self.prefix_uncached_tokens += (prompt - cached - active.promoted_tokens) as u64;
-            if let Some(cache) = &mut self.cache {
-                cache.insert_stream(request.stream, prompt, &active.blocks, &mut self.allocator);
-            }
+            self.finish_prefill(pos, cursor);
+            self.publish(pos, prompt);
         }
-        self.pending_prefill = 0;
         cursor - self.now
     }
 
-    /// One decode step: every running sequence gains a token.
+    /// The prompt-complete transition of the sequence at `pos`, whose
+    /// prefill produces its first output token at `at`: its context
+    /// becomes the prompt plus that token, it owes the rest of its output,
+    /// and its prefix hits and misses are counted.
+    fn finish_prefill(&mut self, pos: usize, at: f64) {
+        let active = &mut self.running[pos];
+        let slot = &mut self.slots[active.idx];
+        let prompt = slot.request.prompt_tokens + slot.generated_before;
+        active.prefilled = true;
+        self.pending_prefill -= 1;
+        self.sum_context += prompt + 1 - active.context_tokens;
+        active.context_tokens = prompt + 1;
+        // Saturating: a streamed request can bypass `RequestTrace::new`'s
+        // output_tokens ≥ 1 normalization, and an underflow here would
+        // wedge the run.
+        active.remaining_decode = slot
+            .request
+            .output_tokens
+            .saturating_sub(1 + slot.generated_before);
+        if slot.first_token.is_none() {
+            slot.first_token = Some(at);
+        }
+        if active.remaining_decode == 0 {
+            // The prefill produced the final token (single-token output,
+            // or a resume that had one token left).
+            active.done_s = Some(at);
+        }
+        let cached = active.cached_prefix_tokens;
+        self.prefix_hit_tokens += cached as u64;
+        self.prefix_uncached_tokens += (prompt - cached - active.promoted_tokens) as u64;
+    }
+
+    /// Publishes the full blocks of the first `len` tokens of the sequence
+    /// at `pos` into the prefix cache (when one is attached), so concurrent
+    /// and later same-prefix requests hit.
+    fn publish(&mut self, pos: usize, len: usize) {
+        if let Some(cache) = &mut self.cache {
+            let active = &self.running[pos];
+            let stream = self.slots[active.idx].request.stream;
+            cache.insert_stream(stream, len, &active.blocks, &mut self.allocator);
+        }
+    }
+
+    /// One decode step: every running sequence gains a token. Under
+    /// speculation the step is a draft-and-verify burst instead, priced as
+    /// `draft_tokens` draft steps plus one verify.
     fn decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.decode_steps += 1;
         let batch = self.running.len();
@@ -1600,35 +1623,56 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             .iter()
             .map(|a| a.context_tokens)
             .fold(0, usize::max);
-        let dt = cost.decode_step_seconds(batch, max_context);
-        self.decode_one_token_each(cost);
+        let spec = self.config.speculation;
+        let dt = if spec.enabled() {
+            cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context)
+        } else {
+            cost.decode_step_seconds(batch, max_context)
+        };
+        self.advance_decoders(cost, spec.enabled());
         dt
     }
 
-    /// Gives every decoding sequence one token. Swap-in waiters hold their
-    /// batch slot but gain no token until the transfer lands. A paged
+    /// Gives every decoding sequence its tokens for this step: one, or,
+    /// when `speculate`, its accepted draft prefix plus the verify step's
+    /// own token (capped at what it still owes). Swap-in waiters hold
+    /// their batch slot but gain nothing until the transfer lands. A paged
     /// sequence allocates a fresh block at each block boundary; allocation
     /// failure resolves by evicting cold cache blocks first and preempting
-    /// the latest-admitted sequence second.
-    fn decode_one_token_each<C: ServingCostModel>(&mut self, cost: &mut C) {
+    /// the latest-admitted sequence second. A sequence that must preempt
+    /// *itself* keeps nothing more from the step (the recompute prefill
+    /// covers what it had committed).
+    fn advance_decoders<C: ServingCostModel>(&mut self, cost: &mut C, speculate: bool) {
         let paged = !self.reserve();
+        let spec = self.config.speculation;
         let mut i = 0;
-        while i < self.running.len() {
-            let active = &self.running[i];
+        'sequences: while i < self.running.len() {
+            let active = &mut self.running[i];
             if active.remaining_decode == 0 || active.swapping {
                 i += 1;
                 continue;
             }
-            if paged && self.needs_block(i) {
-                match self.grow(i, cost) {
-                    Some(at) => i = at,
-                    None => continue, // self-preempted; `i` now names the next sequence
+            let gained = if speculate {
+                let id = self.slots[active.idx].request.id as u64;
+                let accepted = spec.accepted_tokens(id, active.spec_bursts);
+                active.spec_bursts += 1;
+                (accepted + 1).min(active.remaining_decode)
+            } else {
+                1
+            };
+            for _ in 0..gained {
+                if paged && self.needs_block(i) {
+                    match self.grow(i, cost) {
+                        Some(at) => i = at,
+                        // Self-preempted: `i` now names the next sequence.
+                        None => continue 'sequences,
+                    }
                 }
+                let active = &mut self.running[i];
+                active.context_tokens += 1;
+                active.remaining_decode -= 1;
+                self.sum_context += 1;
             }
-            let active = &mut self.running[i];
-            active.context_tokens += 1;
-            active.remaining_decode -= 1;
-            self.sum_context += 1;
             i += 1;
         }
     }
@@ -1692,7 +1736,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         let end = self.now + dt;
         // Decode progress first, so a prefill completing in this step does
         // not also decode in it.
-        self.decode_one_token_each(cost);
+        self.advance_decoders(cost, false);
         let reserve = self.reserve();
         for (slot, take) in chunks {
             self.chunked_prefill_tokens += take as u64;
@@ -1711,88 +1755,13 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 self.sum_context += active.prefilled_tokens - active.context_tokens;
                 active.context_tokens = active.prefilled_tokens;
             }
-            let slot_state = &mut self.slots[slot];
-            let request = slot_state.request;
-            let prompt = request.prompt_tokens + slot_state.generated_before;
-            if active.prefilled_tokens == prompt {
-                active.prefilled = true;
-                self.sum_context += prompt + 1 - active.context_tokens;
-                active.context_tokens = prompt + 1;
-                active.remaining_decode = request
-                    .output_tokens
-                    .saturating_sub(1 + slot_state.generated_before);
-                if slot_state.first_token.is_none() {
-                    slot_state.first_token = Some(end);
-                }
-                if active.remaining_decode == 0 {
-                    active.done_s = Some(end);
-                }
-                self.prefix_hit_tokens += active.cached_prefix_tokens as u64;
-                self.prefix_uncached_tokens +=
-                    (prompt - active.cached_prefix_tokens - active.promoted_tokens) as u64;
-                self.pending_prefill -= 1;
+            let len = active.prefilled_tokens;
+            if len == self.effective_prompt(slot) {
+                self.finish_prefill(pos, end);
             }
-            if let Some(cache) = &mut self.cache {
-                // Publish the chunk-completed blocks now, not at the end
-                // of the whole prompt.
-                let active = &self.running[pos];
-                let len = active.prefilled_tokens;
-                cache.insert_stream(request.stream, len, &active.blocks, &mut self.allocator);
-            }
-        }
-        dt
-    }
-
-    /// One draft-and-verify burst: the step is priced as `draft_tokens`
-    /// draft steps plus one verify, and every decoding sequence retires
-    /// its accepted draft prefix plus the verify step's own token —
-    /// growing blocks token by token, with the plain step's
-    /// evict-then-preempt fallback. A sequence that must preempt *itself*
-    /// mid-burst keeps nothing from the burst's remainder (the recompute
-    /// prefill covers what it had committed).
-    fn speculative_decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.decode_steps += 1;
-        let spec = self.config.speculation;
-        let batch = self.running.len();
-        let max_context = self
-            .running
-            .iter()
-            .map(|a| a.context_tokens)
-            .fold(0, usize::max);
-        let dt = cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context);
-        let paged = !self.reserve();
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].remaining_decode == 0 || self.running[i].swapping {
-                i += 1;
-                continue;
-            }
-            let accepted = {
-                let active = &mut self.running[i];
-                let id = self.slots[active.idx].request.id as u64;
-                let accepted = spec.accepted_tokens(id, active.spec_bursts);
-                active.spec_bursts += 1;
-                accepted
-            };
-            let gained = (accepted + 1).min(self.running[i].remaining_decode);
-            let mut preempted_self = false;
-            for _ in 0..gained {
-                if paged && self.needs_block(i) {
-                    if let Some(at) = self.grow(i, cost) {
-                        i = at;
-                    } else {
-                        preempted_self = true;
-                        break;
-                    }
-                }
-                let active = &mut self.running[i];
-                active.context_tokens += 1;
-                active.remaining_decode -= 1;
-                self.sum_context += 1;
-            }
-            if !preempted_self {
-                i += 1;
-            }
+            // Publish the chunk-completed blocks now, not at the end of
+            // the whole prompt.
+            self.publish(pos, len);
         }
         dt
     }
@@ -1856,19 +1825,13 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                     let reserved = self.residency.reserve_swap(blocks_needed);
                     debug_assert_eq!(reserved, Some(tier));
                     self.note_tier_peaks();
-                    for block in victim.blocks {
-                        self.drop_run_ref(block);
-                        self.release_block(block);
-                    }
-                    self.swapped.insert(
-                        victim.idx,
-                        SwappedSeq {
-                            context_tokens: victim.context_tokens,
-                            remaining_decode: victim.remaining_decode,
-                            blocks_needed,
-                            tier,
-                        },
-                    );
+                    self.release_blocks(&victim.blocks);
+                    self.slots[victim.idx].swapped = Some(SwappedSeq {
+                        context_tokens: victim.context_tokens,
+                        remaining_decode: victim.remaining_decode,
+                        blocks_needed,
+                        tier,
+                    });
                     self.pending_swap_outs
                         .push((victim.idx, model.swap_out_seconds(tier, blocks_needed)));
                     self.swap_outs += 1;
@@ -1879,10 +1842,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         }
         let slot = &mut self.slots[victim.idx];
         slot.generated_before = victim.context_tokens - slot.request.prompt_tokens;
-        for block in victim.blocks {
-            self.drop_run_ref(block);
-            self.release_block(block);
-        }
+        self.release_blocks(&victim.blocks);
         self.pending_preemptions.push(victim.idx);
     }
 
@@ -1904,14 +1864,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             return;
         }
         let mut retired = std::mem::take(&mut self.retired);
-        self.running.retain_mut(|active| {
-            if active.done_s.is_none() {
-                return true;
-            }
-            let blocks = std::mem::take(&mut active.blocks);
-            retired.push(PagedActive { blocks, ..*active });
-            false
-        });
+        retired.extend(self.running.extract_if(.., |a| a.done_s.is_some()));
         for active in retired.drain(..) {
             let done_s = active.done_s.expect("retired implies done");
             let slot = self.slots[active.idx];
@@ -1924,10 +1877,7 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 self.reserved -= request.kv_tokens_at_completion();
             }
             self.sum_context -= active.context_tokens;
-            for &block in &active.blocks {
-                self.drop_run_ref(block);
-                self.release_block(block);
-            }
+            self.release_blocks(&active.blocks);
             self.records.push(RequestRecord {
                 id: request.id,
                 arrival_s: request.arrival_s,

@@ -117,9 +117,8 @@ pub fn sharding_sweep(
             let config = ServingConfig::continuous(search.max_batch, budget);
             let report = ServingSimulator::new(cost, config).run(&trace);
             let goodput = report.goodput_rps(&search.slo);
-            // The sweep probes plans on one trace, not an arrival rate.
             let (feasible, tail) =
-                judge_probe(&report.records, report.rejected, goodput, &search.slo, 0.0);
+                judge_probe(&report.records, report.rejected, goodput, &search.slo);
             ShardingPlanResult {
                 feasible,
                 p99_ttft_s: tail.p99_ttft_s,
@@ -443,7 +442,8 @@ pub struct CapacitySpec {
     pub requests: usize,
     /// Trace seed (the same lengths are replayed at every probed rate).
     pub seed: u64,
-    /// Lower bound of the searched rate range (requests/sec).
+    /// Lower bound of the searched rate range (requests/sec). The search
+    /// doubles out of it, so it must be positive and finite.
     pub min_rate: f64,
     /// Upper bound of the searched rate range (requests/sec).
     pub max_rate: f64,
@@ -484,27 +484,36 @@ pub struct CapacityResult {
 /// Judges one probe's completed `records` against `slo` at the 99th
 /// percentile — the feasibility rule every capacity search shares: no
 /// rejections, and p99 TTFT and p99 TPOT within the objective.
-/// `goodput_rps` is the probe's SLO goodput, which a fleet or a
-/// disaggregated pool computes over its own span.
+/// `goodput_rps` is the probe's SLO goodput, which a fleet, a
+/// disaggregated pool or one QoS class computes over its own records.
 fn judge_probe(
     records: &[RequestRecord],
     rejected: usize,
     goodput_rps: f64,
     slo: &SloTarget,
-    rate: f64,
-) -> (bool, CapacityResult) {
+) -> (bool, ClassOutcome) {
     let ttft: Vec<f64> = records.iter().map(RequestRecord::ttft_s).collect();
     let tpot: Vec<f64> = records.iter().map(RequestRecord::tpot_s).collect();
-    let p99_ttft = percentile(&ttft, 99.0);
-    let p99_tpot = percentile(&tpot, 99.0);
-    let feasible = rejected == 0 && p99_ttft <= slo.ttft_s && p99_tpot <= slo.tpot_s;
-    let result = CapacityResult {
-        max_rate_rps: rate,
-        p99_ttft_s: p99_ttft,
-        p99_tpot_s: p99_tpot,
+    let p99_ttft_s = percentile(&ttft, 99.0);
+    let p99_tpot_s = percentile(&tpot, 99.0);
+    let feasible = rejected == 0 && p99_ttft_s <= slo.ttft_s && p99_tpot_s <= slo.tpot_s;
+    let outcome = ClassOutcome {
+        p99_ttft_s,
+        p99_tpot_s,
         goodput_rps,
     };
-    (feasible, result)
+    (feasible, outcome)
+}
+
+/// A capacity search's answer: the knee rate and the outcome of the probe
+/// that set it.
+fn capacity_at((max_rate_rps, tail): (f64, ClassOutcome)) -> CapacityResult {
+    CapacityResult {
+        max_rate_rps,
+        p99_ttft_s: tail.p99_ttft_s,
+        p99_tpot_s: tail.p99_tpot_s,
+        goodput_rps: tail.goodput_rps,
+    }
 }
 
 /// Runs one probe on a replica, handing the cost model back with its
@@ -525,6 +534,10 @@ fn run_probe<C: ServingCostModel + Clone>(
 /// p99 TTFT and p99 TPOT stay within the SLO, by doubling out of
 /// `min_rate` to bracket the knee and then bisecting. Deterministic: the
 /// same inputs always return the same capacity.
+///
+/// # Panics
+///
+/// Panics if `spec.min_rate` is not positive and finite.
 #[must_use]
 pub fn capacity_search(
     machine: &MachineConfig,
@@ -555,6 +568,10 @@ pub fn capacity_search(
 /// shape for sweeping several configurations of the *same* replica (e.g.
 /// the three admission policies of `bench_paged`), where every search asks
 /// the estimator the same (batch, context) questions.
+///
+/// # Panics
+///
+/// Panics if `spec.min_rate` is not positive and finite.
 #[must_use]
 pub fn capacity_search_warm<C, F>(
     cost: &mut C,
@@ -566,52 +583,52 @@ where
     C: ServingCostModel + Clone,
     F: FnMut(f64) -> RequestTrace,
 {
-    bracket_and_bisect(spec, &mut |rate| {
+    capacity_at(bracket_and_bisect(spec, |rate| {
         let report = run_probe(cost, *config, &trace_for_rate(rate));
         let goodput = report.goodput_rps(&spec.slo);
-        judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
-    })
+        judge_probe(&report.records, report.rejected, goodput, &spec.slo)
+    }))
 }
 
-/// The knee-finding core shared by every capacity search: double out of
+/// The knee search every capacity search shares: double out of
 /// `spec.min_rate` until `run` reports infeasible (or `max_rate` is
 /// reached), then bisect `spec.iterations` times. `run` maps a probed
-/// rate to (feasible, result-at-that-rate).
-fn bracket_and_bisect(
-    spec: &CapacitySpec,
-    run: &mut dyn FnMut(f64) -> (bool, CapacityResult),
-) -> CapacityResult {
-    let (feasible, result) = run(spec.min_rate);
+/// rate to (feasible, outcome at that rate). Returns the highest feasible
+/// rate probed and its outcome, or 0 and the `min_rate` probe's outcome
+/// when even that probe fails.
+///
+/// # Panics
+///
+/// Panics, before any probe, if `spec.min_rate` is not positive and
+/// finite: doubling a zero rate would never bracket the knee.
+fn bracket_and_bisect<R>(spec: &CapacitySpec, mut run: impl FnMut(f64) -> (bool, R)) -> (f64, R) {
+    assert!(
+        spec.min_rate > 0.0 && spec.min_rate.is_finite(),
+        "min_rate must be positive and finite, got {}",
+        spec.min_rate
+    );
+    let (feasible, outcome) = run(spec.min_rate);
     if !feasible {
-        return CapacityResult {
-            max_rate_rps: 0.0,
-            ..result
-        };
+        return (0.0, outcome);
     }
-    let mut lo = spec.min_rate;
-    let mut best = result;
+    let mut best = (spec.min_rate, outcome);
     let mut hi = None;
     let mut rate = spec.min_rate;
     while hi.is_none() && rate < spec.max_rate {
         rate = (rate * 2.0).min(spec.max_rate);
-        let (feasible, result) = run(rate);
+        let (feasible, outcome) = run(rate);
         if feasible {
-            lo = rate;
-            best = result;
-            if rate >= spec.max_rate {
-                return best; // feasible everywhere we looked
-            }
+            best = (rate, outcome);
         } else {
             hi = Some(rate);
         }
     }
     let Some(mut hi) = hi else { return best };
     for _ in 0..spec.iterations {
-        let mid = 0.5 * (lo + hi);
-        let (feasible, result) = run(mid);
+        let mid = 0.5 * (best.0 + hi);
+        let (feasible, outcome) = run(mid);
         if feasible {
-            lo = mid;
-            best = result;
+            best = (mid, outcome);
         } else {
             hi = mid;
         }
@@ -638,6 +655,11 @@ pub struct PoolSplitResult {
 /// [`capacity_search_warm`], feasibility judged on the stitched
 /// end-to-end records). Every socket of every probe runs a clone of
 /// `cost`. Pick the winner with [`best_pool_split`].
+///
+/// # Panics
+///
+/// Panics if `sockets` is under 2, or if `spec.min_rate` is not positive
+/// and finite.
 pub fn disagg_capacity_search_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -658,12 +680,12 @@ where
                 decode_replicas: sockets - prefill_replicas,
                 kv_ship,
             };
-            let capacity = bracket_and_bisect(spec, &mut |rate| {
+            let capacity = capacity_at(bracket_and_bisect(spec, |rate| {
                 let trace = trace_for_rate(rate);
                 let report = simulate_disaggregated_with(|| cost.clone(), config, &split, &trace);
                 let goodput = report.goodput_rps(&spec.slo);
-                judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
-            });
+                judge_probe(&report.records, report.rejected, goodput, &spec.slo)
+            }));
             PoolSplitResult {
                 prefill_replicas,
                 decode_replicas: sockets - prefill_replicas,
@@ -679,6 +701,10 @@ where
 /// beat. Same bracketing/bisection as [`capacity_search_warm`],
 /// feasibility judged on the fleet's pooled records. Every replica of
 /// every probe runs a clone of `cost`.
+///
+/// # Panics
+///
+/// Panics if `spec.min_rate` is not positive and finite.
 pub fn fleet_capacity_search_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -690,12 +716,12 @@ where
     C: ServingCostModel + Clone + Send,
     F: FnMut(f64) -> RequestTrace,
 {
-    bracket_and_bisect(spec, &mut |rate| {
+    capacity_at(bracket_and_bisect(spec, |rate| {
         let trace = trace_for_rate(rate);
         let fleet = simulate_fleet_with(|| cost.clone(), config, replicas, &trace);
         let goodput = fleet.goodput_rps(&spec.slo);
-        judge_probe(&fleet.records(), fleet.rejected(), goodput, &spec.slo, rate)
-    })
+        judge_probe(&fleet.records(), fleet.rejected(), goodput, &spec.slo)
+    }))
 }
 
 /// One chunk budget's sustained capacity, from
@@ -716,6 +742,11 @@ pub struct ChunkBudgetPoint {
 /// co-resident chats (better p99 TPOT) but pay per-chunk step overhead;
 /// the sweep locates the knee. Same bracketing/bisection as
 /// [`capacity_search_warm`].
+///
+/// # Panics
+///
+/// Panics if `budgets` is non-empty and `spec.min_rate` is not positive
+/// and finite.
 pub fn chunk_budget_capacity_sweep_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -740,8 +771,8 @@ where
         .collect()
 }
 
-/// One service class's tail latencies and goodput at a probed rate, from
-/// [`qos_capacity_search_with`].
+/// One probe's tail latencies and goodput — in
+/// [`qos_capacity_search_with`], one service class's share of the probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassOutcome {
     /// p99 TTFT over the class's completed requests, seconds (0 when the
@@ -765,25 +796,6 @@ pub struct QosCapacityResult {
     pub batch: ClassOutcome,
 }
 
-/// One class's slice of a probe's report, judged against that class's
-/// SLO (any rejection, in either class, fails the probe).
-fn class_outcome(
-    report: &ServingReport,
-    class: QosClass,
-    slo: &SloTarget,
-    rate: f64,
-) -> (bool, ClassOutcome) {
-    let goodput = report.class_goodput_rps(class, slo);
-    let records = report.class_records(class);
-    let (feasible, tail) = judge_probe(&records, report.rejected, goodput, slo, rate);
-    let outcome = ClassOutcome {
-        p99_ttft_s: tail.p99_ttft_s,
-        p99_tpot_s: tail.p99_tpot_s,
-        goodput_rps: tail.goodput_rps,
-    };
-    (feasible, outcome)
-}
-
 /// The per-class QoS capacity search: the highest arrival rate one replica
 /// sustains while *each* service class meets its own p99 SLO — the
 /// Interactive class judged against `spec.slo`, the Batch class against
@@ -791,6 +803,10 @@ fn class_outcome(
 /// lane. On a single-class trace the batch side is vacuous and the search
 /// degenerates to [`capacity_search_warm`]'s rule exactly. Same
 /// bracketing/bisection as every other capacity search.
+///
+/// # Panics
+///
+/// Panics if `spec.min_rate` is not positive and finite.
 pub fn qos_capacity_search_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -802,31 +818,20 @@ where
     C: ServingCostModel + Clone,
     F: FnMut(f64) -> RequestTrace,
 {
-    // Per-class outcomes of every probe, so the winning rate's class
-    // breakdown can be recovered after the search.
-    let mut outcomes: Vec<(f64, ClassOutcome, ClassOutcome)> = Vec::new();
-    let capacity = bracket_and_bisect(spec, &mut |rate| {
+    let (max_rate_rps, (interactive, batch)) = bracket_and_bisect(spec, |rate| {
         let report = run_probe(cost, *config, &trace_for_rate(rate));
-        let (interactive_ok, interactive) =
-            class_outcome(&report, QosClass::Interactive, &spec.slo, rate);
-        let (batch_ok, batch) = class_outcome(&report, QosClass::Batch, batch_slo, rate);
-        outcomes.push((rate, interactive, batch));
-        let result = CapacityResult {
-            max_rate_rps: rate,
-            p99_ttft_s: interactive.p99_ttft_s,
-            p99_tpot_s: interactive.p99_tpot_s,
-            goodput_rps: report.goodput_rps(&spec.slo),
+        // Each class is judged against its own SLO; any rejection, in
+        // either class, fails the probe.
+        let judge = |class: QosClass, slo: &SloTarget| {
+            let goodput = report.class_goodput_rps(class, slo);
+            judge_probe(&report.class_records(class), report.rejected, goodput, slo)
         };
-        (interactive_ok && batch_ok, result)
+        let (interactive_ok, interactive) = judge(QosClass::Interactive, &spec.slo);
+        let (batch_ok, batch) = judge(QosClass::Batch, batch_slo);
+        (interactive_ok && batch_ok, (interactive, batch))
     });
-    let (_, interactive, batch) = *outcomes
-        .iter()
-        .rev()
-        .find(|(rate, _, _)| *rate == capacity.max_rate_rps)
-        // Infeasible even at `min_rate`: report that probe's breakdown.
-        .unwrap_or(&outcomes[0]);
     QosCapacityResult {
-        max_rate_rps: capacity.max_rate_rps,
+        max_rate_rps,
         interactive,
         batch,
     }
@@ -873,9 +878,8 @@ where
         .map(|&acceptance_rate| {
             let speculation = SpeculationSpec::new(draft_tokens, acceptance_rate, draw_seed);
             let report = run_probe(cost, config.with_speculation(speculation), trace);
-            // The curve probes acceptance on one trace, not an arrival rate.
             let goodput = report.goodput_rps(slo);
-            let (_, tail) = judge_probe(&report.records, report.rejected, goodput, slo, 0.0);
+            let (_, tail) = judge_probe(&report.records, report.rejected, goodput, slo);
             SpeculationPoint {
                 acceptance_rate,
                 p99_ttft_s: tail.p99_ttft_s,
@@ -959,12 +963,12 @@ mod tests {
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].chunk_budget_tokens, None);
         let cost = LinearCostModel::default_70b();
-        let baseline = bracket_and_bisect(&spec, &mut |rate| {
+        let baseline = capacity_at(bracket_and_bisect(&spec, |rate| {
             let trace = mix.with_rate(rate).generate();
             let report = ServingSimulator::new(cost, config).run(&trace);
             let goodput = report.goodput_rps(&spec.slo);
-            judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
-        });
+            judge_probe(&report.records, report.rejected, goodput, &spec.slo)
+        }));
         assert_eq!(points[0].capacity, baseline);
         for point in &points {
             assert!(point.capacity.max_rate_rps >= 0.0);
@@ -1024,13 +1028,13 @@ mod tests {
             WorkloadSpec::chat(rate, spec.requests, spec.seed).generate()
         });
         let blind = LinearCostModel::default_70b();
-        let plain = bracket_and_bisect(&spec, &mut |rate| {
+        let (plain_rate, _) = bracket_and_bisect(&spec, |rate| {
             let trace = WorkloadSpec::chat(rate, spec.requests, spec.seed).generate();
             let report = ServingSimulator::new(blind, config).run(&trace);
             let goodput = report.goodput_rps(&spec.slo);
-            judge_probe(&report.records, report.rejected, goodput, &spec.slo, rate)
+            judge_probe(&report.records, report.rejected, goodput, &spec.slo)
         });
-        assert_eq!(qos.max_rate_rps, plain.max_rate_rps);
+        assert_eq!(qos.max_rate_rps, plain_rate);
     }
 
     /// Higher acceptance rates can only help: on a decode-heavy trace the
@@ -1258,6 +1262,24 @@ mod tests {
         assert!(
             !feasible_at(spec.max_rate),
             "SLO must break at saturating load"
+        );
+    }
+
+    /// Doubling a zero rate never brackets the knee, so a search that
+    /// starts there is rejected before its first probe instead of
+    /// spinning forever.
+    #[test]
+    #[should_panic(expected = "min_rate")]
+    fn a_non_positive_min_rate_is_rejected_before_any_probe() {
+        let spec = CapacitySpec {
+            min_rate: 0.0,
+            ..CapacitySpec::chat(8, 1)
+        };
+        let _ = capacity_search_warm(
+            &mut LinearCostModel::default_70b(),
+            &ServingConfig::continuous(4, 100_000),
+            &spec,
+            |_| panic!("probed a trace"),
         );
     }
 }

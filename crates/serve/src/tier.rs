@@ -231,6 +231,19 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One tier's occupancy below HBM.
+#[derive(Debug, Clone, Default)]
+struct TierState {
+    /// Demotions, oldest first, as `(hash, sequence number)`. A promotion
+    /// leaves its entry behind; the sequence number tells that stale entry
+    /// from a later re-demotion of the same hash.
+    order: VecDeque<(u64, u64)>,
+    /// Demoted prefix blocks (droppable to make swap room).
+    demoted: usize,
+    /// Swap-out reservations (live sequences — never dropped).
+    reserved: usize,
+}
+
 /// Runtime occupancy of the tiers below HBM: which demoted prefix blocks
 /// live where (keyed by the prefix hash the cache evicted them under),
 /// and how many blocks each tier holds (demoted prefixes *plus* swap-out
@@ -245,19 +258,10 @@ pub struct TierResidency {
     model: KvTierModel,
     /// Demoted block → its tier and the sequence number of its demotion.
     demoted: HashMap<u64, (TierKind, u64)>,
-    /// Demotions per tier, oldest first, as `(hash, sequence number)`. A
-    /// promotion leaves its entry behind; the sequence number tells that
-    /// stale entry from a later re-demotion of the same hash.
-    ddr_order: VecDeque<(u64, u64)>,
-    disk_order: VecDeque<(u64, u64)>,
     /// Demotions so far: the next demotion's sequence number.
     demotions: u64,
-    /// Demoted prefix blocks per tier (droppable to make swap room).
-    ddr_demoted: usize,
-    disk_demoted: usize,
-    /// Swap-out reservations per tier (live sequences — never dropped).
-    ddr_reserved: usize,
-    disk_reserved: usize,
+    /// Per-tier occupancy, indexed by [`TierKind`].
+    tiers: [TierState; 2],
 }
 
 impl TierResidency {
@@ -267,13 +271,8 @@ impl TierResidency {
         TierResidency {
             model,
             demoted: HashMap::new(),
-            ddr_order: VecDeque::new(),
-            disk_order: VecDeque::new(),
             demotions: 0,
-            ddr_demoted: 0,
-            disk_demoted: 0,
-            ddr_reserved: 0,
-            disk_reserved: 0,
+            tiers: Default::default(),
         }
     }
 
@@ -287,10 +286,8 @@ impl TierResidency {
     /// reservations).
     #[must_use]
     pub fn used_blocks(&self, tier: TierKind) -> usize {
-        match tier {
-            TierKind::Ddr => self.ddr_demoted + self.ddr_reserved,
-            TierKind::Disk => self.disk_demoted + self.disk_reserved,
-        }
+        let state = &self.tiers[tier as usize];
+        state.demoted + state.reserved
     }
 
     /// Blocks of headroom left in `tier`.
@@ -299,47 +296,30 @@ impl TierResidency {
         self.model.spec(tier).capacity_blocks - self.used_blocks(tier)
     }
 
-    fn demoted_mut(&mut self, tier: TierKind) -> &mut usize {
-        match tier {
-            TierKind::Ddr => &mut self.ddr_demoted,
-            TierKind::Disk => &mut self.disk_demoted,
-        }
-    }
-
-    fn reserved(&self, tier: TierKind) -> usize {
-        match tier {
-            TierKind::Ddr => self.ddr_reserved,
-            TierKind::Disk => self.disk_reserved,
-        }
-    }
-
     /// The tier a `blocks`-block swap reservation would land in (DDR
     /// before disk), or `None` when no tier could hold it even after
     /// dropping every demoted prefix. Side-effect free — the cost check
     /// a preemption runs before committing to the swap.
     #[must_use]
     pub fn can_reserve(&self, blocks: usize) -> Option<TierKind> {
-        [TierKind::Ddr, TierKind::Disk]
-            .into_iter()
-            .find(|&tier| self.model.spec(tier).capacity_blocks >= self.reserved(tier) + blocks)
+        [TierKind::Ddr, TierKind::Disk].into_iter().find(|&tier| {
+            self.model.spec(tier).capacity_blocks >= self.tiers[tier as usize].reserved + blocks
+        })
     }
 
     /// Drops the oldest demoted blocks from `tier` until it has at least
     /// `need` free blocks or no demoted blocks remain.
     fn make_room(&mut self, tier: TierKind, need: usize) {
         while self.free_blocks(tier) < need {
-            let order = match tier {
-                TierKind::Ddr => &mut self.ddr_order,
-                TierKind::Disk => &mut self.disk_order,
-            };
-            let Some((hash, seq)) = order.pop_front() else {
+            let state = &mut self.tiers[tier as usize];
+            let Some((hash, seq)) = state.order.pop_front() else {
                 return;
             };
             // Lazy deletion: skip entries promoted (and perhaps demoted
             // again since) after they were queued.
             if self.demoted.get(&hash) == Some(&(tier, seq)) {
                 self.demoted.remove(&hash);
-                *self.demoted_mut(tier) -= 1;
+                state.demoted -= 1;
             }
         }
     }
@@ -353,20 +333,14 @@ impl TierResidency {
         let tier = self.can_reserve(blocks)?;
         self.make_room(tier, blocks);
         debug_assert!(self.free_blocks(tier) >= blocks);
-        match tier {
-            TierKind::Ddr => self.ddr_reserved += blocks,
-            TierKind::Disk => self.disk_reserved += blocks,
-        }
+        self.tiers[tier as usize].reserved += blocks;
         Some(tier)
     }
 
     /// Releases a `blocks`-block reservation from `tier` (swap-in landed
     /// or the sequence retired).
     pub fn release(&mut self, tier: TierKind, blocks: usize) {
-        let reserved = match tier {
-            TierKind::Ddr => &mut self.ddr_reserved,
-            TierKind::Disk => &mut self.disk_reserved,
-        };
+        let reserved = &mut self.tiers[tier as usize].reserved;
         debug_assert!(*reserved >= blocks, "released more than was reserved");
         *reserved -= blocks;
     }
@@ -384,11 +358,9 @@ impl TierResidency {
                 let seq = self.demotions;
                 self.demotions += 1;
                 self.demoted.insert(hash, (tier, seq));
-                *self.demoted_mut(tier) += 1;
-                match tier {
-                    TierKind::Ddr => self.ddr_order.push_back((hash, seq)),
-                    TierKind::Disk => self.disk_order.push_back((hash, seq)),
-                }
+                let state = &mut self.tiers[tier as usize];
+                state.demoted += 1;
+                state.order.push_back((hash, seq));
                 return Some(tier);
             }
         }
@@ -406,7 +378,7 @@ impl TierResidency {
     /// `None` if the hash is not resident.
     pub fn promote(&mut self, hash: u64) -> Option<TierKind> {
         let (tier, _) = self.demoted.remove(&hash)?;
-        *self.demoted_mut(tier) -= 1;
+        self.tiers[tier as usize].demoted -= 1;
         Some(tier)
     }
 }

@@ -24,18 +24,18 @@ fn heap_tie_breaking_is_stable_across_runs() {
         // interleavings; `seq` records true scheduling order.
         if preemption_first {
             q.push(1.0, Event::Preemption { request: 9 });
-            q.push(2.0, Event::DecodeDone);
+            q.push(2.0, Event::StepDone);
             q.push(1.0, Event::Arrival { request: 0 });
             q.push(1.0, Event::Arrival { request: 1 });
             q.push(2.0, Event::Arrival { request: 2 });
-            q.push(1.0, Event::PrefillDone);
+            q.push(1.0, Event::StepDone);
         } else {
             q.push(1.0, Event::Arrival { request: 0 });
-            q.push(1.0, Event::PrefillDone);
+            q.push(1.0, Event::StepDone);
             q.push(2.0, Event::Arrival { request: 2 });
             q.push(1.0, Event::Preemption { request: 9 });
             q.push(1.0, Event::Arrival { request: 1 });
-            q.push(2.0, Event::DecodeDone);
+            q.push(2.0, Event::StepDone);
         }
         std::iter::from_fn(|| q.pop())
             .map(|s| (s.at_s, u64::from(s.event.rank())))

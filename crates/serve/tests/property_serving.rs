@@ -234,19 +234,19 @@ proptest! {
     }
 
     /// Invariant 5 at the allocator level, against a shadow reference-count
-    /// model driven by a random op stream: alloc/fork/free/cow always agree
+    /// model driven by a random op stream: alloc/fork/free always agree
     /// with the model, a block is never handed out twice concurrently, and
     /// releasing every outstanding reference drains the pool to zero.
     #[test]
     fn allocator_matches_a_shadow_refcount_model(
-        ops in proptest::collection::vec(0u8..4, 1..120),
+        ops in proptest::collection::vec(0u8..3, 1..120),
         total_blocks in 1usize..24,
     ) {
         let mut pool = BlockAllocator::new(4, total_blocks);
         // Outstanding references the "application" holds, as a multiset.
         let mut held: Vec<usize> = Vec::new();
         for (step, op) in ops.iter().enumerate() {
-            match op % 4 {
+            match op {
                 0 => {
                     if let Some(block) = pool.alloc() {
                         prop_assert_eq!(pool.ref_count(block), 1);
@@ -263,13 +263,6 @@ proptest! {
                 2 if !held.is_empty() => {
                     let block = held.swap_remove(step % held.len());
                     pool.free(block);
-                }
-                3 if !held.is_empty() => {
-                    let i = step % held.len();
-                    if let Some(block) = pool.cow(held[i]) {
-                        held[i] = block;
-                        prop_assert!(pool.ref_count(block) >= 1);
-                    }
                 }
                 _ => {}
             }
