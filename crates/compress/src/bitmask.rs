@@ -16,7 +16,7 @@
 /// m.set(1, true);
 /// m.set(5, true);
 /// assert_eq!(m.popcount(), 2);
-/// assert_eq!(m.expansion_indices(), vec![None, Some(0), None, None, None, Some(1), None, None]);
+/// assert_eq!(m.prefix_sums(), vec![0, 0, 1, 1, 1, 1, 2, 2, 2]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmask {
@@ -100,56 +100,14 @@ impl Bitmask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of set bits in the half-open range `[start, end)`.
-    ///
-    /// This is what DECA's per-window POPCNT computes to find the size of a
-    /// vOp's window in the sparse quantized queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed.
-    #[must_use]
-    pub fn popcount_range(&self, start: usize, end: usize) -> usize {
-        assert!(
-            start <= end && end <= self.len,
-            "invalid range {start}..{end}"
-        );
-        (start..end).filter(|&i| self.get(i)).count()
-    }
-
-    /// Densities of set bits per fixed-size window, used to characterize
-    /// bubble behaviour of the DECA pipeline.
-    #[must_use]
-    pub fn window_popcounts(&self, window: usize) -> Vec<usize> {
-        assert!(window > 0, "window size must be positive");
-        (0..self.len)
-            .step_by(window)
-            .map(|start| self.popcount_range(start, (start + window).min(self.len)))
-            .collect()
-    }
-
-    /// For every dense position, the index into the contiguous nonzero array
-    /// (`Some(k)` for the k-th nonzero, `None` for a zero). This is the
-    /// output of the parallel prefix sum that controls the expansion
-    /// crossbar.
-    #[must_use]
-    pub fn expansion_indices(&self) -> Vec<Option<usize>> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut running = 0usize;
-        for i in 0..self.len {
-            if self.get(i) {
-                out.push(Some(running));
-                running += 1;
-            } else {
-                out.push(None);
-            }
-        }
-        out
-    }
-
     /// Exclusive prefix sum of set bits: entry `i` is the number of nonzeros
     /// strictly before position `i`. Length is `len + 1`; the final entry is
     /// the total popcount.
+    ///
+    /// This is the output of the parallel prefix sum that controls the
+    /// expansion crossbar: a set position `i` takes the `sums[i]`-th value of
+    /// the contiguous nonzero array, and `sums[end] - sums[start]` is the
+    /// POPCNT of a vOp's window `[start, end)`.
     #[must_use]
     pub fn prefix_sums(&self) -> Vec<usize> {
         let mut sums = Vec::with_capacity(self.len + 1);
@@ -164,12 +122,6 @@ impl Bitmask {
         sums
     }
 
-    /// Positions of the set bits in ascending order.
-    #[must_use]
-    pub fn nonzero_positions(&self) -> Vec<usize> {
-        (0..self.len).filter(|&i| self.get(i)).collect()
-    }
-
     /// The backing 64-bit words, LSB-first (bit `i` of the mask is bit
     /// `i % 64` of word `i / 64`). Bits past `len` are always zero.
     ///
@@ -180,54 +132,10 @@ impl Bitmask {
         &self.words
     }
 
-    /// Serializes the mask into bytes, LSB-first, exactly as it is stored in
-    /// memory (`len/8` bytes, rounded up).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n_bytes = self.len.div_ceil(8);
-        let mut bytes = vec![0u8; n_bytes];
-        for i in 0..self.len {
-            if self.get(i) {
-                bytes[i / 8] |= 1 << (i % 8);
-            }
-        }
-        bytes
-    }
-
-    /// Reconstructs a mask of `len` bits from its byte serialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is too short for `len` bits.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8], len: usize) -> Self {
-        assert!(
-            bytes.len() * 8 >= len,
-            "byte buffer too short for {len} bits"
-        );
-        let mut mask = Bitmask::new(len);
-        for i in 0..len {
-            if (bytes[i / 8] >> (i % 8)) & 1 == 1 {
-                mask.set(i, true);
-            }
-        }
-        mask
-    }
-
     /// The storage footprint of this bitmask in bytes.
     #[must_use]
     pub fn byte_size(&self) -> usize {
         self.len.div_ceil(8)
-    }
-
-    /// Fraction of set bits.
-    #[must_use]
-    pub fn density(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.popcount() as f64 / self.len as f64
-        }
     }
 }
 
@@ -276,33 +184,33 @@ mod tests {
     #[test]
     fn popcount_range_counts_correctly() {
         let m = sample_mask();
+        let sums = m.prefix_sums();
         // Bits 0,3,6,... every third bit set.
-        assert_eq!(m.popcount_range(0, 9), 3);
-        assert_eq!(m.popcount_range(1, 3), 0);
-        assert_eq!(m.popcount_range(0, 512), m.popcount());
+        assert_eq!(sums[9] - sums[0], 3);
+        assert_eq!(sums[3] - sums[1], 0);
+        assert_eq!(sums[512], m.popcount());
         assert_eq!(m.popcount(), 171);
     }
 
     #[test]
     fn window_popcounts_cover_whole_mask() {
-        let m = sample_mask();
-        let windows = m.window_popcounts(32);
-        assert_eq!(windows.len(), 16);
-        assert_eq!(windows.iter().sum::<usize>(), m.popcount());
+        // The W=32 vOp windows of every-third-bit: offsets 0, 32 and 64 set
+        // 11, 11 and 10 bits, and the pattern repeats.
+        let sums = sample_mask().prefix_sums();
+        let windows: Vec<usize> = (0..16).map(|w| sums[32 * (w + 1)] - sums[32 * w]).collect();
+        assert_eq!(&windows[..3], &[11, 11, 10]);
+        assert_eq!(windows.iter().sum::<usize>(), 171);
     }
 
     #[test]
     fn expansion_indices_are_consistent_with_prefix_sums() {
         let m = sample_mask();
-        let idx = m.expansion_indices();
         let sums = m.prefix_sums();
-        assert_eq!(idx.len(), 512);
         assert_eq!(sums.len(), 513);
-        for (i, entry) in idx.iter().enumerate() {
-            match entry {
-                Some(k) => assert_eq!(*k, sums[i], "position {i}"),
-                None => assert_eq!(sums[i + 1], sums[i], "position {i}"),
-            }
+        let mut running = 0;
+        for (i, sum) in sums.iter().take(512).enumerate() {
+            assert_eq!(*sum, running, "position {i}");
+            running += usize::from(m.get(i));
         }
         assert_eq!(sums[512], m.popcount());
     }
@@ -311,18 +219,9 @@ mod tests {
     fn nonzero_positions_match_predicate_construction() {
         let values = [0.0f32, 1.0, 0.0, -2.0, 3.0, 0.0];
         let m = Bitmask::from_predicate(&values, |v| *v != 0.0);
-        assert_eq!(m.nonzero_positions(), vec![1, 3, 4]);
-        assert_eq!(m.density(), 0.5);
-    }
-
-    #[test]
-    fn byte_serialization_roundtrip() {
-        let m = sample_mask();
-        let bytes = m.to_bytes();
-        assert_eq!(bytes.len(), 64);
-        assert_eq!(m.byte_size(), 64);
-        let back = Bitmask::from_bytes(&bytes, 512);
-        assert_eq!(back, m);
+        let positions: Vec<usize> = (0..m.len()).filter(|&i| m.get(i)).collect();
+        assert_eq!(positions, vec![1, 3, 4]);
+        assert_eq!(m.len(), 6);
     }
 
     #[test]
@@ -330,8 +229,8 @@ mod tests {
         let mut m = Bitmask::new(16);
         m.set(0, true);
         m.set(9, true);
-        let bytes = m.to_bytes();
-        assert_eq!(bytes, vec![0b0000_0001, 0b0000_0010]);
+        assert_eq!(m.words(), &[0b10_0000_0001]);
+        assert_eq!(m.byte_size(), 2);
     }
 
     #[test]
@@ -341,7 +240,7 @@ mod tests {
             m.set(i, i % 7 == 0);
         }
         assert_eq!(m.popcount(), (0..100).filter(|i| i % 7 == 0).count());
-        let back = Bitmask::from_bytes(&m.to_bytes(), 100);
-        assert_eq!(back, m);
+        assert_eq!(m.words().len(), 2);
+        assert_eq!(m.byte_size(), 13);
     }
 }

@@ -123,14 +123,14 @@ impl Compressor {
             Some(s) => value / s.value(),
             None => value,
         };
+        let int_code = |codec: IntCodec| {
+            let max = codec.max_code() as f32;
+            u16::from(codec.to_storage(scaled.round().clamp(-max, max) as i8))
+        };
         match self.scheme.format() {
             QuantFormat::Bf16 => Bf16::from_f32(scaled).to_bits(),
-            QuantFormat::Int8 => {
-                u16::from(IntCodec::int8().to_storage((scaled.round().clamp(-127.0, 127.0)) as i8))
-            }
-            QuantFormat::Int4 => {
-                u16::from(IntCodec::int4().to_storage((scaled.round().clamp(-7.0, 7.0)) as i8))
-            }
+            QuantFormat::Int8 => int_code(IntCodec::int8()),
+            QuantFormat::Int4 => int_code(IntCodec::int4()),
             _ => {
                 let mf = self
                     .minifloat
@@ -332,7 +332,8 @@ mod tests {
         let ct = Compressor::new(scheme)
             .compress_tile(&tile)
             .expect("compress");
-        let codes = ct.unpack_nonzeros();
+        let mut codes = Vec::new();
+        ct.unpack_nonzeros_into(&mut codes);
         assert_eq!(codes.len(), 2);
         assert_eq!(Bf16::from_bits(codes[0]).to_f32(), 1.0);
         assert_eq!(Bf16::from_bits(codes[1]).to_f32(), -2.0);

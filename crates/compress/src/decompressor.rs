@@ -140,10 +140,9 @@ mod tests {
             .decompress_tile(&compressed)
             .expect("decompress");
         for row_group in 0..TILE_ROWS {
-            let group_max = tile
-                .row(row_group)
-                .iter()
-                .fold(0f32, |acc, v| acc.max(v.to_f32().abs()));
+            let group_max = (0..TILE_COLS)
+                .map(|c| tile.get(row_group, c).to_f32().abs())
+                .fold(0f32, f32::max);
             for c in 0..TILE_COLS {
                 let orig = tile.get(row_group, c).to_f32();
                 let back = restored.get(row_group, c).to_f32();

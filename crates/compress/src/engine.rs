@@ -143,16 +143,6 @@ impl FormatLuts {
             lut_slot(format).unwrap_or_else(|| panic!("no dequantization LUT for format {format}"));
         Some(&self.tables[slot])
     }
-
-    /// Dequantizes one code of `format` (BF16 codes pass through as raw bit
-    /// patterns), exactly as the reference decompressor does.
-    #[must_use]
-    pub fn dequantize(&self, format: QuantFormat, code: u16) -> Bf16 {
-        match self.table(format) {
-            None => Bf16::from_bits(code),
-            Some(table) => table.lookup(code as u8),
-        }
-    }
 }
 
 impl Default for FormatLuts {
@@ -1260,11 +1250,6 @@ mod tests {
             assert_eq!(table.entries(), direct.entries());
         }
         assert!(luts.table(QuantFormat::Bf16).is_none());
-        assert_eq!(
-            luts.dequantize(QuantFormat::Bf16, Bf16::ONE.to_bits())
-                .to_f32(),
-            1.0
-        );
     }
 
     #[test]

@@ -14,37 +14,21 @@ use rand::{Rng, SeedableRng};
 
 use crate::WeightMatrix;
 
-/// How nonzero positions are chosen when generating a sparse matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparsityPattern {
-    /// Every element is independently nonzero with probability `density`
-    /// (the paper's uniform unstructured-sparsity assumption).
-    #[default]
-    Bernoulli,
-    /// Exactly `round(density · n)` nonzeros per 512-element tile-sized
-    /// block, at uniformly random positions (what magnitude pruning with a
-    /// per-block budget produces).
-    ExactPerBlock,
-}
-
 /// Deterministic, seedable generator of synthetic weight matrices.
 #[derive(Debug, Clone)]
 pub struct WeightGenerator {
     seed: u64,
     std_dev: f64,
-    pattern: SparsityPattern,
 }
 
 impl WeightGenerator {
-    /// Creates a generator with the given seed, a weight standard deviation
-    /// of 0.02 (typical of trained transformer FC layers) and Bernoulli
-    /// sparsity.
+    /// Creates a generator with the given seed and a weight standard
+    /// deviation of 0.02 (typical of trained transformer FC layers).
     #[must_use]
     pub fn new(seed: u64) -> Self {
         WeightGenerator {
             seed,
             std_dev: 0.02,
-            pattern: SparsityPattern::Bernoulli,
         }
     }
 
@@ -52,13 +36,6 @@ impl WeightGenerator {
     #[must_use]
     pub fn with_std_dev(mut self, std_dev: f64) -> Self {
         self.std_dev = std_dev;
-        self
-    }
-
-    /// Sets the sparsity pattern.
-    #[must_use]
-    pub fn with_pattern(mut self, pattern: SparsityPattern) -> Self {
-        self.pattern = pattern;
         self
     }
 
@@ -91,7 +68,9 @@ impl WeightGenerator {
         m
     }
 
-    /// Generates a sparse matrix with the requested density of nonzeros.
+    /// Generates a sparse matrix with the requested density of nonzeros:
+    /// every element is independently nonzero with probability `density`
+    /// (the paper's uniform unstructured-sparsity assumption).
     ///
     /// # Panics
     ///
@@ -104,44 +83,14 @@ impl WeightGenerator {
         );
         let mut rng = self.rng(0x5BA5);
         let mut m = WeightMatrix::zeros(rows, cols);
-        match self.pattern {
-            SparsityPattern::Bernoulli => {
-                let bern =
-                    rand::distributions::Bernoulli::new(density).expect("density validated above");
-                for v in m.data_mut() {
-                    if bern.sample(&mut rng) {
-                        let mut x = Self::sample_normalish(&mut rng, self.std_dev);
-                        if x == 0.0 {
-                            x = self.std_dev as f32 * 0.1;
-                        }
-                        *v = x;
-                    }
+        let bern = rand::distributions::Bernoulli::new(density).expect("density validated above");
+        for v in m.data_mut() {
+            if bern.sample(&mut rng) {
+                let mut x = Self::sample_normalish(&mut rng, self.std_dev);
+                if x == 0.0 {
+                    x = self.std_dev as f32 * 0.1;
                 }
-            }
-            SparsityPattern::ExactPerBlock => {
-                let std_dev = self.std_dev;
-                let data = m.data_mut();
-                let block = crate::TILE_ELEMS;
-                let mut start = 0;
-                while start < data.len() {
-                    let end = (start + block).min(data.len());
-                    let len = end - start;
-                    let k = ((len as f64) * density).round() as usize;
-                    // Choose k distinct positions via partial Fisher–Yates.
-                    let mut positions: Vec<usize> = (0..len).collect();
-                    for i in 0..k.min(len) {
-                        let j = rng.gen_range(i..len);
-                        positions.swap(i, j);
-                    }
-                    for &p in positions.iter().take(k.min(len)) {
-                        let mut x = Self::sample_normalish(&mut rng, std_dev);
-                        if x == 0.0 {
-                            x = std_dev as f32 * 0.1;
-                        }
-                        data[start + p] = x;
-                    }
-                    start = end;
-                }
+                *v = x;
             }
         }
         m
@@ -169,14 +118,6 @@ mod tests {
         let m = g.sparse_matrix(128, 128, 0.3);
         let d = m.density();
         assert!((d - 0.3).abs() < 0.05, "measured density {d}");
-    }
-
-    #[test]
-    fn exact_per_block_density_is_exact() {
-        let g = WeightGenerator::new(2).with_pattern(SparsityPattern::ExactPerBlock);
-        let m = g.sparse_matrix(16, 32 * 4, 0.25); // 4 tile-sized blocks
-        let d = m.density();
-        assert!((d - 0.25).abs() < 1e-9, "measured density {d}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use engine::{
 pub use error::CompressError;
 pub use matrix::{CompressedMatrix, WeightMatrix};
 pub use scheme::{CompressionScheme, SchemeSet};
-pub use tile::{pack_codes, unpack_codes, unpack_codes_into, CompressedTile, DenseTile, TileShape};
+pub use tile::{pack_codes, unpack_codes_into, CompressedTile, DenseTile};
 
 /// Rows in an AMX weight tile (§2.3).
 pub const TILE_ROWS: usize = 16;

@@ -130,12 +130,6 @@ impl CompressionScheme {
         self.density
     }
 
-    /// Sparsity (`1 - density`).
-    #[must_use]
-    pub fn sparsity(&self) -> f64 {
-        1.0 - self.density
-    }
-
     /// True if the scheme prunes weights (density < 100 %) and therefore
     /// needs a bitmask and an expansion step.
     #[must_use]
@@ -208,23 +202,6 @@ impl CompressionScheme {
     #[must_use]
     pub fn aix_m(&self) -> f64 {
         1.0 / self.expected_tile_bytes()
-    }
-
-    /// Exact compression factor versus the dense BF16 tile, using the full
-    /// byte accounting (nonzeros + bitmask + scales).
-    #[must_use]
-    pub fn compression_factor(&self) -> f64 {
-        crate::TILE_BYTES_BF16 as f64 / self.expected_tile_bytes()
-    }
-
-    /// The simplified compression-factor formula quoted in §2.2:
-    /// `16 / (Q·d + 1)`, where the `+1` is the bitmask bit.
-    ///
-    /// For dense schemes the bitmask term is dropped.
-    #[must_use]
-    pub fn compression_factor_paper(&self) -> f64 {
-        let bitmask_bit = if self.is_sparse() { 1.0 } else { 0.0 };
-        16.0 / (f64::from(self.format.bits()) * self.density + bitmask_bit)
     }
 
     /// The traditional FLOP-per-byte arithmetic intensity of a compressed
@@ -310,6 +287,12 @@ mod tests {
         (a - b).abs() <= tol
     }
 
+    /// Compression factor versus the dense BF16 tile, from the full byte
+    /// accounting (nonzeros + bitmask + scales).
+    fn factor(s: &CompressionScheme) -> f64 {
+        crate::TILE_BYTES_BF16 as f64 / s.expected_tile_bytes()
+    }
+
     #[test]
     fn byte_accounting_matches_paper_examples() {
         // Dense BF16: 1024 bytes, no bitmask, no scales.
@@ -360,23 +343,21 @@ mod tests {
 
     #[test]
     fn compression_factor_paper_formula() {
-        // §2.2: 16/(Q·d + 1). Q8 at 10 % density: 16/1.8 = 8.89.
+        // §2.2: 16/(Q·d + 1), the +1 being the bitmask bit; without group
+        // scales the exact accounting reduces to it. Q8 at 10 % density:
+        // 16/1.8 = 8.89.
         let s = CompressionScheme::bf8_sparse(0.1);
-        assert!(close(s.compression_factor_paper(), 16.0 / 1.8, 1e-9));
-        // Dense Q8: 16/8 = 2.
-        assert!(close(
-            CompressionScheme::bf8_dense().compression_factor_paper(),
-            2.0,
-            1e-9
-        ));
+        assert!(close(factor(&s), 16.0 / 1.8, 1e-9));
+        // Dense Q8 has no bitmask: 16/8 = 2.
+        assert!(close(factor(&CompressionScheme::bf8_dense()), 2.0, 1e-9));
     }
 
     #[test]
     fn exact_compression_factor_uses_full_accounting() {
         let s = CompressionScheme::mxfp4();
-        assert!(close(s.compression_factor(), 1024.0 / 272.0, 1e-9));
+        assert!(close(factor(&s), 1024.0 / 272.0, 1e-9));
         let dense = CompressionScheme::bf16_dense();
-        assert!(close(dense.compression_factor(), 1.0, 1e-9));
+        assert!(close(factor(&dense), 1.0, 1e-9));
     }
 
     #[test]
@@ -399,12 +380,12 @@ mod tests {
         assert_eq!(schemes.len(), 12);
         for pair in schemes.windows(2) {
             assert!(
-                pair[0].compression_factor() <= pair[1].compression_factor() + 1e-9,
+                factor(&pair[0]) <= factor(&pair[1]) + 1e-9,
                 "{} ({}) should not exceed {} ({})",
                 pair[0],
-                pair[0].compression_factor(),
+                factor(&pair[0]),
                 pair[1],
-                pair[1].compression_factor()
+                factor(&pair[1])
             );
         }
     }

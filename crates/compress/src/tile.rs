@@ -10,29 +10,6 @@ use deca_numerics::{mx::ScaleE8M0, Bf16};
 
 use crate::{Bitmask, CompressError, CompressionScheme, TILE_COLS, TILE_ELEMS, TILE_ROWS};
 
-/// The logical shape of an AMX weight tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileShape {
-    /// Number of rows (up to 16).
-    pub rows: usize,
-    /// Number of BF16 columns per row (up to 32).
-    pub cols: usize,
-}
-
-impl TileShape {
-    /// The full AMX weight-tile shape (16×32).
-    pub const FULL: TileShape = TileShape {
-        rows: TILE_ROWS,
-        cols: TILE_COLS,
-    };
-
-    /// Elements in this shape.
-    #[must_use]
-    pub fn elems(&self) -> usize {
-        self.rows * self.cols
-    }
-}
-
 /// A dense 16×32 BF16 weight tile, laid out row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseTile {
@@ -48,21 +25,6 @@ impl DenseTile {
         }
     }
 
-    /// Builds a tile from exactly 512 BF16 values in row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not contain exactly 512 elements.
-    #[must_use]
-    pub fn from_values(values: Vec<Bf16>) -> Self {
-        assert_eq!(
-            values.len(),
-            TILE_ELEMS,
-            "a dense tile holds exactly {TILE_ELEMS} elements"
-        );
-        DenseTile { data: values }
-    }
-
     /// Builds a tile from f32 values (converted to BF16).
     ///
     /// # Panics
@@ -70,7 +32,11 @@ impl DenseTile {
     /// Panics if `values` does not contain exactly 512 elements.
     #[must_use]
     pub fn from_f32(values: &[f32]) -> Self {
-        assert_eq!(values.len(), TILE_ELEMS);
+        assert_eq!(
+            values.len(),
+            TILE_ELEMS,
+            "a dense tile holds exactly {TILE_ELEMS} elements"
+        );
         DenseTile {
             data: values.iter().map(|v| Bf16::from_f32(*v)).collect(),
         }
@@ -116,33 +82,10 @@ impl DenseTile {
         self.data.fill(Bf16::ZERO);
     }
 
-    /// One 32-element row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= 16`.
-    #[must_use]
-    pub fn row(&self, row: usize) -> &[Bf16] {
-        assert!(row < TILE_ROWS);
-        &self.data[row * TILE_COLS..(row + 1) * TILE_COLS]
-    }
-
     /// Number of nonzero elements.
     #[must_use]
     pub fn nonzero_count(&self) -> usize {
         self.data.iter().filter(|v| !v.is_zero()).count()
-    }
-
-    /// Fraction of nonzero elements.
-    #[must_use]
-    pub fn density(&self) -> f64 {
-        self.nonzero_count() as f64 / TILE_ELEMS as f64
-    }
-
-    /// The dense memory footprint of the tile (always 1 KB).
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        crate::TILE_BYTES_BF16
     }
 }
 
@@ -192,23 +135,11 @@ fn pack_bits(codes: &[u16], bits: u32) -> Vec<u8> {
 }
 
 /// Unpacks `count` codes of `bits` bits each from a byte buffer packed with
-/// [`pack_codes`].
-///
-/// # Panics
-///
-/// Panics if the buffer is too short.
-#[must_use]
-pub fn unpack_codes(bytes: &[u8], bits: u32, count: usize) -> Vec<u16> {
-    let mut out = Vec::new();
-    unpack_codes_into(bytes, bits, count, &mut out);
-    out
-}
-
-/// Unpacks `count` codes of `bits` bits each into a caller-provided buffer,
-/// clearing it first — the non-allocating variant of [`unpack_codes`] that
-/// the streaming decompression engines reuse across tiles. Byte-aligned
-/// widths (16, 8 and 4 bits — every format the paper evaluates) take a
-/// direct byte path; other widths fall back to the bit-serial loop.
+/// [`pack_codes`] into a caller-provided buffer, clearing it first, so the
+/// streaming decompression engines reuse one buffer across tiles.
+/// Byte-aligned widths (16, 8 and 4 bits — every format the paper
+/// evaluates) take a direct byte path; other widths fall back to the
+/// bit-serial loop.
 ///
 /// # Panics
 ///
@@ -394,21 +325,9 @@ impl CompressedTile {
     }
 
     /// Unpacks the nonzero codes into 16-bit values (BF16 bits for Q16
-    /// schemes, narrow codes otherwise).
-    #[must_use]
-    pub fn unpack_nonzeros(&self) -> Vec<u16> {
-        unpack_codes(
-            &self.nonzero_bytes,
-            self.scheme.element_bits(),
-            self.nonzero_count,
-        )
-    }
-
-    /// Unpacks the nonzero codes into a caller-provided buffer (cleared
-    /// first) — the non-allocating variant of [`unpack_nonzeros`] used by
-    /// the streaming decompression engines and the vOp pipeline hot loop.
-    ///
-    /// [`unpack_nonzeros`]: CompressedTile::unpack_nonzeros
+    /// schemes, narrow codes otherwise) in a caller-provided buffer, cleared
+    /// first, as the streaming decompression engines and the vOp pipeline
+    /// hot loop do.
     pub fn unpack_nonzeros_into(&self, out: &mut Vec<u16>) {
         unpack_codes_into(
             &self.nonzero_bytes,
@@ -462,12 +381,6 @@ impl CompressedTile {
     pub fn density(&self) -> f64 {
         self.nonzero_count as f64 / TILE_ELEMS as f64
     }
-
-    /// The compression factor actually achieved by this tile.
-    #[must_use]
-    pub fn compression_factor(&self) -> f64 {
-        crate::TILE_BYTES_BF16 as f64 / self.byte_size() as f64
-    }
 }
 
 #[cfg(test)]
@@ -478,12 +391,10 @@ mod tests {
     fn dense_tile_basics() {
         let mut t = DenseTile::zero();
         assert_eq!(t.nonzero_count(), 0);
-        assert_eq!(t.byte_size(), 1024);
         t.set(3, 17, Bf16::from_f32(2.5));
         assert_eq!(t.get(3, 17).to_f32(), 2.5);
         assert_eq!(t.nonzero_count(), 1);
-        assert_eq!(t.row(3)[17].to_f32(), 2.5);
-        assert!((t.density() - 1.0 / 512.0).abs() < 1e-12);
+        assert_eq!(t.elements()[3 * TILE_COLS + 17].to_f32(), 2.5);
     }
 
     #[test]
@@ -498,12 +409,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly")]
     fn dense_tile_wrong_length_panics() {
-        let _ = DenseTile::from_values(vec![Bf16::ZERO; 100]);
-    }
-
-    #[test]
-    fn tile_shape_full() {
-        assert_eq!(TileShape::FULL.elems(), 512);
+        let _ = DenseTile::from_f32(&[0.0; 100]);
     }
 
     #[test]
@@ -519,7 +425,8 @@ mod tests {
                 let packed = pack_codes(&codes, bits);
                 assert_eq!(packed, pack_bits(&codes, bits), "bit width {bits}");
                 assert_eq!(packed.len(), (codes.len() * bits as usize).div_ceil(8));
-                let unpacked = unpack_codes(&packed, bits, codes.len());
+                let mut unpacked = Vec::new();
+                unpack_codes_into(&packed, bits, codes.len(), &mut unpacked);
                 let expected: Vec<u16> = codes.iter().map(|code| code & max).collect();
                 assert_eq!(unpacked, expected, "bit width {bits}");
             }
@@ -552,13 +459,13 @@ mod tests {
         assert_eq!(t.payload_bytes(), 128);
         assert_eq!(t.byte_size(), 128 + 64);
         assert!((t.density() - 0.25).abs() < 1e-12);
-        assert!((t.compression_factor() - 1024.0 / 192.0).abs() < 1e-12);
     }
 
     #[test]
     fn compressed_tile_unpacks_codes() {
         let t = sample_sparse_tile();
-        let codes = t.unpack_nonzeros();
+        let mut codes = Vec::new();
+        t.unpack_nonzeros_into(&mut codes);
         assert_eq!(codes.len(), 128);
         assert_eq!(codes[5], 5);
     }

@@ -2,12 +2,14 @@
 //!
 //! These exercise the core invariants the rest of the system relies on:
 //! bit-exact container round-trips, preservation of the sparsity pattern,
-//! and bounded quantization error.
+//! and bounded quantization error, including the MXFP4 group quantizer's
+//! shared E8M0 scales.
 
 use deca_compress::{
-    generator::WeightGenerator, Bitmask, CompressionScheme, Compressor, Decompressor, DenseTile,
-    TILE_COLS, TILE_ELEMS, TILE_ROWS,
+    generator::WeightGenerator, Bitmask, CompressedTile, CompressionScheme, Compressor,
+    Decompressor, DenseTile, TILE_COLS, TILE_ELEMS, TILE_ROWS,
 };
+use deca_numerics::mx::MX_GROUP_SIZE;
 use proptest::prelude::*;
 
 fn tile_from_sparse_values(values: &[f32]) -> DenseTile {
@@ -15,24 +17,22 @@ fn tile_from_sparse_values(values: &[f32]) -> DenseTile {
     DenseTile::from_f32(values)
 }
 
+/// Compresses one tile of `values` as MXFP4 and decompresses it again,
+/// returning the BF16 input tile, the compressed tile and the restored tile.
+fn mxfp4_roundtrip(values: &[f32]) -> (DenseTile, CompressedTile, DenseTile) {
+    let tile = tile_from_sparse_values(values);
+    let compressed = Compressor::new(CompressionScheme::mxfp4())
+        .compress_tile(&tile)
+        .unwrap();
+    let restored = Decompressor::new().decompress_tile(&compressed).unwrap();
+    (tile, compressed, restored)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bitmask byte serialization round-trips for arbitrary patterns and
-    /// lengths.
-    #[test]
-    fn bitmask_bytes_roundtrip(bits in proptest::collection::vec(any::<bool>(), 1..600)) {
-        let mut mask = Bitmask::new(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            mask.set(i, *b);
-        }
-        let bytes = mask.to_bytes();
-        let back = Bitmask::from_bytes(&bytes, bits.len());
-        prop_assert_eq!(&back, &mask);
-        prop_assert_eq!(back.popcount(), bits.iter().filter(|b| **b).count());
-    }
-
-    /// The exclusive prefix sums and expansion indices of any bitmask agree.
+    /// The exclusive prefix sums of any bitmask count the set bits before
+    /// each position.
     #[test]
     fn bitmask_prefix_sums_are_consistent(bits in proptest::collection::vec(any::<bool>(), 1..600)) {
         let mut mask = Bitmask::new(bits.len());
@@ -40,18 +40,11 @@ proptest! {
             mask.set(i, *b);
         }
         let sums = mask.prefix_sums();
-        let idx = mask.expansion_indices();
         prop_assert_eq!(sums.len(), bits.len() + 1);
-        for (i, entry) in idx.iter().enumerate() {
-            if let Some(k) = entry {
-                prop_assert_eq!(*k, sums[i]);
-            } else {
-                prop_assert_eq!(sums[i + 1], sums[i]);
-            }
+        for (i, b) in bits.iter().enumerate() {
+            prop_assert_eq!(sums[i + 1], sums[i] + usize::from(*b));
         }
-        // Windows of any size partition the popcount.
-        let total: usize = mask.window_popcounts(7).iter().sum();
-        prop_assert_eq!(total, mask.popcount());
+        prop_assert_eq!(sums[bits.len()], mask.popcount());
     }
 
     /// The zero/nonzero pattern of a tile survives any sparse compression
@@ -128,6 +121,26 @@ proptest! {
         }
     }
 
+    /// MXFP4 keeps the absolute error of every element below a quarter of
+    /// its group's maximum and never flips a sign to the opposite nonzero
+    /// sign.
+    #[test]
+    fn mx_error_bound(values in proptest::collection::vec(-100.0f32..100.0, TILE_ELEMS)) {
+        let (tile, _, restored) = mxfp4_roundtrip(&values);
+        let groups = tile.elements().chunks(MX_GROUP_SIZE);
+        for (group, back) in groups.zip(restored.elements().chunks(MX_GROUP_SIZE)) {
+            let max_abs = group.iter().fold(0f32, |m, v| m.max(v.to_f32().abs()));
+            for (v, b) in group.iter().zip(back) {
+                let (v, b) = (v.to_f32(), b.to_f32());
+                prop_assert!((v - b).abs() <= 0.26 * max_abs + 1e-6,
+                    "{} -> {} (group max {})", v, b, max_abs);
+                if b != 0.0 {
+                    prop_assert!(v.signum() == b.signum(), "sign flip: {} -> {}", v, b);
+                }
+            }
+        }
+    }
+
     /// The compressed byte size of any tile matches the scheme's analytic
     /// expectation when the tile's density equals the scheme density.
     #[test]
@@ -177,4 +190,42 @@ proptest! {
         let restored = Decompressor::new().decompress_tile(&compressed).unwrap();
         prop_assert_eq!(restored.get(row, col).to_f32(), 1.5);
     }
+}
+
+/// An all-zero MXFP4 group decodes to exact zeros, whatever its neighbours
+/// hold.
+#[test]
+fn mxfp4_zero_groups_stay_zero() {
+    let half = TILE_ELEMS / 2;
+    let mut values = vec![0.0f32; TILE_ELEMS];
+    values[half..].fill(0.5);
+    let (_, _, restored) = mxfp4_roundtrip(&values);
+    let (zeros, rest) = restored.elements().split_at(half);
+    assert!(zeros.iter().all(|v| v.to_f32() == 0.0));
+    assert!(rest.iter().all(|v| v.to_f32() == 0.5));
+    let (_, _, all_zero) = mxfp4_roundtrip(&[0.0; TILE_ELEMS]);
+    assert_eq!(all_zero.nonzero_count(), 0);
+}
+
+/// Each MXFP4 group gets its own scale: a group of tiny weights next to a
+/// group of huge ones is not flattened to zero.
+#[test]
+fn mxfp4_group_scales_are_independent() {
+    let mut values = vec![1000.0f32; TILE_ELEMS];
+    values[..MX_GROUP_SIZE].fill(0.001);
+    let (_, compressed, restored) = mxfp4_roundtrip(&values);
+    assert!(compressed.scales()[0].value() < compressed.scales()[1].value());
+    assert!(restored.elements()[..MX_GROUP_SIZE]
+        .iter()
+        .all(|v| v.to_f32() > 0.0));
+}
+
+/// Values that E2M1 represents exactly under a unit group scale survive the
+/// MXFP4 round trip unchanged.
+#[test]
+fn mxfp4_exact_values_survive_roundtrip() {
+    let exact = [6.0f32, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -6.0, -0.5];
+    let values: Vec<f32> = exact.iter().copied().cycle().take(TILE_ELEMS).collect();
+    let (tile, _, restored) = mxfp4_roundtrip(&values);
+    assert_eq!(restored, tile);
 }

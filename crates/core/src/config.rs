@@ -58,35 +58,15 @@ impl DecaConfig {
         }
     }
 
-    /// Builds a configuration with a custom `{W, L}` sizing and baseline
-    /// queue parameters.
+    /// The analytic vOp model corresponding to this sizing.
     ///
     /// # Panics
     ///
     /// Panics if `w` does not divide the 512-element tile or either
     /// parameter is zero (delegated to [`DecaVopModel::new`]).
     #[must_use]
-    pub fn with_sizing(w: usize, l: usize) -> Self {
-        // Validate through the analytic model so the constraints stay in one
-        // place.
-        let _ = DecaVopModel::new(w, l);
-        DecaConfig {
-            w,
-            l,
-            ..DecaConfig::baseline()
-        }
-    }
-
-    /// The analytic vOp model corresponding to this sizing.
-    #[must_use]
     pub fn vop_model(&self) -> DecaVopModel {
         DecaVopModel::new(self.w, self.l)
-    }
-
-    /// vOps needed per 512-element tile.
-    #[must_use]
-    pub fn vops_per_tile(&self) -> usize {
-        self.vop_model().vops_per_tile()
     }
 }
 
@@ -106,7 +86,7 @@ mod tests {
         assert_eq!(c.w, 32);
         assert_eq!(c.l, 8);
         assert_eq!(c.loaders, 2);
-        assert_eq!(c.vops_per_tile(), 16);
+        assert_eq!(c.vop_model().vops_per_tile(), 16);
         assert_eq!(DecaConfig::default(), c);
     }
 
@@ -120,15 +100,21 @@ mod tests {
 
     #[test]
     fn custom_sizing_keeps_queue_parameters() {
-        let c = DecaConfig::with_sizing(16, 8);
-        assert_eq!(c.w, 16);
-        assert_eq!(c.vops_per_tile(), 32);
+        let c = DecaConfig {
+            w: 16,
+            ..DecaConfig::baseline()
+        };
+        assert_eq!(c.vop_model().vops_per_tile(), 32);
         assert_eq!(c.loaders, DecaConfig::baseline().loaders);
     }
 
     #[test]
     #[should_panic(expected = "divide")]
     fn invalid_w_is_rejected() {
-        let _ = DecaConfig::with_sizing(24, 8);
+        let _ = DecaConfig {
+            w: 24,
+            ..DecaConfig::baseline()
+        }
+        .vop_model();
     }
 }

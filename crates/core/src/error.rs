@@ -13,18 +13,6 @@ pub enum DecaError {
     },
     /// The compressed tile itself is inconsistent.
     Compress(CompressError),
-    /// A TEPL instruction could not be issued (structural hazard mis-use).
-    TeplHazard {
-        /// Explanation of the hazard.
-        reason: &'static str,
-    },
-    /// The pipeline's functional output disagrees with the injected
-    /// reference decompression engine — a modeling bug, caught by
-    /// validation.
-    EngineMismatch {
-        /// Name of the engine the output was validated against.
-        engine: &'static str,
-    },
 }
 
 impl std::fmt::Display for DecaError {
@@ -34,13 +22,6 @@ impl std::fmt::Display for DecaError {
                 write!(f, "DECA PE is not configured for format {found}")
             }
             DecaError::Compress(e) => write!(f, "compressed tile error: {e}"),
-            DecaError::TeplHazard { reason } => write!(f, "TEPL structural hazard: {reason}"),
-            DecaError::EngineMismatch { engine } => {
-                write!(
-                    f,
-                    "pipeline output disagrees with the {engine} decompression engine"
-                )
-            }
         }
     }
 }
@@ -49,7 +30,7 @@ impl std::error::Error for DecaError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DecaError::Compress(e) => Some(e),
-            _ => None,
+            DecaError::NotConfiguredFor { .. } => None,
         }
     }
 }
@@ -72,10 +53,6 @@ mod tests {
         assert!(e.to_string().contains("Q4"));
         let e: DecaError = CompressError::InvalidDensity(2.0).into();
         assert!(matches!(e, DecaError::Compress(_)));
-        let e = DecaError::TeplHazard {
-            reason: "no free loader",
-        };
-        assert!(e.to_string().contains("hazard"));
     }
 
     #[test]

@@ -7,21 +7,19 @@
 //! (TEPL), lets the core invoke DECA speculatively and out-of-order so the
 //! core–accelerator communication latency is hidden.
 //!
-//! This crate models DECA both *functionally* — the PE pipeline produces
+//! This crate models DECA both *functionally* — the vOp pipeline produces
 //! bit-exact decompressed tiles, validated against the reference
-//! decompressor — and *temporally* — per-vOp cycle counts with bubbles
-//! measured from the actual bitmask, which feed the `deca-sim` tile
-//! executor.
+//! decompressor, with per-vOp cycle counts and bubbles measured from the
+//! actual bitmask — and *temporally* — the analytic per-tile cost and the
+//! integration options, which feed the `deca-sim` tile executor.
 //!
 //! Main types:
 //!
 //! * [`DecaConfig`] — the PE sizing (`W`, `L`, loaders, queue depths),
 //! * [`LutArray`], [`pipeline::VopPipeline`] — the dequantize / expand /
 //!   scale pipeline,
-//! * [`DecaPe`] — a full PE with Loaders and TOut registers,
-//! * [`TeplQueue`] — the core-side TEPL queue and ports (§5.3),
 //! * [`IntegrationConfig`] — the integration/invocation options ablated in
-//!   Fig. 17,
+//!   Fig. 17, including the TEPL invocation scheme (§5.3),
 //! * [`timing`] — glue that turns a scheme + configuration into a
 //!   [`deca_sim::TileExecModel`],
 //! * [`area`] — the §8 area model.
@@ -29,14 +27,17 @@
 //! # Example
 //!
 //! ```
-//! use deca::{DecaConfig, DecaPe};
+//! use deca::{pipeline::VopPipeline, DecaConfig};
 //! use deca_compress::{generator::WeightGenerator, CompressionScheme, Compressor};
 //!
+//! let scheme = CompressionScheme::bf8_sparse(0.2);
 //! let tile = WeightGenerator::new(1).dense_matrix(16, 32).tile(0, 0);
-//! let compressed = Compressor::new(CompressionScheme::bf8_sparse(0.2)).compress_tile(&tile)?;
-//! let mut pe = DecaPe::new(DecaConfig::baseline());
-//! let out = pe.process_tile(&compressed)?;
-//! assert_eq!(out.tile.nonzero_count(), compressed.nonzero_count());
+//! let compressed = Compressor::new(scheme).compress_tile(&tile)?;
+//! let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
+//! pipeline.configure(scheme.format());
+//! let (out, timing) = pipeline.process(&compressed)?;
+//! assert_eq!(out.nonzero_count(), compressed.nonzero_count());
+//! assert_eq!(timing.vops, 16);
 //! # Ok::<(), deca::DecaError>(())
 //! ```
 
@@ -47,29 +48,24 @@ pub mod area;
 mod config;
 mod error;
 mod integration;
-mod loader;
 mod lut_array;
-mod pe;
 pub mod pipeline;
-mod tepl;
 pub mod timing;
 
 pub use config::DecaConfig;
 pub use error::DecaError;
 pub use integration::{IntegrationConfig, InvocationScheme, OutputPath, ReadPath, TilePrefetcher};
-pub use loader::{Loader, TileMetadata};
 pub use lut_array::LutArray;
-pub use pe::{DecaPe, ProcessedTile};
-pub use tepl::{TeplQueue, TeplSlotState};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::VopPipeline;
     use deca_compress::{
         generator::WeightGenerator, CompressionScheme, Compressor, Decompressor, SchemeSet,
     };
 
-    /// The full PE functional path must agree exactly with the reference
+    /// The PE's functional path must agree exactly with the reference
     /// scalar decompressor for every evaluated scheme.
     #[test]
     fn pe_matches_reference_decompressor_for_all_schemes() {
@@ -82,9 +78,10 @@ mod tests {
                 .compress_tile(&tile)
                 .expect("compress");
             let expected = reference.decompress_tile(&compressed).expect("reference");
-            let mut pe = DecaPe::new(DecaConfig::baseline());
-            let produced = pe.process_tile(&compressed).expect("pe");
-            assert_eq!(produced.tile, expected, "scheme {scheme}");
+            let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
+            pipeline.configure(scheme.format());
+            let (produced, _) = pipeline.process(&compressed).expect("pipeline");
+            assert_eq!(produced, expected, "scheme {scheme}");
         }
     }
 
@@ -99,7 +96,8 @@ mod tests {
             let scheme = CompressionScheme::bf8_sparse(density);
             let compressor = Compressor::new(scheme);
             let analytic = DecaVopModel::BASELINE.cycles_per_tile(&scheme);
-            let mut pe = DecaPe::new(DecaConfig::baseline());
+            let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
+            pipeline.configure(scheme.format());
             let mut total_cycles = 0.0;
             let mut tiles = 0.0;
             for tr in 0..matrix.tile_rows() {
@@ -107,10 +105,10 @@ mod tests {
                     let compressed = compressor
                         .compress_tile(&matrix.tile(tr, tc))
                         .expect("compress");
-                    let out = pe.process_tile(&compressed).expect("pe");
+                    let (_, timing) = pipeline.process(&compressed).expect("pipeline");
                     // Compare steady-state vOp cycles (the analytic model
                     // excludes the 2-cycle pipeline fill each tile pays once).
-                    total_cycles += f64::from(out.timing.vops + out.timing.bubbles);
+                    total_cycles += f64::from(timing.vops + timing.bubbles);
                     tiles += 1.0;
                 }
             }

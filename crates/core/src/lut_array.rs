@@ -44,15 +44,6 @@ impl LutArray {
         self.table.as_ref().map(DequantTable::format)
     }
 
-    /// Maximum dequantizations per cycle for the programmed format
-    /// (`Lq` in §6.2). Returns `None` when unprogrammed (BF16 passthrough).
-    #[must_use]
-    pub fn lookups_per_cycle(&self) -> Option<usize> {
-        self.table
-            .as_ref()
-            .map(|t| self.l * t.lookups_per_lut_per_cycle())
-    }
-
     /// Dequantizes a batch of codes, returning the BF16 values and the
     /// number of cycles the dequantization stage is occupied
     /// (`ceil(len / Lq)`, minimum 1).
@@ -70,13 +61,6 @@ impl LutArray {
                 (values, cycles)
             }
         }
-    }
-
-    /// Storage footprint of the array in bytes (for the area model):
-    /// `L × 256 entries × 2 B`.
-    #[must_use]
-    pub fn storage_bytes(&self) -> usize {
-        self.l * DequantTable::ENTRIES * 2
     }
 }
 
@@ -97,16 +81,19 @@ mod tests {
 
     #[test]
     fn lookups_per_cycle_follow_bit_width() {
+        // Lq = L for 8-bit codes, 2L for 7-bit and 4L for 4-bit: 64 codes
+        // occupy an 8-LUT array for 8, 4 and 2 cycles.
+        let codes = [0u16; 64];
         let mut arr = LutArray::new(8);
         arr.program(QuantFormat::Bf8);
-        assert_eq!(arr.lookups_per_cycle(), Some(8));
+        assert_eq!(arr.dequantize(&codes).1, 8);
         arr.program(QuantFormat::Fp4);
-        assert_eq!(arr.lookups_per_cycle(), Some(32));
+        assert_eq!(arr.dequantize(&codes).1, 2);
         arr.program(QuantFormat::Custom {
             exp_bits: 4,
             man_bits: 2,
         }); // 7-bit
-        assert_eq!(arr.lookups_per_cycle(), Some(16));
+        assert_eq!(arr.dequantize(&codes).1, 4);
     }
 
     #[test]
@@ -142,12 +129,6 @@ mod tests {
         let (values, cycles) = arr.dequantize(&[one]);
         assert_eq!(values[0].to_f32(), 1.0);
         assert_eq!(cycles, 1);
-    }
-
-    #[test]
-    fn storage_footprint() {
-        assert_eq!(LutArray::new(8).storage_bytes(), 8 * 512);
-        assert_eq!(LutArray::new(64).storage_bytes(), 64 * 512);
     }
 
     #[test]

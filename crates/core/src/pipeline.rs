@@ -15,9 +15,7 @@
 //! `deca-sim`; this module answers "how many cycles does *this* tile take in
 //! the pipeline, given its actual bitmask".
 
-use deca_compress::{
-    CompressedTile, DecompressEngine, DecompressScratch, DenseTile, TILE_COLS, TILE_ELEMS,
-};
+use deca_compress::{CompressedTile, DecompressScratch, DenseTile, TILE_COLS, TILE_ELEMS};
 use deca_numerics::{Bf16, QuantFormat};
 
 use crate::{DecaConfig, DecaError, LutArray};
@@ -32,18 +30,6 @@ pub struct PipelineTiming {
     /// Total cycles the tile occupied the pipeline, including the fill of
     /// the expansion and scaling stages.
     pub pipeline_cycles: u32,
-}
-
-impl PipelineTiming {
-    /// Average cycles per vOp.
-    #[must_use]
-    pub fn cycles_per_vop(&self) -> f64 {
-        if self.vops == 0 {
-            0.0
-        } else {
-            f64::from(self.vops + self.bubbles) / f64::from(self.vops)
-        }
-    }
 }
 
 /// The three-stage vOp pipeline of one DECA PE.
@@ -65,18 +51,6 @@ impl VopPipeline {
             lut_array: LutArray::new(config.l),
             extra_stages: 2,
         }
-    }
-
-    /// The pipeline width `W`.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.w
-    }
-
-    /// The LUT array (e.g. to inspect the programmed format).
-    #[must_use]
-    pub fn lut_array(&self) -> &LutArray {
-        &self.lut_array
     }
 
     /// Programs the LUT array for a quantized format (privileged
@@ -112,6 +86,7 @@ impl VopPipeline {
     /// ([`LutArray::dequantize`]).
     ///
     /// [`Bitmask::prefix_sums`]: deca_compress::Bitmask::prefix_sums
+    /// [`DecompressEngine::decompress_tile_into`]: deca_compress::DecompressEngine::decompress_tile_into
     ///
     /// # Errors
     ///
@@ -207,38 +182,6 @@ impl VopPipeline {
             pipeline_cycles: vops + bubbles + self.extra_stages,
         })
     }
-
-    /// Processes a tile and validates the functional output bit-exactly
-    /// against an injected decompression engine — the cross-check the
-    /// integration tests and the executor use to tie the PE's timing model
-    /// to the functional ground truth, naming which backend verified it.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`VopPipeline::process`] returns, plus
-    /// [`DecaError::EngineMismatch`] if the engine's output differs from the
-    /// pipeline's in any of the 512 BF16 bit patterns.
-    pub fn process_validated(
-        &mut self,
-        tile: &CompressedTile,
-        engine: &dyn DecompressEngine,
-    ) -> Result<(DenseTile, PipelineTiming), DecaError> {
-        let (out, timing) = self.process(tile)?;
-        let mut reference = DenseTile::zero();
-        let mut scratch = DecompressScratch::new();
-        engine.decompress_tile_into(tile, &mut scratch, &mut reference)?;
-        let agrees = out
-            .elements()
-            .iter()
-            .zip(reference.elements())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !agrees {
-            return Err(DecaError::EngineMismatch {
-                engine: engine.name(),
-            });
-        }
-        Ok((out, timing))
-    }
 }
 
 fn apply_scale(
@@ -312,21 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn process_validated_names_the_agreeing_engine() {
-        for kind in deca_compress::EngineKind::all() {
-            let scheme = CompressionScheme::mxfp4();
-            let tile = compress_sample(scheme, 42);
-            let mut pipeline = pipeline_for(&scheme, DecaConfig::baseline());
-            let engine = kind.build();
-            let (out, timing) = pipeline
-                .process_validated(&tile, engine.as_ref())
-                .expect("validated");
-            assert_eq!(timing.vops, 16);
-            assert!(out.nonzero_count() > 0);
-        }
-    }
-
-    #[test]
     fn dense_q8_timing_is_deterministic() {
         // W=32, L=8, 8-bit codes: every vOp needs 4 dequant cycles -> 3
         // bubbles per vOp, 16 vOps, +2 fill cycles.
@@ -337,7 +265,6 @@ mod tests {
         assert_eq!(timing.vops, 16);
         assert_eq!(timing.bubbles, 48);
         assert_eq!(timing.pipeline_cycles, 16 + 48 + 2);
-        assert!((timing.cycles_per_vop() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -435,10 +362,5 @@ mod tests {
         let q4 = compress_sample(CompressionScheme::mxfp4(), 24);
         assert!(pipeline.process(&q4).is_ok());
         assert!(pipeline.process(&q8).is_err());
-        assert_eq!(pipeline.width(), 32);
-        assert_eq!(
-            pipeline.lut_array().programmed_format(),
-            Some(QuantFormat::Fp4)
-        );
     }
 }

@@ -5,15 +5,13 @@
 //! cycles per tile, a handful of core instructions per iteration, the TMUL's
 //! 16 cycles, the communication latencies implied by the integration
 //! options, and the invocation scheme's overlap behaviour. This module
-//! builds those models, either analytically (binomial bubble expectation)
-//! or from bubbles measured on actual compressed tiles.
+//! builds those models from the analytic (binomial) bubble expectation.
 
-use deca_compress::{CompressedTile, CompressionScheme};
+use deca_compress::CompressionScheme;
 use deca_sim::{CacheConfig, InvocationModel, PrefetchConfig, TileExecModel};
 
 use crate::{
-    pipeline::VopPipeline, DecaConfig, DecaError, IntegrationConfig, InvocationScheme, OutputPath,
-    ReadPath, TilePrefetcher,
+    DecaConfig, IntegrationConfig, InvocationScheme, OutputPath, ReadPath, TilePrefetcher,
 };
 
 /// Core issue-slot cycles per iteration of the TEPL-based kernel
@@ -44,50 +42,6 @@ pub fn tile_exec_model(
     deca: &DecaConfig,
     integration: &IntegrationConfig,
     cache: &CacheConfig,
-) -> TileExecModel {
-    let decompress_cycles = deca.vop_model().cycles_per_tile(scheme);
-    build_model(scheme, *integration, cache, decompress_cycles)
-}
-
-/// Builds the execution model using bubbles *measured* on a sample of
-/// actual compressed tiles (more faithful for correlated sparsity
-/// patterns).
-///
-/// # Errors
-///
-/// Propagates pipeline errors if a sample tile is inconsistent.
-///
-/// # Panics
-///
-/// Panics if `sample_tiles` is empty.
-pub fn tile_exec_model_measured(
-    sample_tiles: &[CompressedTile],
-    deca: &DecaConfig,
-    integration: &IntegrationConfig,
-    cache: &CacheConfig,
-) -> Result<TileExecModel, DecaError> {
-    assert!(!sample_tiles.is_empty(), "need at least one sample tile");
-    let scheme = *sample_tiles[0].scheme();
-    let mut pipeline = VopPipeline::new(deca);
-    pipeline.configure(scheme.format());
-    let mut total_cycles = 0.0;
-    let mut total_bytes = 0.0;
-    for tile in sample_tiles {
-        let (_, timing) = pipeline.process(tile)?;
-        total_cycles += f64::from(timing.vops + timing.bubbles);
-        total_bytes += tile.byte_size() as f64;
-    }
-    let decompress_cycles = total_cycles / sample_tiles.len() as f64;
-    let mut model = build_model(&scheme, *integration, cache, decompress_cycles);
-    model.bytes_per_tile = total_bytes / sample_tiles.len() as f64;
-    Ok(model)
-}
-
-fn build_model(
-    scheme: &CompressionScheme,
-    integration: IntegrationConfig,
-    cache: &CacheConfig,
-    decompress_cycles: f64,
 ) -> TileExecModel {
     let prefetch = match integration.prefetcher {
         TilePrefetcher::None => PrefetchConfig::none(),
@@ -120,7 +74,7 @@ fn build_model(
     };
     TileExecModel {
         bytes_per_tile: scheme.expected_tile_bytes(),
-        decompress_cycles_per_tile: decompress_cycles,
+        decompress_cycles_per_tile: deca.vop_model().cycles_per_tile(scheme),
         core_cycles_per_tile: core_cycles,
         tmul_cycles_per_tile: TMUL_CYCLES_PER_TILE,
         exposed_pre_latency,
@@ -134,7 +88,6 @@ fn build_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deca_compress::{generator::WeightGenerator, Compressor};
     use deca_roofsurface::MachineConfig;
     use deca_sim::GemmSimulation;
 
@@ -231,43 +184,5 @@ mod tests {
             sparse > 1.5,
             "TEPL should give a large boost at 5 % density, got {sparse}"
         );
-    }
-
-    #[test]
-    fn measured_model_agrees_with_analytic_model() {
-        let scheme = CompressionScheme::bf8_sparse(0.3);
-        let generator = WeightGenerator::new(5);
-        let matrix = generator.dense_matrix(64, 64);
-        let compressor = Compressor::new(scheme);
-        let tiles: Vec<_> = (0..matrix.tile_rows())
-            .flat_map(|tr| {
-                let compressor = compressor.clone();
-                let matrix = &matrix;
-                (0..matrix.tile_cols()).map(move |tc| {
-                    compressor
-                        .compress_tile(&matrix.tile(tr, tc))
-                        .expect("compress")
-                })
-            })
-            .collect();
-        let analytic = tile_exec_model(
-            &scheme,
-            &DecaConfig::baseline(),
-            &IntegrationConfig::full(),
-            &CacheConfig::spr(),
-        );
-        let measured = tile_exec_model_measured(
-            &tiles,
-            &DecaConfig::baseline(),
-            &IntegrationConfig::full(),
-            &CacheConfig::spr(),
-        )
-        .expect("measured model");
-        let rel = (measured.decompress_cycles_per_tile - analytic.decompress_cycles_per_tile).abs()
-            / analytic.decompress_cycles_per_tile;
-        assert!(rel < 0.10, "measured {measured:?} analytic {analytic:?}");
-        // Measured bytes come from real tiles and should track the scheme's
-        // expectation.
-        assert!((measured.bytes_per_tile - analytic.bytes_per_tile).abs() < 4.0);
     }
 }

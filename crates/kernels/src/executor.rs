@@ -7,6 +7,9 @@ use deca_sim::{CacheConfig, GemmSimulation, GemmStats, TileExecModel};
 
 use crate::{avx_model::VectorResources, software_exec_model, GemmShape, Parlooper};
 
+/// Tiles per core simulated for a steady-state measurement.
+const STEADY_STATE_TILES: usize = 3000;
+
 /// Which decompression engine executes the kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Engine {
@@ -108,7 +111,6 @@ impl GemmRunResult {
 pub struct CompressedGemmExecutor {
     machine: MachineConfig,
     cache: CacheConfig,
-    steady_state_tiles: usize,
 }
 
 impl CompressedGemmExecutor {
@@ -118,16 +120,7 @@ impl CompressedGemmExecutor {
         CompressedGemmExecutor {
             machine,
             cache: CacheConfig::spr(),
-            steady_state_tiles: 3000,
         }
-    }
-
-    /// Overrides how many tiles per core are simulated for steady-state
-    /// measurements.
-    #[must_use]
-    pub fn with_steady_state_tiles(mut self, tiles: usize) -> Self {
-        self.steady_state_tiles = tiles.max(1);
-        self
     }
 
     /// The simulated machine.
@@ -153,7 +146,7 @@ impl CompressedGemmExecutor {
     pub fn run(&self, scheme: &CompressionScheme, engine: Engine, batch: usize) -> GemmRunResult {
         let model = self.exec_model(scheme, &engine);
         let sim = GemmSimulation::new(self.machine.clone(), self.cache.clone());
-        let stats = sim.run(&model, self.steady_state_tiles);
+        let stats = sim.run(&model, STEADY_STATE_TILES);
         GemmRunResult {
             scheme: scheme.label(),
             engine: engine.label(),
@@ -206,7 +199,7 @@ mod tests {
     use deca_compress::SchemeSet;
 
     fn executor() -> CompressedGemmExecutor {
-        CompressedGemmExecutor::new(MachineConfig::spr_hbm()).with_steady_state_tiles(2000)
+        CompressedGemmExecutor::new(MachineConfig::spr_hbm())
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   [`avx_model`];
 //! * the **DECA kernel**: the same GeMM invoking a per-core DECA PE through
 //!   TEPL (or the store+fence fallback), built on the `deca` crate;
-//! * the **workload**: FC-layer GeMM shapes, a large FC cascade like the one
-//!   used in §8, and Parlooper-style static partitioning across cores;
+//! * the **workload**: FC-layer GeMM shapes and Parlooper-style static
+//!   partitioning across cores;
 //! * the **executor**: runs either kernel on the `deca-sim` machine model
 //!   and reports TFLOPS, utilization and speedups (the data behind
 //!   Figs. 12–15 and Table 3);
@@ -43,7 +43,7 @@ mod software;
 
 pub use avx_model::{AvxOpBudget, VectorResources};
 pub use executor::{CompressedGemmExecutor, Engine, GemmRunResult};
-pub use gemm::{FcCascade, GemmShape};
+pub use gemm::GemmShape;
 pub use parlooper::Parlooper;
 pub use software::software_exec_model;
 

@@ -96,25 +96,6 @@ pub fn max_kv_tokens(
     Some(budget)
 }
 
-/// The number of whole KV-cache *blocks* of `block_size` tokens a plan's
-/// HBM headroom sustains — the pool size of `deca-serve`'s paged allocator
-/// — or `None` exactly when [`max_kv_tokens`] is `None`. Rounds down: a
-/// partial block cannot be allocated.
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
-#[must_use]
-pub fn max_kv_blocks(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-    block_size: usize,
-) -> Option<u64> {
-    assert!(block_size > 0, "block size must be positive");
-    max_kv_tokens(model, scheme, spec).map(|tokens| tokens / block_size as u64)
-}
-
 /// Per pipeline stage, the worst socket's weight bytes (FC shard, plus the
 /// LM-head shard on the last stage and the embeddings on stage 0) and its
 /// KV bytes per resident token.
@@ -256,22 +237,6 @@ mod tests {
         // Stages left without layers are the same case, not a panic.
         assert_eq!(
             max_kv_tokens(&zero_layers, &scheme, &ShardSpec::pp(2)),
-            None
-        );
-    }
-
-    #[test]
-    fn block_budget_is_the_token_budget_in_whole_blocks() {
-        let llama = LlmModel::llama2_70b();
-        let q8_5 = CompressionScheme::bf8_sparse(0.05);
-        let tokens = max_kv_tokens(&llama, &q8_5, &one()).expect("fits");
-        let blocks = max_kv_blocks(&llama, &q8_5, &one(), 16).expect("fits");
-        assert_eq!(blocks, tokens / 16);
-        // Block size 1 degenerates to the token budget.
-        assert_eq!(max_kv_blocks(&llama, &q8_5, &one(), 1), Some(tokens));
-        // No weights fit ⇒ no block pool either.
-        assert_eq!(
-            max_kv_blocks(&llama, &CompressionScheme::bf16_dense(), &one(), 16),
             None
         );
     }

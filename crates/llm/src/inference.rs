@@ -96,12 +96,6 @@ impl NextTokenReport {
             self.total_seconds(),
         )
     }
-
-    /// Tokens per second for the whole batch.
-    #[must_use]
-    pub fn tokens_per_second(&self) -> f64 {
-        fraction(self.batch as f64, self.total_seconds())
-    }
 }
 
 /// Latency breakdown of the prefill (prompt-processing) phase of one
@@ -152,12 +146,6 @@ impl PrefillReport {
     #[must_use]
     pub fn total_ms(&self) -> f64 {
         self.total_seconds() * 1e3
-    }
-
-    /// Prompt tokens processed per second.
-    #[must_use]
-    pub fn tokens_per_second(&self) -> f64 {
-        fraction(self.prompt_tokens as f64, self.total_seconds())
     }
 }
 
@@ -499,7 +487,8 @@ mod tests {
         let b1 = estimator.next_token(&model, &scheme, Engine::deca_default(), 1, 128);
         let b16 = estimator.next_token(&model, &scheme, Engine::deca_default(), 16, 128);
         assert!(b16.total_ms() > b1.total_ms());
-        assert!(b16.tokens_per_second() > b1.tokens_per_second());
+        // Tokens per second for the whole batch.
+        assert!(16.0 / b16.total_seconds() > 1.0 / b1.total_seconds());
     }
 
     #[test]
@@ -528,7 +517,6 @@ mod tests {
         assert!((report.total_seconds() - total).abs() < 1e-15);
         assert!((report.total_ms() - total * 1e3).abs() < 1e-9);
         assert!(report.fc_fraction() > 0.0 && report.fc_fraction() < 1.0);
-        assert!((report.tokens_per_second() - 4.0 / total).abs() < 1e-6);
         assert_eq!(report.batch, 4);
         assert_eq!(report.scheme, "Q4");
     }
@@ -601,7 +589,6 @@ mod tests {
         let total = report.fc_seconds + report.attention_seconds + report.other_seconds;
         assert!((report.total_seconds() - total).abs() < 1e-15);
         assert!((report.total_ms() - total * 1e3).abs() < 1e-9);
-        assert!((report.tokens_per_second() - 128.0 / total).abs() < 1e-6);
         assert_eq!(report.prompt_tokens, 128);
         assert_eq!(report.scheme, "Q4");
     }

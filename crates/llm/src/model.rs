@@ -63,27 +63,6 @@ impl LayerGeometry {
         shapes
     }
 
-    /// The largest FC-layer GeMM of one transformer layer at batch size
-    /// `batch`.
-    ///
-    /// Never panics: [`LayerGeometry::fc_gemms`] always emits the four
-    /// attention projections before the feed-forward shapes, so the fold is
-    /// seeded with the Q projection instead of unwrapping an
-    /// `Iterator::max` that is empty only in an unreachable state.
-    #[must_use]
-    pub fn largest_fc_gemm(&self, batch: usize) -> GemmShape {
-        let q_projection = GemmShape::new(batch, self.hidden, self.heads * self.head_dim);
-        self.fc_gemms(batch)
-            .into_iter()
-            .fold(q_projection, |best, shape| {
-                if shape.weight_elements() > best.weight_elements() {
-                    shape
-                } else {
-                    best
-                }
-            })
-    }
-
     /// FC-layer weight parameters of one layer.
     #[must_use]
     pub fn fc_params(&self) -> usize {
@@ -223,21 +202,6 @@ impl LlmModel {
         shapes
     }
 
-    /// The largest FC-layer GeMM executed for one token at batch size
-    /// `batch` (the LM-head projection included). Like
-    /// [`LayerGeometry::largest_fc_gemm`], this cannot panic: the candidate
-    /// list is non-empty by construction.
-    #[must_use]
-    pub fn largest_fc_gemm(&self, batch: usize) -> GemmShape {
-        let lm_head = GemmShape::new(batch, self.layer.hidden, self.vocab);
-        let per_layer = self.layer.largest_fc_gemm(batch);
-        if per_layer.weight_elements() > lm_head.weight_elements() {
-            per_layer
-        } else {
-            lm_head
-        }
-    }
-
     /// Total FC-layer weight parameters (the compressible part of the
     /// model).
     #[must_use]
@@ -305,43 +269,8 @@ mod tests {
         // The largest FC GeMMs of Llama2-70B are hidden x ffn: 8192 x 28672
         // ≈ 235 M parameters — the "large FC layers" the paper's
         // microbenchmark mimics.
-        let largest = LlmModel::llama2_70b().layer().largest_fc_gemm(16);
-        assert_eq!(largest.weight_elements(), 8192 * 28672);
-        assert_eq!(largest.n, 16);
-    }
-
-    #[test]
-    fn largest_fc_gemm_is_the_true_maximum_for_both_models() {
-        for model in [LlmModel::llama2_70b(), LlmModel::opt_66b()] {
-            for batch in [1usize, 4, 16] {
-                // Several shapes can tie on weight elements (gate/up/down of
-                // SwiGLU), so compare the maximum weight count, not shapes.
-                let per_layer = model.layer().largest_fc_gemm(batch);
-                let by_scan = model
-                    .layer()
-                    .fc_gemms(batch)
-                    .into_iter()
-                    .map(|s| s.weight_elements())
-                    .max();
-                assert_eq!(
-                    by_scan,
-                    Some(per_layer.weight_elements()),
-                    "{}",
-                    model.name()
-                );
-
-                let overall = model.largest_fc_gemm(batch);
-                let by_scan = model
-                    .fc_gemms_per_token(batch)
-                    .into_iter()
-                    .map(|s| s.weight_elements())
-                    .max();
-                assert_eq!(by_scan, Some(overall.weight_elements()), "{}", model.name());
-            }
-        }
-        // For OPT the LM head (9216 x 50272) beats the FFN (9216 x 36864).
-        let opt = LlmModel::opt_66b();
-        assert_eq!(opt.largest_fc_gemm(1).weight_elements(), 9216 * 50_272);
+        let largest = shapes.iter().map(GemmShape::weight_elements).max();
+        assert_eq!(largest, Some(8192 * 28672));
     }
 
     #[test]

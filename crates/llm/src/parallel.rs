@@ -188,7 +188,7 @@ impl InterconnectModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::{self, max_kv_blocks, max_kv_tokens, weight_bytes_per_socket};
+    use crate::footprint::{self, max_kv_tokens, weight_bytes_per_socket};
     use crate::{InferenceEstimator, LlmModel};
     use deca_compress::CompressionScheme;
     use deca_kernels::Engine;
@@ -196,17 +196,6 @@ mod tests {
 
     fn hbm_sharded(spec: ShardSpec) -> InferenceEstimator {
         InferenceEstimator::sharded(MachineConfig::spr_hbm(), spec, InterconnectModel::spr_upi())
-    }
-
-    #[test]
-    fn sharded_block_budget_is_the_sharded_token_budget_in_whole_blocks() {
-        let model = LlmModel::llama2_70b();
-        let q8 = CompressionScheme::bf8_dense();
-        // Dense Q8 does not fit one socket: no tokens, no blocks.
-        assert_eq!(max_kv_blocks(&model, &q8, &ShardSpec::single(), 16), None);
-        let tp2 = ShardSpec::tp(2);
-        let tokens = max_kv_tokens(&model, &q8, &tp2).expect("TP2 fits");
-        assert_eq!(max_kv_blocks(&model, &q8, &tp2, 16), Some(tokens / 16));
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! Symmetric integer quantization (INT8 / INT4).
+//! Symmetric integer codes (INT8 / INT4).
 //!
 //! Integer formats store a signed integer code and rely on an external scale
 //! factor (per group or per tensor) for magnitude — this is how AWQ-style
 //! INT4 schemes work, which the paper notes are performance-equivalent to
-//! MXFP4 from DECA's point of view.
+//! MXFP4 from DECA's point of view. The compressor picks the scale; this
+//! codec defines the code range and its packed storage form.
 
-use crate::FormatError;
-
-/// A symmetric signed-integer quantizer with `bits` bits per code.
+/// A symmetric signed-integer code with `bits` bits per code.
 ///
 /// Codes are two's-complement in the range `[-2^(bits-1)+1, 2^(bits-1)-1]`
 /// (the most negative code is unused so the range is symmetric).
 ///
 /// ```
 /// use deca_numerics::IntCodec;
-/// let int8 = IntCodec::int8();
-/// let (codes, scale) = int8.quantize_group(&[0.5, -1.0, 0.25, 1.0]);
-/// let back = int8.dequantize(codes[1], scale);
-/// assert!((back - -1.0).abs() < 1e-2);
+/// let int4 = IntCodec::int4();
+/// assert_eq!(int4.max_code(), 7);
+/// let raw = int4.to_storage(-3);
+/// assert_eq!(raw, 0b1101);
+/// assert_eq!(int4.from_storage(raw), -3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntCodec {
@@ -25,21 +25,6 @@ pub struct IntCodec {
 }
 
 impl IntCodec {
-    /// Creates an integer codec with the given bit width (2..=8).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::InvalidGeometry`] if `bits` is outside `2..=8`.
-    pub fn new(bits: u8) -> Result<Self, FormatError> {
-        if !(2..=8).contains(&bits) {
-            return Err(FormatError::InvalidGeometry {
-                exp_bits: 0,
-                man_bits: bits,
-            });
-        }
-        Ok(IntCodec { bits })
-    }
-
     /// The standard INT8 codec.
     #[must_use]
     pub fn int8() -> Self {
@@ -52,45 +37,10 @@ impl IntCodec {
         IntCodec { bits: 4 }
     }
 
-    /// Bits per code.
-    #[must_use]
-    pub fn bits(self) -> u8 {
-        self.bits
-    }
-
     /// Largest positive code value.
     #[must_use]
     pub fn max_code(self) -> i32 {
         (1 << (self.bits - 1)) - 1
-    }
-
-    /// Quantizes a group of values with a single shared scale, returning the
-    /// codes (sign-extended into `i8`) and the scale.
-    ///
-    /// The scale maps the group's maximum magnitude onto the maximum code.
-    /// An all-zero group gets scale 1.0 so dequantization is well-defined.
-    #[must_use]
-    pub fn quantize_group(self, values: &[f32]) -> (Vec<i8>, f32) {
-        let max_abs = values.iter().fold(0f32, |m, v| m.max(v.abs()));
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / self.max_code() as f32
-        };
-        let codes = values
-            .iter()
-            .map(|v| {
-                let q = (v / scale).round();
-                q.clamp(-(self.max_code() as f32), self.max_code() as f32) as i8
-            })
-            .collect();
-        (codes, scale)
-    }
-
-    /// Dequantizes a single code with the given scale.
-    #[must_use]
-    pub fn dequantize(self, code: i8, scale: f32) -> f32 {
-        f32::from(code) * scale
     }
 
     /// Encodes a code into its unsigned storage representation (the low
@@ -114,48 +64,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bit_width_validation() {
-        assert!(IntCodec::new(1).is_err());
-        assert!(IntCodec::new(9).is_err());
-        assert!(IntCodec::new(4).is_ok());
-        assert_eq!(IntCodec::int8().bits(), 8);
-        assert_eq!(IntCodec::int4().bits(), 4);
-    }
-
-    #[test]
     fn max_codes() {
         assert_eq!(IntCodec::int8().max_code(), 127);
         assert_eq!(IntCodec::int4().max_code(), 7);
-    }
-
-    #[test]
-    fn quantize_group_maps_max_to_max_code() {
-        let c = IntCodec::int8();
-        let (codes, scale) = c.quantize_group(&[2.0, -4.0, 1.0]);
-        assert_eq!(codes[1], -127);
-        assert!((scale - 4.0 / 127.0).abs() < 1e-9);
-        assert!((c.dequantize(codes[0], scale) - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn all_zero_group_is_stable() {
-        let c = IntCodec::int4();
-        let (codes, scale) = c.quantize_group(&[0.0, 0.0]);
-        assert_eq!(codes, vec![0, 0]);
-        assert_eq!(scale, 1.0);
-        assert_eq!(c.dequantize(0, scale), 0.0);
-    }
-
-    #[test]
-    fn int4_roundtrip_error_is_bounded() {
-        let c = IntCodec::int4();
-        let values = [0.9f32, -0.3, 0.05, -1.0, 0.62];
-        let (codes, scale) = c.quantize_group(&values);
-        for (v, code) in values.iter().zip(&codes) {
-            let back = c.dequantize(*code, scale);
-            // Max error is half a quantization step.
-            assert!((back - v).abs() <= scale / 2.0 + 1e-6, "{v} -> {back}");
-        }
     }
 
     #[test]

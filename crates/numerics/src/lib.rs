@@ -11,9 +11,10 @@
 //! * [`Minifloat`] — a generic ≤8-bit floating point codec covering E5M2
 //!   ("BF8"), E4M3, E2M1 (the FP4 element type of MXFP4) and any custom
 //!   sign/exponent/mantissa split,
-//! * [`IntCodec`] — symmetric integer quantization (INT8/INT4),
-//! * [`mx`] — Microscaling (MX) group quantization with a shared 8-bit
-//!   power-of-two scale per group,
+//! * [`IntCodec`] — symmetric integer codes (INT8/INT4) and their packed
+//!   storage form,
+//! * [`mx`] — the Microscaling (MX) shared 8-bit power-of-two scale of a
+//!   weight group,
 //! * [`DequantTable`] — the 256-entry dequantization LUT content that DECA's
 //!   LUT array is programmed with.
 //!
@@ -86,16 +87,6 @@ impl QuantFormat {
             QuantFormat::Fp4 | QuantFormat::Int4 => 4,
             QuantFormat::Custom { exp_bits, man_bits } => 1 + exp_bits + man_bits,
         }
-    }
-
-    /// Whether the format needs a per-group scale factor to be useful
-    /// (MX-style group quantization).
-    #[must_use]
-    pub fn uses_group_scale(self) -> bool {
-        matches!(
-            self,
-            QuantFormat::Fp4 | QuantFormat::Int4 | QuantFormat::Int8
-        )
     }
 
     /// Builds the minifloat codec for floating-point formats.
@@ -190,13 +181,5 @@ mod tests {
         assert!(QuantFormat::Fp4.minifloat().is_some());
         assert!(QuantFormat::Bf16.minifloat().is_none());
         assert!(QuantFormat::Int8.minifloat().is_none());
-    }
-
-    #[test]
-    fn group_scale_usage() {
-        assert!(QuantFormat::Fp4.uses_group_scale());
-        assert!(QuantFormat::Int4.uses_group_scale());
-        assert!(!QuantFormat::Bf8.uses_group_scale());
-        assert!(!QuantFormat::Bf16.uses_group_scale());
     }
 }

@@ -29,10 +29,6 @@ pub struct DequantTable {
 impl DequantTable {
     /// Number of entries in a big LUT.
     pub const ENTRIES: usize = 256;
-    /// Number of sub-LUTs per big LUT.
-    pub const SUB_LUTS: usize = 4;
-    /// Entries per sub-LUT.
-    pub const SUB_LUT_ENTRIES: usize = Self::ENTRIES / Self::SUB_LUTS;
 
     /// Builds the table for a quantized format.
     ///
@@ -95,24 +91,6 @@ impl DequantTable {
         &self.entries
     }
 
-    /// The entries of one 64-entry sub-LUT (`index` in `0..4`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= 4`.
-    #[must_use]
-    pub fn sub_lut(&self, index: usize) -> &[Bf16] {
-        assert!(index < Self::SUB_LUTS, "sub-LUT index {index} out of range");
-        let start = index * Self::SUB_LUT_ENTRIES;
-        &self.entries[start..start + Self::SUB_LUT_ENTRIES]
-    }
-
-    /// Number of *distinct* codes the format actually uses (`2^bits`).
-    #[must_use]
-    pub fn native_codes(&self) -> usize {
-        1usize << self.format.bits().min(8)
-    }
-
     /// How many independent lookups one big LUT can serve per cycle for this
     /// format: 1 for 8-bit and 7-bit codes that span sub-LUT boundaries is
     /// conservative, so the paper's rule is used directly — `1` for 8-bit,
@@ -158,7 +136,6 @@ mod tests {
     #[test]
     fn fp4_table_replicates_16_entries() {
         let lut = DequantTable::for_format(QuantFormat::Fp4);
-        assert_eq!(lut.native_codes(), 16);
         for code in 0..=255u8 {
             assert_eq!(
                 lut.lookup(code).to_f32(),
@@ -187,26 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_lut_partitioning() {
-        let lut = DequantTable::for_format(QuantFormat::Bf8);
-        assert_eq!(lut.entries().len(), DequantTable::ENTRIES);
-        let mut reassembled = Vec::new();
-        for i in 0..DequantTable::SUB_LUTS {
-            assert_eq!(lut.sub_lut(i).len(), DequantTable::SUB_LUT_ENTRIES);
-            reassembled.extend_from_slice(lut.sub_lut(i));
-        }
-        assert_eq!(reassembled.len(), DequantTable::ENTRIES);
-        assert_eq!(&reassembled[..], lut.entries());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sub_lut_index_out_of_range_panics() {
-        let lut = DequantTable::for_format(QuantFormat::Bf8);
-        let _ = lut.sub_lut(4);
-    }
-
-    #[test]
     #[should_panic(expected = "at most 8 bits")]
     fn bf16_has_no_lut() {
         let _ = DequantTable::for_format(QuantFormat::Bf16);
@@ -232,8 +189,10 @@ mod tests {
             man_bits: 2,
         };
         let lut = DequantTable::for_format(fmt);
-        assert_eq!(lut.native_codes(), 64);
+        assert_eq!(lut.entries().len(), DequantTable::ENTRIES);
         assert_eq!(lut.format(), fmt);
+        // A 6-bit format's 64 codes repeat over the 256 entries.
+        assert_eq!(lut.lookup(0x3F), lut.lookup(0xFF));
         // Code 0 is zero for every float format.
         assert_eq!(lut.lookup(0).to_f32(), 0.0);
     }

@@ -97,24 +97,6 @@ impl Minifloat {
         1 + self.exp_bits + self.man_bits
     }
 
-    /// Number of exponent bits.
-    #[must_use]
-    pub fn exp_bits(&self) -> u8 {
-        self.exp_bits
-    }
-
-    /// Number of mantissa bits.
-    #[must_use]
-    pub fn man_bits(&self) -> u8 {
-        self.man_bits
-    }
-
-    /// Exponent bias.
-    #[must_use]
-    pub fn bias(&self) -> i32 {
-        self.bias
-    }
-
     /// The largest finite magnitude representable in this format.
     #[must_use]
     pub fn max_value(&self) -> f32 {
@@ -257,7 +239,8 @@ mod tests {
     fn e5m2_basic_values() {
         let f = Minifloat::bf8();
         assert_eq!(f.bits(), 8);
-        assert_eq!(f.bias(), 15);
+        // Bias 15: the smallest normal is 2^(1-15).
+        assert_eq!(f.min_normal(), 2f32.powi(-14));
         // 1.0 = exponent 15, mantissa 0 -> 0x3C
         assert_eq!(f.decode(0x3C), 1.0);
         assert_eq!(f.encode(1.0), 0x3C);

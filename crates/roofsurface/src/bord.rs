@@ -87,14 +87,6 @@ impl Bord {
         sigs.iter().map(|s| self.place(s)).collect()
     }
 
-    /// True if the MTX region is visible within the plotted `AIX_M` range —
-    /// on DDR the MEM region swallows it for the ranges of interest
-    /// (Fig. 5b).
-    #[must_use]
-    pub fn mtx_region_visible(&self, aix_m_max: f64) -> bool {
-        self.mem_mtx_boundary() < aix_m_max
-    }
-
     /// Fraction of kernels from `sigs` that are vector-bound (the quantity
     /// DECA tries to drive to zero).
     #[must_use]
@@ -218,8 +210,8 @@ mod tests {
         let hbm = Bord::new(RoofSurface::for_cpu(&MachineConfig::spr_hbm()));
         let ddr = Bord::new(RoofSurface::for_cpu(&MachineConfig::spr_ddr()));
         let plotted_max = 0.0125; // the paper's BORD x-range
-        assert!(hbm.mtx_region_visible(plotted_max));
-        assert!(!ddr.mtx_region_visible(plotted_max));
+        assert!(hbm.mem_mtx_boundary() < plotted_max);
+        assert!(ddr.mem_mtx_boundary() >= plotted_max);
     }
 
     #[test]

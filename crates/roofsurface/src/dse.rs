@@ -6,7 +6,7 @@
 
 use deca_compress::CompressionScheme;
 
-use crate::{Bord, BoundingFactor, DecaVopModel, MachineConfig, RoofSurface};
+use crate::{DecaVopModel, MachineConfig, RoofSurface};
 
 /// A candidate DECA sizing together with its cost proxy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,22 +123,12 @@ impl DesignSpaceExploration {
             .filter(|o| o.all_escape_vec)
             .min_by(|a, b| (a.point.cost, a.point.model.w).cmp(&(b.point.cost, b.point.model.w)))
     }
-
-    /// The classification of every kernel on the BORD for one sizing — the
-    /// data behind Fig. 16b.
-    #[must_use]
-    pub fn bord_regions(&self, model: DecaVopModel) -> Vec<(String, BoundingFactor)> {
-        let bord = Bord::new(RoofSurface::for_deca(&self.machine));
-        self.schemes
-            .iter()
-            .map(|s| (s.label(), bord.classify(&model.signature(s))))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Bord, BoundingFactor};
     use deca_compress::SchemeSet;
 
     fn hbm_dse() -> DesignSpaceExploration {
@@ -208,11 +198,12 @@ mod tests {
 
     #[test]
     fn bord_regions_move_out_of_vec_with_larger_sizing() {
-        let dse = hbm_dse();
-        let count_vec = |model| {
-            dse.bord_regions(model)
-                .into_iter()
-                .filter(|(_, r)| *r == BoundingFactor::Vector)
+        // Fig. 16b: the kernels of the DSE, placed on DECA's BORD.
+        let bord = Bord::new(RoofSurface::for_deca(&MachineConfig::spr_hbm()));
+        let count_vec = |model: DecaVopModel| {
+            SchemeSet::paper_evaluation()
+                .iter()
+                .filter(|s| bord.classify(&model.signature(s)) == BoundingFactor::Vector)
                 .count()
         };
         let under = count_vec(DecaVopModel::UNDERPROVISIONED);

@@ -68,13 +68,6 @@ impl KernelSignature {
     pub fn bytes_per_tile(&self) -> f64 {
         1.0 / self.aix_m
     }
-
-    /// Returns a copy with a new label.
-    #[must_use]
-    pub fn relabeled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
 }
 
 impl std::fmt::Display for KernelSignature {
@@ -115,7 +108,7 @@ mod tests {
 
     #[test]
     fn display_and_relabel() {
-        let sig = KernelSignature::new("Q4", 0.003, 0.05).relabeled("Q4-deca");
+        let sig = KernelSignature::new("Q4-deca", 0.003, 0.05);
         assert_eq!(sig.label, "Q4-deca");
         assert!(sig.to_string().contains("Q4-deca"));
     }

@@ -154,16 +154,6 @@ impl RoofSurface {
         }
     }
 
-    /// How much the vector throughput would need to scale (multiplicatively)
-    /// for this kernel to stop being vector-bound. Returns 1.0 if it is not
-    /// vector-bound.
-    #[must_use]
-    pub fn required_vos_scaling(&self, sig: &KernelSignature) -> f64 {
-        let vec = self.vector_rate(sig);
-        let other = self.memory_rate(sig).min(self.matrix_rate());
-        (other / vec).max(1.0)
-    }
-
     /// Samples the surface on a log-spaced `resolution × resolution` grid of
     /// `(AIX_M, AIX_V)` for the 3D plot of Fig. 4a.
     ///
@@ -281,13 +271,16 @@ mod tests {
     fn required_vos_scaling_exceeds_4x_for_some_kernels() {
         // §4.2/§7: even 4x VOS is not enough to make all kernels escape the
         // VEC-bound region.
-        let s = hbm_cpu();
+        let quadrupled = RoofSurface::for_cpu(&MachineConfig::spr_hbm().with_vector_scaling(4));
         let worst =
             KernelSignature::from_scheme_and_vops(&CompressionScheme::bf8_sparse(0.05), 144.0);
-        assert!(s.required_vos_scaling(&worst) > 4.0);
+        assert_eq!(quadrupled.bounding_factor(&worst), BoundingFactor::Vector);
         let mem_bound =
             KernelSignature::from_scheme_and_vops(&CompressionScheme::bf16_sparse(0.5), 96.0);
-        assert_eq!(s.required_vos_scaling(&mem_bound), 1.0);
+        assert_eq!(
+            hbm_cpu().bounding_factor(&mem_bound),
+            BoundingFactor::Memory
+        );
     }
 
     #[test]

@@ -203,12 +203,6 @@ impl AdapterCache {
         false
     }
 
-    /// Adapters currently resident.
-    #[must_use]
-    pub fn resident_adapters(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Records the KV-pool blocks the paged scheduler carved out for this
     /// cache, so the reservation shows up in [`AdapterStats`].
     pub fn set_reserved_blocks(&mut self, blocks: usize) {
@@ -267,7 +261,6 @@ mod tests {
         assert_eq!(stats.cache_loads, 4);
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.peak_resident, 2);
-        assert_eq!(cache.resident_adapters(), 2);
         assert!((stats.hit_rate() - 0.2).abs() < 1e-12);
     }
 
@@ -276,7 +269,6 @@ mod tests {
         let mut cache = AdapterCache::new(0);
         assert!(!cache.touch(AdapterId(1)));
         assert!(!cache.touch(AdapterId(1)));
-        assert_eq!(cache.resident_adapters(), 0);
         assert_eq!(cache.stats().cache_loads, 2);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().hit_rate(), 0.0);

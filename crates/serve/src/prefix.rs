@@ -61,9 +61,10 @@
 //! * Eviction only touches leaf nodes whose block the cache is the sole
 //!   owner of (`ref_count == 1`): blocks still referenced by a running
 //!   sequence are never reclaimed under it.
-//! * [`PrefixCache::flush`] releases every resident block, so after the
-//!   sequences retire too, the allocator drains to `allocated == 0` and
-//!   all ref-counts return to zero.
+//! * Calling [`PrefixCache::evict_lru`] until it returns `false` releases
+//!   every resident block, so after the sequences retire too, the
+//!   allocator drains to `allocated == 0` and all ref-counts return to
+//!   zero.
 //! * Determinism: ties in the LRU order break on the smaller node id.
 //!
 //! # Bookkeeping contract and complexity
@@ -695,13 +696,6 @@ impl PrefixCache {
         }
         Some(node.link.hash)
     }
-
-    /// Releases every resident block the cache is the sole owner of (leaf
-    /// first, so whole chains drain). Blocks still shared with running
-    /// sequences stay resident.
-    pub fn flush(&mut self, allocator: &mut BlockAllocator) {
-        while self.evict_lru(allocator) {}
-    }
 }
 
 #[cfg(test)]
@@ -876,7 +870,7 @@ mod tests {
         cache.release(blocks_b[0], &mut pool);
         cache.release(blocks_b[1], &mut pool);
         assert_eq!(cache.evictable_blocks(&pool), 2);
-        cache.flush(&mut pool);
+        while cache.evict_lru(&mut pool) {}
         assert_eq!(pool.allocated_blocks(), 0);
     }
 
@@ -893,7 +887,7 @@ mod tests {
             }
         }
         assert_eq!(cache.resident_blocks(), 12);
-        cache.flush(&mut pool);
+        while cache.evict_lru(&mut pool) {}
         assert_eq!(cache.resident_blocks(), 0);
         assert_eq!(pool.allocated_blocks(), 0);
     }
@@ -971,7 +965,7 @@ mod tests {
         for block in matched.into_iter().chain(resident).chain(private) {
             cache.release(block, &mut pool);
         }
-        cache.flush(&mut pool);
+        while cache.evict_lru(&mut pool) {}
         assert_eq!(pool.allocated_blocks(), 0);
     }
 
@@ -1175,8 +1169,8 @@ mod tests {
                     old.release(block, &mut old_pool);
                 }
             }
-            cache.flush(&mut pool);
-            old.flush(&mut old_pool);
+            while cache.evict_lru(&mut pool) {}
+            while old.evict_lru(&mut old_pool) {}
             same_state(&cache, &pool, &old, &old_pool, &format!("seed {seed}, drained"))?;
             prop_assert_eq!(pool.allocated_blocks(), 0);
         }

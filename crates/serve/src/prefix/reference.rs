@@ -444,11 +444,4 @@ impl PrefixCache {
         }
         hash
     }
-
-    /// Releases every resident block the cache is the sole owner of (leaf
-    /// first, so whole chains drain). Blocks still shared with running
-    /// sequences stay resident.
-    pub fn flush(&mut self, allocator: &mut BlockAllocator) {
-        while self.evict_lru(allocator) {}
-    }
 }

@@ -166,18 +166,6 @@ impl FleetReport {
     pub fn rejected(&self) -> usize {
         self.reports.iter().map(|r| r.rejected).sum()
     }
-
-    /// Aggregate metrics over the union of completed requests.
-    #[must_use]
-    pub fn metrics(&self) -> ServingMetrics {
-        ServingMetrics::from_records(&self.records(), self.rejected(), self.makespan_s())
-    }
-
-    /// Fleet goodput under `slo`.
-    #[must_use]
-    pub fn goodput_rps(&self, slo: &SloTarget) -> f64 {
-        ServingMetrics::goodput_rps(&self.records(), slo, self.makespan_s())
-    }
 }
 
 /// Simulates a fleet of identical replicas behind a round-robin load
@@ -445,7 +433,8 @@ pub struct CapacitySpec {
     /// Lower bound of the searched rate range (requests/sec). The search
     /// doubles out of it, so it must be positive and finite.
     pub min_rate: f64,
-    /// Upper bound of the searched rate range (requests/sec).
+    /// Upper bound of the searched rate range (requests/sec); a number no
+    /// smaller than `min_rate`.
     pub max_rate: f64,
     /// Bisection refinements after bracketing.
     pub iterations: usize,
@@ -537,7 +526,8 @@ fn run_probe<C: ServingCostModel + Clone>(
 ///
 /// # Panics
 ///
-/// Panics if `spec.min_rate` is not positive and finite.
+/// Panics if `spec.min_rate` is not positive and finite, or if
+/// `spec.max_rate` is NaN or below it.
 #[must_use]
 pub fn capacity_search(
     machine: &MachineConfig,
@@ -571,7 +561,8 @@ pub fn capacity_search(
 ///
 /// # Panics
 ///
-/// Panics if `spec.min_rate` is not positive and finite.
+/// Panics if `spec.min_rate` is not positive and finite, or if
+/// `spec.max_rate` is NaN or below it.
 #[must_use]
 pub fn capacity_search_warm<C, F>(
     cost: &mut C,
@@ -600,11 +591,20 @@ where
 /// # Panics
 ///
 /// Panics, before any probe, if `spec.min_rate` is not positive and
-/// finite: doubling a zero rate would never bracket the knee.
+/// finite (doubling a zero rate would never bracket the knee), or if
+/// `spec.max_rate` is NaN or below `min_rate` (the doubling loop would
+/// never run, and the search would report `min_rate` without probing its
+/// range).
 fn bracket_and_bisect<R>(spec: &CapacitySpec, mut run: impl FnMut(f64) -> (bool, R)) -> (f64, R) {
     assert!(
         spec.min_rate > 0.0 && spec.min_rate.is_finite(),
         "min_rate must be positive and finite, got {}",
+        spec.min_rate
+    );
+    assert!(
+        spec.max_rate >= spec.min_rate,
+        "max_rate must be a number no smaller than min_rate, got {} < {}",
+        spec.max_rate,
         spec.min_rate
     );
     let (feasible, outcome) = run(spec.min_rate);
@@ -659,7 +659,7 @@ pub struct PoolSplitResult {
 /// # Panics
 ///
 /// Panics if `sockets` is under 2, or if `spec.min_rate` is not positive
-/// and finite.
+/// and finite or `spec.max_rate` is NaN or below it.
 pub fn disagg_capacity_search_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -704,7 +704,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `spec.min_rate` is not positive and finite.
+/// Panics if `spec.min_rate` is not positive and finite, or if
+/// `spec.max_rate` is NaN or below it.
 pub fn fleet_capacity_search_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -719,8 +720,11 @@ where
     capacity_at(bracket_and_bisect(spec, |rate| {
         let trace = trace_for_rate(rate);
         let fleet = simulate_fleet_with(|| cost.clone(), config, replicas, &trace);
-        let goodput = fleet.goodput_rps(&spec.slo);
-        judge_probe(&fleet.records(), fleet.rejected(), goodput, &spec.slo)
+        // Gather and sort the fleet's records once for both the goodput and
+        // the p99 judge.
+        let records = fleet.records();
+        let goodput = ServingMetrics::goodput_rps(&records, &spec.slo, fleet.makespan_s());
+        judge_probe(&records, fleet.rejected(), goodput, &spec.slo)
     }))
 }
 
@@ -746,7 +750,7 @@ pub struct ChunkBudgetPoint {
 /// # Panics
 ///
 /// Panics if `budgets` is non-empty and `spec.min_rate` is not positive
-/// and finite.
+/// and finite or `spec.max_rate` is NaN or below it.
 pub fn chunk_budget_capacity_sweep_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -806,7 +810,8 @@ pub struct QosCapacityResult {
 ///
 /// # Panics
 ///
-/// Panics if `spec.min_rate` is not positive and finite.
+/// Panics if `spec.min_rate` is not positive and finite, or if
+/// `spec.max_rate` is NaN or below it.
 pub fn qos_capacity_search_with<C, F>(
     cost: &mut C,
     config: &ServingConfig,
@@ -1147,7 +1152,12 @@ mod tests {
         }
         // Four replicas drain the same offered load no slower (and, under
         // any queueing, strictly faster at the tail).
-        assert!(four.metrics().e2e.p99_s <= one.metrics().e2e.p99_s);
+        let p99_e2e = |fleet: &FleetReport| {
+            ServingMetrics::from_records(&fleet.records(), fleet.rejected(), fleet.makespan_s())
+                .e2e
+                .p99_s
+        };
+        assert!(p99_e2e(&four) <= p99_e2e(&one));
         assert_eq!(four.records().len(), 60);
     }
 
@@ -1281,5 +1291,36 @@ mod tests {
             &spec,
             |_| panic!("probed a trace"),
         );
+    }
+
+    /// A `max_rate` below `min_rate`, or NaN, would skip the doubling loop
+    /// and report `min_rate` as the capacity without probing the range, so
+    /// both are rejected before the first probe too.
+    #[test]
+    fn a_max_rate_below_min_rate_or_nan_is_rejected_before_any_probe() {
+        for max_rate in [0.1, f64::NAN] {
+            let spec = CapacitySpec {
+                max_rate,
+                ..CapacitySpec::chat(8, 1)
+            };
+            let search = std::panic::catch_unwind(|| {
+                capacity_search_warm(
+                    &mut LinearCostModel::default_70b(),
+                    &ServingConfig::continuous(4, 100_000),
+                    &spec,
+                    |_| panic!("probed a trace"),
+                )
+            });
+            let payload = search.expect_err("the search must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("max_rate"),
+                "max_rate {max_rate}: {message}"
+            );
+        }
     }
 }

@@ -367,12 +367,6 @@ impl TierResidency {
         None
     }
 
-    /// Looks up a demoted block by prefix hash without moving it.
-    #[must_use]
-    pub fn demoted_tier(&self, hash: u64) -> Option<TierKind> {
-        self.demoted.get(&hash).map(|&(tier, _)| tier)
-    }
-
     /// Promotes a demoted block back to HBM: removes it from its tier
     /// and returns which tier it came from (pricing the swap-in), or
     /// `None` if the hash is not resident.
@@ -466,9 +460,9 @@ mod tests {
         assert_eq!(residency.free_blocks(TierKind::Ddr), 0);
         // A 2-block swap drops the two oldest demotions (11 and 22).
         assert_eq!(residency.reserve_swap(2), Some(TierKind::Ddr));
-        assert_eq!(residency.demoted_tier(11), None);
-        assert_eq!(residency.demoted_tier(22), None);
-        assert_eq!(residency.demoted_tier(33), Some(TierKind::Ddr));
+        assert_eq!(residency.promote(11), None);
+        assert_eq!(residency.promote(22), None);
+        assert_eq!(residency.promote(33), Some(TierKind::Ddr));
     }
 
     /// A promotion leaves its queue entry behind; a later re-demotion of
@@ -482,8 +476,8 @@ mod tests {
         assert_eq!(residency.demote(1), Some(TierKind::Ddr));
         // Block 2 is now the oldest demotion: it makes the room.
         assert_eq!(residency.reserve_swap(1), Some(TierKind::Ddr));
-        assert_eq!(residency.demoted_tier(2), None);
-        assert_eq!(residency.demoted_tier(1), Some(TierKind::Ddr));
+        assert_eq!(residency.promote(2), None);
+        assert_eq!(residency.promote(1), Some(TierKind::Ddr));
     }
 
     #[test]

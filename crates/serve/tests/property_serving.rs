@@ -325,8 +325,8 @@ proptest! {
         }
         // ...the cache still owns its resident blocks...
         prop_assert_eq!(pool.allocated_blocks(), cache.resident_blocks());
-        // ...and flushing it drains the pool to zero.
-        cache.flush(&mut pool);
+        // ...and evicting until nothing is evictable drains the pool to zero.
+        while cache.evict_lru(&mut pool) {}
         prop_assert_eq!(cache.resident_blocks(), 0);
         prop_assert_eq!(pool.allocated_blocks(), 0);
         prop_assert_eq!(pool.free_blocks(), 512);

@@ -270,13 +270,6 @@ impl GemmSimulation {
             bytes_per_core: memory.bytes_transferred(),
         }
     }
-
-    /// Convenience wrapper: simulate enough tiles to reach steady state (a
-    /// few thousand) and report socket TFLOPS for batch size `n`.
-    #[must_use]
-    pub fn steady_state_tflops(&self, model: &TileExecModel, n: usize) -> f64 {
-        self.run(model, 4096).tflops(&self.machine, n)
-    }
 }
 
 #[cfg(test)]
@@ -438,15 +431,6 @@ mod tests {
         let t56 = tflops_at(56);
         assert!(t16 > 1.8 * t8, "should scale nearly linearly at low counts");
         assert!(t56 < 2.0 * t16, "must flatten once bandwidth saturates");
-    }
-
-    #[test]
-    fn steady_state_helper_matches_run() {
-        let s = sim();
-        let model = base_model();
-        let a = s.steady_state_tflops(&model, 4);
-        let b = s.run(&model, 4096).tflops(&MachineConfig::spr_hbm(), 4);
-        assert!((a - b).abs() < 1e-9);
     }
 
     #[test]

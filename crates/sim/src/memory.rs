@@ -100,12 +100,6 @@ impl MemoryController {
         self.busy_until + self.latency_cycles + extra_latency
     }
 
-    /// The first cycle at which a new transfer could start.
-    #[must_use]
-    pub fn next_free(&self) -> f64 {
-        self.busy_until
-    }
-
     /// Total bytes transferred so far.
     #[must_use]
     pub fn bytes_transferred(&self) -> f64 {
@@ -116,23 +110,6 @@ impl MemoryController {
     #[must_use]
     pub fn busy_cycles(&self) -> f64 {
         self.busy_cycles
-    }
-
-    /// Channel utilization over an observation window of `total_cycles`.
-    #[must_use]
-    pub fn utilization(&self, total_cycles: f64) -> f64 {
-        if total_cycles <= 0.0 {
-            0.0
-        } else {
-            (self.busy_cycles / total_cycles).min(1.0)
-        }
-    }
-
-    /// Resets the accounting (keeps the configuration).
-    pub fn reset(&mut self) {
-        self.busy_until = 0.0;
-        self.bytes_transferred = 0.0;
-        self.busy_cycles = 0.0;
     }
 }
 
@@ -165,17 +142,17 @@ mod tests {
         let mut mem = MemoryController::new(4.0, 0.0);
         let t = mem.request(1000.0, 40.0, 0.0);
         assert_eq!(t, 1010.0);
-        assert_eq!(mem.next_free(), 1010.0);
     }
 
     #[test]
     fn utilization_is_busy_over_total() {
         let mut mem = MemoryController::new(8.0, 0.0);
-        mem.request(0.0, 400.0, 0.0); // 50 cycles
-        assert!((mem.utilization(100.0) - 0.5).abs() < 1e-12);
-        assert_eq!(mem.utilization(0.0), 0.0);
-        mem.reset();
-        assert_eq!(mem.bytes_transferred(), 0.0);
+        // 400 bytes at 8 B/cycle keep the channel busy for 50 cycles: half
+        // of a 100-cycle window, whatever the latency.
+        mem.request(0.0, 400.0, 0.0);
+        assert_eq!(mem.busy_cycles(), 50.0);
+        mem.request(60.0, 400.0, 500.0);
+        assert_eq!(mem.busy_cycles(), 100.0);
     }
 
     #[test]

@@ -90,16 +90,6 @@ impl GemmStats {
         self.flops(machine, n) / 1e12
     }
 
-    /// Achieved memory bandwidth in GB/s (socket level).
-    #[must_use]
-    pub fn achieved_bandwidth_gbps(&self, machine: &MachineConfig) -> f64 {
-        if self.total_cycles <= 0.0 {
-            return 0.0;
-        }
-        let seconds = self.total_cycles / machine.frequency_hz();
-        self.bytes_per_core * self.cores as f64 / seconds / 1e9
-    }
-
     /// Wall-clock seconds this GeMM (the simulated portion) took.
     #[must_use]
     pub fn seconds(&self, machine: &MachineConfig) -> f64 {
@@ -189,7 +179,6 @@ mod tests {
         assert!((s.tiles_per_second(&machine) - tps).abs() / tps < 1e-12);
         assert!((s.flops(&machine, 1) - 512.0 * tps).abs() / (512.0 * tps) < 1e-12);
         assert_eq!(s.flops(&machine, 16), s.flops(&machine, 99));
-        assert!(s.achieved_bandwidth_gbps(&machine) > 0.0);
         assert!((s.seconds(&machine) - seconds).abs() < 1e-18);
     }
 

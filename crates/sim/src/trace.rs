@@ -120,16 +120,6 @@ impl MemoryTrace {
     pub fn total_bytes(&self) -> usize {
         self.events.iter().map(TraceEvent::total_bytes).sum()
     }
-
-    /// Mean bytes per tile (0 for an empty trace).
-    #[must_use]
-    pub fn mean_bytes_per_tile(&self) -> f64 {
-        if self.events.is_empty() {
-            0.0
-        } else {
-            self.total_bytes() as f64 / self.events.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +167,7 @@ mod tests {
             .expect("compress");
         let trace =
             MemoryTrace::from_matrix(&cm, &deca_compress::ScalarEngine::new()).expect("trace");
-        let mean = trace.mean_bytes_per_tile();
+        let mean = trace.total_bytes() as f64 / trace.len() as f64;
         let expected = scheme.expected_tile_bytes();
         assert!(
             (mean - expected).abs() / expected < 0.05,

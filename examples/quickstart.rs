@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use deca::{DecaConfig, DecaPe};
+use deca::{pipeline::VopPipeline, DecaConfig};
 use deca_compress::{generator::WeightGenerator, CompressionScheme, Compressor, Decompressor};
 use deca_kernels::avx_model::software_signature;
 use deca_roofsurface::{DecaVopModel, MachineConfig, RoofSurface};
@@ -24,16 +24,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compressed.compression_factor()
     );
 
-    // 2. Run one tile through a DECA PE and compare against the reference
-    //    scalar decompressor.
-    let mut pe = DecaPe::new(DecaConfig::baseline());
+    // 2. Run one tile through a DECA PE's vOp pipeline, programmed for the
+    //    scheme's format, and compare against the reference scalar
+    //    decompressor.
+    let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
+    pipeline.configure(scheme.format());
     let tile = compressed.tile(0, 0);
-    let processed = pe.process_tile(tile)?;
+    let (dense, timing) = pipeline.process(tile)?;
     let reference = Decompressor::new().decompress_tile(tile)?;
-    assert_eq!(processed.tile, reference, "DECA output must be bit-exact");
+    assert_eq!(dense, reference, "DECA output must be bit-exact");
     println!(
         "DECA PE decompressed one tile in {} pipeline cycles ({} vOps, {} bubbles)",
-        processed.timing.pipeline_cycles, processed.timing.vops, processed.timing.bubbles
+        timing.pipeline_cycles, timing.vops, timing.bubbles
     );
 
     // 3. Ask the Roof-Surface model what bounds this kernel on an HBM SPR,

@@ -2,10 +2,10 @@
 //! through compression, DECA decompression and the functional GeMM, across
 //! crates and through the public APIs only.
 
-use deca::{DecaConfig, DecaPe};
+use deca::{pipeline::VopPipeline, DecaConfig};
 use deca_compress::{
-    generator::WeightGenerator, CompressionScheme, Compressor, Decompressor, SchemeSet,
-    WeightMatrix, TILE_COLS, TILE_ROWS,
+    generator::WeightGenerator, CompressionScheme, Compressor, DecompressScratch, Decompressor,
+    DenseTile, SchemeSet, WeightMatrix, TILE_COLS, TILE_ROWS,
 };
 use deca_kernels::functional;
 use deca_numerics::Bf16;
@@ -54,12 +54,13 @@ fn deca_pe_reconstruction_is_bit_exact_across_a_matrix() {
             .compress_matrix(&weights)
             .expect("compress");
         let reference = Decompressor::new();
-        let mut pe = DecaPe::new(DecaConfig::baseline());
+        let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
+        pipeline.configure(scheme.format());
         for tr in 0..compressed.tile_rows() {
             for tc in 0..compressed.tile_cols() {
                 let tile = compressed.tile(tr, tc);
                 let expected = reference.decompress_tile(tile).expect("reference");
-                let produced = pe.process_tile(tile).expect("pe").tile;
+                let (produced, _) = pipeline.process(tile).expect("pipeline");
                 assert_eq!(produced, expected, "{scheme} tile ({tr},{tc})");
             }
         }
@@ -98,8 +99,9 @@ fn pathological_tiles_are_handled() {
         .without_pruning()
         .compress_tile(&matrix.tile(0, 0))
         .expect("compress");
-    let mut pe = DecaPe::new(DecaConfig::baseline());
-    let produced = pe.process_tile(&compressed).expect("pe").tile;
+    let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
+    pipeline.configure(scheme.format());
+    let (produced, _) = pipeline.process(&compressed).expect("pipeline");
     for c in 0..TILE_COLS {
         let expected = Bf16::from_f32((c as f32 + 1.0) * 0.125);
         // BF8 quantization error applies, but position and sign must hold.
@@ -153,14 +155,20 @@ fn engine_axis_threads_through_every_layer() {
     }
     assert!(traced_cycles.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9));
 
-    // Core layer: the PE pipeline validates bit-exactly against every
-    // backend on every tile of the matrix.
-    let mut pipeline = deca::pipeline::VopPipeline::new(&DecaConfig::baseline());
+    // Core layer: the PE pipeline agrees bit-exactly with every backend on
+    // every tile of the matrix.
+    let mut pipeline = VopPipeline::new(&DecaConfig::baseline());
     pipeline.configure(scheme.format());
+    let mut scratch = DecompressScratch::new();
+    let mut expected = DenseTile::zero();
     for kind in EngineKind::all() {
         let engine = kind.build();
-        pipeline
-            .process_validated(compressed.tile(0, 0), engine.as_ref())
-            .expect("pipeline agrees with engine");
+        for tile in compressed.tiles() {
+            let (produced, _) = pipeline.process(tile).expect("pipeline");
+            engine
+                .decompress_tile_into(tile, &mut scratch, &mut expected)
+                .expect("engine");
+            assert_eq!(produced, expected, "{kind}");
+        }
     }
 }

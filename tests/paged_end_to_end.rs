@@ -50,9 +50,7 @@ fn block_pool_derives_from_the_footprint_headroom() {
     let scheme = served_scheme();
     let single = ShardSpec::single();
     let tokens = footprint::max_kv_tokens(&model, &scheme, &single).expect("Q8_5% fits");
-    let blocks =
-        footprint::max_kv_blocks(&model, &scheme, &single, BLOCK_SIZE).expect("Q8_5% fits");
-    assert_eq!(blocks, tokens / BLOCK_SIZE as u64);
+    let blocks = tokens / BLOCK_SIZE as u64;
 
     let budget = hbm_kv_budget_tokens(&model, &scheme).expect("fits");
     let config = ServingConfig::paged(MAX_BATCH, budget, BLOCK_SIZE);
@@ -136,9 +134,11 @@ fn paged_serving_composes_with_tensor_parallel_sharding() {
     let model = LlmModel::llama2_70b();
     let scheme = served_scheme();
     let tp2 = ShardSpec::tp(2);
-    let single_blocks =
-        footprint::max_kv_blocks(&model, &scheme, &ShardSpec::single(), BLOCK_SIZE).expect("fits");
-    let tp2_blocks = footprint::max_kv_blocks(&model, &scheme, &tp2, BLOCK_SIZE).expect("fits");
+    let blocks = |spec: &ShardSpec| {
+        footprint::max_kv_tokens(&model, &scheme, spec).expect("fits") / BLOCK_SIZE as u64
+    };
+    let single_blocks = blocks(&ShardSpec::single());
+    let tp2_blocks = blocks(&tp2);
     assert!(
         tp2_blocks > single_blocks,
         "sharded weights leave more room"

@@ -12,8 +12,8 @@ use deca_kernels::Engine;
 use deca_llm::{footprint, InferenceEstimator, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
-    hbm_kv_budget_tokens, simulate_fleet_with, EstimatorCostModel, SchedulerKind, ServingConfig,
-    ServingSimulator, SloTarget, WorkloadSpec,
+    hbm_kv_budget_tokens, simulate_fleet_with, EstimatorCostModel, FleetReport, SchedulerKind,
+    ServingConfig, ServingMetrics, ServingSimulator, SloTarget, WorkloadSpec,
 };
 
 const MAX_BATCH: usize = 16;
@@ -169,5 +169,10 @@ fn continuous_batching_and_replicas_absorb_bursts() {
     let one = simulate_fleet_with(cost, &config, 1, &trace);
     let four = simulate_fleet_with(cost, &config, 4, &trace);
     assert_eq!(four.records().len() + four.rejected(), trace.len());
-    assert!(four.metrics().e2e.p99_s <= one.metrics().e2e.p99_s);
+    let p99_e2e = |fleet: &FleetReport| {
+        ServingMetrics::from_records(&fleet.records(), fleet.rejected(), fleet.makespan_s())
+            .e2e
+            .p99_s
+    };
+    assert!(p99_e2e(&four) <= p99_e2e(&one));
 }
