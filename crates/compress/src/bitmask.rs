@@ -5,7 +5,7 @@
 //! is stored in the contiguous nonzero array (§2.2). Reconstructing the dense
 //! tile requires, for every dense position, the running count of `1`s before
 //! it — exactly what DECA's POPCNT + parallel-prefix-sum circuitry computes
-//! to drive the expansion crossbar (§6.1).
+//! from the mask words to drive the expansion crossbar (§6.1).
 
 /// A bitmask over `len` elements (one bit each), stored LSB-first in 64-bit
 /// words.
@@ -16,7 +16,7 @@
 /// m.set(1, true);
 /// m.set(5, true);
 /// assert_eq!(m.popcount(), 2);
-/// assert_eq!(m.prefix_sums(), vec![0, 0, 1, 1, 1, 1, 2, 2, 2]);
+/// assert_eq!(m.words(), &[0b10_0010]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmask {
@@ -35,16 +35,41 @@ impl Bitmask {
     }
 
     /// Builds a bitmask from a dense slice, marking every position whose
-    /// predicate returns `true`.
+    /// predicate returns `true`. The predicate runs once per value, in
+    /// order, and each word is assembled by shifting.
     #[must_use]
     pub fn from_predicate<T>(values: &[T], mut is_nonzero: impl FnMut(&T) -> bool) -> Self {
-        let mut mask = Bitmask::new(values.len());
-        for (i, v) in values.iter().enumerate() {
-            if is_nonzero(v) {
-                mask.set(i, true);
+        let words = values
+            .chunks(64)
+            .map(|chunk| {
+                chunk.iter().enumerate().fold(0u64, |word, (bit, v)| {
+                    word | u64::from(is_nonzero(v)) << bit
+                })
+            })
+            .collect();
+        Bitmask {
+            len: values.len(),
+            words,
+        }
+    }
+
+    /// Clears every set bit after the first `n`, in position order, with
+    /// one popcount per word and one partial word at most.
+    pub(crate) fn keep_first(&mut self, n: usize) {
+        let mut remaining = n;
+        for word in &mut self.words {
+            let count = word.count_ones() as usize;
+            if count <= remaining {
+                remaining -= count;
+            } else {
+                let mut beyond = *word;
+                for _ in 0..remaining {
+                    beyond &= beyond - 1;
+                }
+                *word ^= beyond;
+                remaining = 0;
             }
         }
-        mask
     }
 
     /// Number of elements covered by the mask.
@@ -100,33 +125,12 @@ impl Bitmask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Exclusive prefix sum of set bits: entry `i` is the number of nonzeros
-    /// strictly before position `i`. Length is `len + 1`; the final entry is
-    /// the total popcount.
-    ///
-    /// This is the output of the parallel prefix sum that controls the
-    /// expansion crossbar: a set position `i` takes the `sums[i]`-th value of
-    /// the contiguous nonzero array, and `sums[end] - sums[start]` is the
-    /// POPCNT of a vOp's window `[start, end)`.
-    #[must_use]
-    pub fn prefix_sums(&self) -> Vec<usize> {
-        let mut sums = Vec::with_capacity(self.len + 1);
-        let mut running = 0usize;
-        sums.push(0);
-        for i in 0..self.len {
-            if self.get(i) {
-                running += 1;
-            }
-            sums.push(running);
-        }
-        sums
-    }
-
     /// The backing 64-bit words, LSB-first (bit `i` of the mask is bit
     /// `i % 64` of word `i / 64`). Bits past `len` are always zero.
     ///
     /// This is the view DECA's POPCNT + parallel-prefix-sum circuitry
-    /// consumes, and what the SIMD engine's portable word loop iterates.
+    /// consumes, and what the vOp pipeline and the SIMD engine's portable
+    /// word loop iterate.
     #[must_use]
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -184,35 +188,36 @@ mod tests {
     #[test]
     fn popcount_range_counts_correctly() {
         let m = sample_mask();
-        let sums = m.prefix_sums();
+        let count = |range: std::ops::Range<usize>| range.filter(|&i| m.get(i)).count();
         // Bits 0,3,6,... every third bit set.
-        assert_eq!(sums[9] - sums[0], 3);
-        assert_eq!(sums[3] - sums[1], 0);
-        assert_eq!(sums[512], m.popcount());
+        assert_eq!(count(0..9), 3);
+        assert_eq!(count(1..3), 0);
+        assert_eq!(count(0..512), m.popcount());
         assert_eq!(m.popcount(), 171);
     }
 
     #[test]
     fn window_popcounts_cover_whole_mask() {
         // The W=32 vOp windows of every-third-bit: offsets 0, 32 and 64 set
-        // 11, 11 and 10 bits, and the pattern repeats.
-        let sums = sample_mask().prefix_sums();
-        let windows: Vec<usize> = (0..16).map(|w| sums[32 * (w + 1)] - sums[32 * w]).collect();
+        // 11, 11 and 10 bits, and the pattern repeats. Each window is one
+        // half of a word.
+        let words = sample_mask().words().to_vec();
+        let windows: Vec<u32> = (0..16)
+            .map(|w| ((words[w / 2] >> (32 * (w % 2))) & 0xFFFF_FFFF).count_ones())
+            .collect();
         assert_eq!(&windows[..3], &[11, 11, 10]);
-        assert_eq!(windows.iter().sum::<usize>(), 171);
+        assert_eq!(windows.iter().sum::<u32>(), 171);
     }
 
     #[test]
-    fn expansion_indices_are_consistent_with_prefix_sums() {
-        let m = sample_mask();
-        let sums = m.prefix_sums();
-        assert_eq!(sums.len(), 513);
-        let mut running = 0;
-        for (i, sum) in sums.iter().take(512).enumerate() {
-            assert_eq!(*sum, running, "position {i}");
-            running += usize::from(m.get(i));
+    fn keep_first_keeps_the_first_set_bits_in_position_order() {
+        for n in [0, 1, 21, 22, 64, 170, 171, 500] {
+            let mut m = sample_mask();
+            m.keep_first(n);
+            let kept: Vec<usize> = (0..512).filter(|&i| m.get(i)).collect();
+            let expected: Vec<usize> = (0..512).step_by(3).take(n).collect();
+            assert_eq!(kept, expected, "n = {n}");
         }
-        assert_eq!(sums[512], m.popcount());
     }
 
     #[test]

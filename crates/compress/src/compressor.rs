@@ -13,6 +13,12 @@ use crate::{
     DenseTile, TILE_COLS, TILE_ELEMS,
 };
 
+/// A BF16 weight's magnitude bits: for finite weights, integer order on
+/// these keys is the order of `|w|`.
+fn magnitude_key(weight: Bf16) -> u16 {
+    weight.abs().to_bits()
+}
+
 /// Offline compressor for a single [`CompressionScheme`].
 ///
 /// ```
@@ -27,9 +33,8 @@ use crate::{
 pub struct Compressor {
     scheme: CompressionScheme,
     prune_to_density: bool,
-    /// The scheme's element codec, resolved once: building a [`Minifloat`]
-    /// decodes and sorts its whole code space. `None` for BF16 and the
-    /// integer formats.
+    /// The scheme's element codec and its rounding constants, resolved
+    /// once. `None` for BF16 and the integer formats.
     minifloat: Option<Minifloat>,
     /// Exponent of the element format's largest power of two, the `emax`
     /// that group scales are chosen against.
@@ -73,75 +78,108 @@ impl Compressor {
         &self.scheme
     }
 
-    /// Magnitude-prunes a tile's values to the scheme density, returning the
-    /// surviving values (others forced to zero).
-    fn pruned_values(&self, tile: &DenseTile) -> Vec<f32> {
-        let mut values: Vec<f32> = tile.elements().iter().map(|b| b.to_f32()).collect();
+    /// The pruning rule of one tile as data: the weights whose
+    /// [`magnitude_key`] reaches the threshold are candidates, and the
+    /// first `keep` of them in position order stay.
+    ///
+    /// Dense schemes keep every weight (threshold 0). Sparse schemes keep
+    /// every nonzero (threshold 1) unless the tile has more than the
+    /// scheme's `keep` nonzeros and pruning is on; then the threshold is the
+    /// `keep`-th largest magnitude, found bit by bit from the top as the
+    /// largest key that at least `keep` keys reach, with branch-free
+    /// counts.
+    fn keep_rule(&self, weights: &[Bf16]) -> (u16, usize) {
         if !self.scheme.is_sparse() {
-            return values;
+            return (0, TILE_ELEMS);
         }
         let keep = ((TILE_ELEMS as f64) * self.scheme.density()).round() as usize;
-        let nonzero_now = values.iter().filter(|v| **v != 0.0).count();
-        if self.prune_to_density && nonzero_now > keep {
-            // Find the magnitude threshold of the keep-th largest value: a
-            // selection puts the same value at that rank as a full sort.
-            let mut magnitudes: Vec<f32> = values.iter().map(|v| v.abs()).collect();
-            let rank = keep.saturating_sub(1).min(magnitudes.len() - 1);
-            let (_, &mut threshold, _) = magnitudes
-                .select_nth_unstable_by(rank, |a, b| b.partial_cmp(a).expect("finite weights"));
-            let mut kept = 0usize;
-            for v in &mut values {
-                if v.abs() >= threshold && *v != 0.0 && kept < keep {
-                    kept += 1;
-                } else {
-                    *v = 0.0;
-                }
+        let mut keys = [0u16; TILE_ELEMS];
+        for (key, &weight) in keys.iter_mut().zip(weights) {
+            *key = magnitude_key(weight);
+        }
+        // Counted in u16 lanes (at most 512), so the count vectorizes.
+        let reaching = |threshold: u16| -> usize {
+            keys.iter()
+                .map(|&key| u16::from(key >= threshold))
+                .sum::<u16>()
+                .into()
+        };
+        if !self.prune_to_density || reaching(1) <= keep {
+            return (1, TILE_ELEMS);
+        }
+        let mut threshold = 0u16;
+        for bit in (0..15).rev() {
+            let candidate = threshold | (1 << bit);
+            if reaching(candidate) >= keep {
+                threshold = candidate;
             }
         }
-        values
+        (threshold, keep)
     }
 
-    /// Computes per-group scales for group-quantized formats, one per
-    /// `group_size` consecutive dense positions.
-    fn group_scales(&self, values: &[f32]) -> Vec<ScaleE8M0> {
+    /// Picks each group's scale from the weights the mask keeps, and
+    /// returns the scales with the exact reciprocal each position's weight
+    /// is multiplied by (1 everywhere without group scaling).
+    fn group_scales(
+        &self,
+        weights: &[Bf16],
+        mask: &Bitmask,
+    ) -> (Vec<ScaleE8M0>, [f32; TILE_ELEMS]) {
+        let mut recips = [1f32; TILE_ELEMS];
         let Some(group) = self.scheme.group_size() else {
-            return Vec::new();
+            return (Vec::new(), recips);
         };
-        values
-            .chunks(group)
-            .map(|chunk| {
-                let max_abs = chunk.iter().fold(0f32, |m, v| m.max(v.abs()));
-                ScaleE8M0::for_group(max_abs, self.element_emax)
+        let words = mask.words();
+        let scales = recips
+            .chunks_mut(group)
+            .enumerate()
+            .map(|(g, recips)| {
+                let start = g * group;
+                let max_key = (start..start + recips.len())
+                    .map(|pos| {
+                        let stays = (words[pos / 64] >> (pos % 64)) & 1;
+                        magnitude_key(weights[pos]) * stays as u16
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let scale =
+                    ScaleE8M0::for_group(Bf16::from_bits(max_key).to_f32(), self.element_emax);
+                recips.fill(1.0 / scale.value());
+                scale
             })
-            .collect()
+            .collect();
+        (scales, recips)
     }
 
-    /// Encodes one weight value into its storage code under an optional
-    /// group scale.
-    fn encode_value(&self, value: f32, scale: Option<ScaleE8M0>) -> u16 {
-        let scaled = match scale {
-            Some(s) => value / s.value(),
-            None => value,
-        };
+    /// Encodes every weight, scaled by its reciprocal, with the scheme's
+    /// element codec: a straight map with no branch on the data.
+    fn encode_all(&self, weights: &[Bf16], recips: &[f32; TILE_ELEMS]) -> [u16; TILE_ELEMS] {
         let int_code = |codec: IntCodec| {
             let max = codec.max_code() as f32;
-            u16::from(codec.to_storage(scaled.round().clamp(-max, max) as i8))
+            move |scaled: f32| u16::from(codec.to_storage(scaled.round().clamp(-max, max) as i8))
         };
         match self.scheme.format() {
-            QuantFormat::Bf16 => Bf16::from_f32(scaled).to_bits(),
-            QuantFormat::Int8 => int_code(IntCodec::int8()),
-            QuantFormat::Int4 => int_code(IntCodec::int4()),
+            QuantFormat::Bf16 => encode_with(weights, recips, |v| Bf16::from_f32(v).to_bits()),
+            QuantFormat::Int8 => encode_with(weights, recips, int_code(IntCodec::int8())),
+            QuantFormat::Int4 => encode_with(weights, recips, int_code(IntCodec::int4())),
             _ => {
                 let mf = self
                     .minifloat
                     .as_ref()
                     .expect("all non-BF16 float formats have a minifloat codec");
-                u16::from(mf.encode(scaled))
+                encode_with(weights, recips, |v| u16::from(mf.encode(v)))
             }
         }
     }
 
     /// Compresses a single dense tile.
+    ///
+    /// One pass builds the bitmask from the pruning rule, a second picks
+    /// each group's scale from the kept weights, a third encodes every
+    /// weight and a walk over the mask's set bits keeps the codes of the
+    /// kept ones. A group-scaled weight is multiplied by its scale's
+    /// reciprocal, which is exact for a power of two, so it is the same
+    /// correctly rounded quotient as a division.
     ///
     /// # Errors
     ///
@@ -149,51 +187,25 @@ impl Compressor {
     /// ±Inf, and [`CompressError::CorruptTile`] if the assembled tile fails
     /// validation (this indicates an internal bug rather than bad input).
     pub fn compress_tile(&self, tile: &DenseTile) -> Result<CompressedTile, CompressError> {
+        let weights = tile.elements();
         // Pruning, scale selection and quantization all assume finite
         // weights; reject the others once, up front, under every scheme.
-        if let Some(position) = tile.elements().iter().position(|v| !v.to_f32().is_finite()) {
+        if let Some(position) = weights.iter().position(|w| !w.to_f32().is_finite()) {
             return Err(CompressError::NonFiniteWeight { position });
         }
-        let values = self.pruned_values(tile);
-        let scales = self.group_scales(&values);
-
-        let (codes, nonzero_count, bitmask) = if self.scheme.is_sparse() {
-            let mask = Bitmask::from_predicate(&values, |v| *v != 0.0);
-            let group = self.scheme.group_size().unwrap_or(usize::MAX);
-            let codes: Vec<u16> = values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| **v != 0.0)
-                .map(|(i, v)| {
-                    let scale = if scales.is_empty() {
-                        None
-                    } else {
-                        Some(scales[i / group])
-                    };
-                    self.encode_value(*v, scale)
-                })
-                .collect();
-            let count = codes.len();
-            (codes, count, Some(mask))
+        let (threshold, keep) = self.keep_rule(weights);
+        let mut mask = Bitmask::from_predicate(weights, |&w| magnitude_key(w) >= threshold);
+        mask.keep_first(keep);
+        let (scales, recips) = self.group_scales(weights, &mask);
+        let mut codes = self.encode_all(weights, &recips);
+        let count = if mask.popcount() == TILE_ELEMS {
+            TILE_ELEMS
         } else {
-            let group = self.scheme.group_size().unwrap_or(usize::MAX);
-            let codes: Vec<u16> = values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    let scale = if scales.is_empty() {
-                        None
-                    } else {
-                        Some(scales[i / group])
-                    };
-                    self.encode_value(*v, scale)
-                })
-                .collect();
-            (codes, TILE_ELEMS, None)
+            keep_masked(&mut codes, mask.words())
         };
-
-        let payload = pack_codes(&codes, self.scheme.element_bits());
-        CompressedTile::new(self.scheme, payload, nonzero_count, bitmask, scales)
+        let payload = pack_codes(&codes[..count], self.scheme.element_bits());
+        let bitmask = self.scheme.is_sparse().then_some(mask);
+        CompressedTile::new(self.scheme, payload, count, bitmask, scales)
     }
 
     /// Compresses a whole matrix tile-by-tile.
@@ -206,13 +218,43 @@ impl Compressor {
         matrix: &crate::WeightMatrix,
     ) -> Result<CompressedMatrix, CompressError> {
         let mut tiles = Vec::with_capacity(matrix.tile_count());
+        let mut tile = DenseTile::zero();
         for tr in 0..matrix.tile_rows() {
             for tc in 0..matrix.tile_cols() {
-                tiles.push(self.compress_tile(&matrix.tile(tr, tc))?);
+                matrix.copy_tile_into(tr, tc, &mut tile);
+                tiles.push(self.compress_tile(&tile)?);
             }
         }
         CompressedMatrix::new(self.scheme, matrix.rows(), matrix.cols(), tiles)
     }
+}
+
+/// The loop of [`Compressor::encode_all`] for one element codec.
+fn encode_with(
+    weights: &[Bf16],
+    recips: &[f32; TILE_ELEMS],
+    encode: impl Fn(f32) -> u16,
+) -> [u16; TILE_ELEMS] {
+    let mut codes = [0u16; TILE_ELEMS];
+    for ((code, weight), recip) in codes.iter_mut().zip(weights).zip(recips) {
+        *code = encode(weight.to_f32() * recip);
+    }
+    codes
+}
+
+/// Moves the codes at the mask's set positions, in position order, to the
+/// front of `codes`; returns how many there are.
+fn keep_masked(codes: &mut [u16; TILE_ELEMS], words: &[u64]) -> usize {
+    let mut count = 0;
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            codes[count] = codes[w * 64 + bits.trailing_zeros() as usize];
+            count += 1;
+            bits &= bits - 1;
+        }
+    }
+    count
 }
 
 /// Convenience free function compressing a matrix under a scheme.
@@ -342,7 +384,7 @@ mod tests {
     #[test]
     fn non_finite_weights_are_an_error_under_every_scheme_kind() {
         // One scheme per code path that assumes finite input: the plain
-        // encoder, the magnitude sort and the group-scale search.
+        // encoder, the magnitude selection and the group-scale search.
         for scheme in [
             CompressionScheme::bf8_dense(),
             CompressionScheme::bf8_sparse(0.5),

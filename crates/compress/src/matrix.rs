@@ -140,25 +140,33 @@ impl WeightMatrix {
     /// Panics if the tile coordinates are out of range.
     #[must_use]
     pub fn tile(&self, tr: usize, tc: usize) -> DenseTile {
+        let mut tile = DenseTile::zero();
+        self.copy_tile_into(tr, tc, &mut tile);
+        tile
+    }
+
+    /// Writes the dense tile at `(tr, tc)` into a reused buffer, row slice
+    /// by row slice, zero-padding past the matrix edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile coordinates are out of range.
+    pub(crate) fn copy_tile_into(&self, tr: usize, tc: usize, tile: &mut DenseTile) {
         assert!(
             tr < self.tile_rows() && tc < self.tile_cols(),
             "tile coordinates out of range"
         );
-        let mut tile = DenseTile::zero();
-        for r in 0..TILE_ROWS {
-            let row = tr * TILE_ROWS + r;
-            if row >= self.rows {
-                break;
-            }
-            for c in 0..TILE_COLS {
-                let col = tc * TILE_COLS + c;
-                if col >= self.cols {
-                    break;
-                }
-                tile.set(r, c, Bf16::from_f32(self.get(row, col)));
+        let (row0, col0) = (tr * TILE_ROWS, tc * TILE_COLS);
+        let cols = TILE_COLS.min(self.cols - col0);
+        if row0 + TILE_ROWS > self.rows || cols < TILE_COLS {
+            tile.fill_zero();
+        }
+        let rows = self.data[row0 * self.cols..].chunks(self.cols);
+        for (dst, row) in tile.elements_mut().chunks_exact_mut(TILE_COLS).zip(rows) {
+            for (d, &v) in dst.iter_mut().zip(&row[col0..col0 + cols]) {
+                *d = Bf16::from_f32(v);
             }
         }
-        tile
     }
 
     /// Memory footprint of the uncompressed matrix in BF16 bytes.

@@ -31,20 +31,19 @@ fn mxfp4_roundtrip(values: &[f32]) -> (DenseTile, CompressedTile, DenseTile) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The exclusive prefix sums of any bitmask count the set bits before
-    /// each position.
+    /// A bitmask built from a predicate, word by word, equals one built bit
+    /// by bit: the same words, the same bits and the same popcount.
     #[test]
-    fn bitmask_prefix_sums_are_consistent(bits in proptest::collection::vec(any::<bool>(), 1..600)) {
+    fn bitmask_words_match_the_bits(bits in proptest::collection::vec(any::<bool>(), 1..600)) {
         let mut mask = Bitmask::new(bits.len());
         for (i, b) in bits.iter().enumerate() {
             mask.set(i, *b);
         }
-        let sums = mask.prefix_sums();
-        prop_assert_eq!(sums.len(), bits.len() + 1);
+        prop_assert_eq!(&Bitmask::from_predicate(&bits, |b| *b), &mask);
         for (i, b) in bits.iter().enumerate() {
-            prop_assert_eq!(sums[i + 1], sums[i] + usize::from(*b));
+            prop_assert_eq!((mask.words()[i / 64] >> (i % 64)) & 1 == 1, *b);
         }
-        prop_assert_eq!(sums[bits.len()], mask.popcount());
+        prop_assert_eq!(mask.popcount(), bits.iter().filter(|b| **b).count());
     }
 
     /// The zero/nonzero pattern of a tile survives any sparse compression

@@ -44,21 +44,31 @@ impl LutArray {
         self.table.as_ref().map(DequantTable::format)
     }
 
-    /// Dequantizes a batch of codes, returning the BF16 values and the
-    /// number of cycles the dequantization stage is occupied
+    /// Dequantizes a batch of codes into the front of `values`, returning
+    /// the number of cycles the dequantization stage is occupied
     /// (`ceil(len / Lq)`, minimum 1).
     ///
     /// For an unprogrammed array (BF16 passthrough) the codes are
     /// reinterpreted as raw BF16 bit patterns and take a single cycle.
-    #[must_use]
-    pub fn dequantize(&self, codes: &[u16]) -> (Vec<Bf16>, u32) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is shorter than `codes`.
+    pub fn dequantize(&self, codes: &[u16], values: &mut [Bf16]) -> u32 {
+        let values = &mut values[..codes.len()];
         match &self.table {
-            None => (codes.iter().map(|&c| Bf16::from_bits(c)).collect(), 1),
+            None => {
+                for (value, &code) in values.iter_mut().zip(codes) {
+                    *value = Bf16::from_bits(code);
+                }
+                1
+            }
             Some(table) => {
+                for (value, &code) in values.iter_mut().zip(codes) {
+                    *value = table.lookup(code as u8);
+                }
                 let lq = self.l * table.lookups_per_lut_per_cycle();
-                let cycles = codes.len().div_ceil(lq).max(1) as u32;
-                let values = codes.iter().map(|&c| table.lookup(c as u8)).collect();
-                (values, cycles)
+                codes.len().div_ceil(lq).max(1) as u32
             }
         }
     }
@@ -84,16 +94,17 @@ mod tests {
         // Lq = L for 8-bit codes, 2L for 7-bit and 4L for 4-bit: 64 codes
         // occupy an 8-LUT array for 8, 4 and 2 cycles.
         let codes = [0u16; 64];
+        let mut values = [Bf16::ZERO; 64];
         let mut arr = LutArray::new(8);
         arr.program(QuantFormat::Bf8);
-        assert_eq!(arr.dequantize(&codes).1, 8);
+        assert_eq!(arr.dequantize(&codes, &mut values), 8);
         arr.program(QuantFormat::Fp4);
-        assert_eq!(arr.dequantize(&codes).1, 2);
+        assert_eq!(arr.dequantize(&codes, &mut values), 2);
         arr.program(QuantFormat::Custom {
             exp_bits: 4,
             man_bits: 2,
         }); // 7-bit
-        assert_eq!(arr.dequantize(&codes).1, 4);
+        assert_eq!(arr.dequantize(&codes, &mut values), 4);
     }
 
     #[test]
@@ -101,13 +112,15 @@ mod tests {
         let mut arr = LutArray::new(8);
         arr.program(QuantFormat::Bf8);
         let codes: Vec<u16> = (0..32).collect();
-        let (values, cycles) = arr.dequantize(&codes);
-        assert_eq!(values.len(), 32);
-        assert_eq!(cycles, 4); // 32 codes / 8 lookups per cycle
-        let (_, cycles) = arr.dequantize(&codes[..8]);
-        assert_eq!(cycles, 1);
-        let (_, cycles) = arr.dequantize(&[]);
-        assert_eq!(cycles, 1, "an empty window still occupies one cycle");
+        let mut values = [Bf16::ZERO; 32];
+        // 32 codes / 8 lookups per cycle.
+        assert_eq!(arr.dequantize(&codes, &mut values), 4);
+        assert_eq!(arr.dequantize(&codes[..8], &mut values), 1);
+        assert_eq!(
+            arr.dequantize(&[], &mut values),
+            1,
+            "an empty window still occupies one cycle"
+        );
     }
 
     #[test]
@@ -116,7 +129,8 @@ mod tests {
         arr.program(QuantFormat::Bf8);
         let mf = Minifloat::bf8();
         let codes: Vec<u16> = vec![0x3C, 0x40, 0x00, 0xBC];
-        let (values, _) = arr.dequantize(&codes);
+        let mut values = [Bf16::ZERO; 4];
+        arr.dequantize(&codes, &mut values);
         for (code, value) in codes.iter().zip(&values) {
             assert_eq!(value.to_f32(), mf.decode(*code as u8));
         }
@@ -126,9 +140,9 @@ mod tests {
     fn bf16_passthrough_reinterprets_bits() {
         let arr = LutArray::new(8);
         let one = Bf16::from_f32(1.0).to_bits();
-        let (values, cycles) = arr.dequantize(&[one]);
+        let mut values = [Bf16::ZERO; 1];
+        assert_eq!(arr.dequantize(&[one], &mut values), 1);
         assert_eq!(values[0].to_f32(), 1.0);
-        assert_eq!(cycles, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `deca-sim`; this module answers "how many cycles does *this* tile take in
 //! the pipeline, given its actual bitmask".
 
-use deca_compress::{CompressedTile, DecompressScratch, DenseTile, TILE_COLS, TILE_ELEMS};
+use deca_compress::{Bitmask, CompressedTile, DecompressScratch, DenseTile, TILE_ELEMS};
 use deca_numerics::{Bf16, QuantFormat};
 
 use crate::{DecaConfig, DecaError, LutArray};
@@ -80,12 +80,11 @@ impl VopPipeline {
     /// Streaming variant of [`VopPipeline::process`]: writes the dense tile
     /// into a caller-provided buffer and unpacks the nonzero codes into the
     /// caller's scratch, as [`DecompressEngine::decompress_tile_into`] does,
-    /// plus the timing model. Unlike the engines it still allocates per
-    /// tile: a 513-entry prefix-sum `Vec` for a sparse tile
-    /// ([`Bitmask::prefix_sums`]) and one value `Vec` per vOp
-    /// ([`LutArray::dequantize`]).
+    /// plus the timing model. Once the scratch has grown to a tile's codes,
+    /// nothing is allocated per tile or per vOp: window popcounts and their
+    /// running sum come from the bitmask words, each window dequantizes into
+    /// a stack buffer, and expansion walks the window's set bits.
     ///
-    /// [`Bitmask::prefix_sums`]: deca_compress::Bitmask::prefix_sums
     /// [`DecompressEngine::decompress_tile_into`]: deca_compress::DecompressEngine::decompress_tile_into
     ///
     /// # Errors
@@ -98,7 +97,8 @@ impl VopPipeline {
         out: &mut DenseTile,
     ) -> Result<PipelineTiming, DecaError> {
         // Same memory-structure validation as the decompression engines: a
-        // corrupted tile must fault cleanly, never index out of bounds.
+        // corrupted tile must fault cleanly, never index out of bounds. It
+        // also guarantees that the bitmask's popcount is the code count.
         tile.validate()?;
         let scheme = tile.scheme();
         let format = scheme.format();
@@ -114,68 +114,67 @@ impl VopPipeline {
         }
 
         let codes = scratch.unpack(tile);
-        let expansion = tile.bitmask().map(|m| {
-            if m.popcount() != codes.len() {
-                return Err(DecaError::Compress(
-                    deca_compress::CompressError::CorruptTile {
-                        reason: format!(
-                            "bitmask popcount {} does not match {} codes",
-                            m.popcount(),
-                            codes.len()
-                        ),
-                    },
-                ));
+        let words = tile.bitmask().map(Bitmask::words);
+        // The scaling stage's operand at each position: its group's scale
+        // as BF16, promoted once per tile.
+        let scaled = scheme.group_size();
+        let mut position_scales = [Bf16::ONE; TILE_ELEMS];
+        if let Some(group) = scaled {
+            for (slots, scale) in position_scales.chunks_mut(group).zip(tile.scales()) {
+                slots.fill(scale.to_bf16());
             }
-            Ok(m.prefix_sums())
-        });
-        let prefix = match expansion {
-            Some(result) => Some(result?),
-            None => None,
+        }
+        let scale = |value: Bf16, pos: usize| {
+            if scaled.is_some() {
+                value * position_scales[pos]
+            } else {
+                value
+            }
         };
-        let scales = tile.scales();
-        let group = scheme.group_size().unwrap_or(usize::MAX);
 
         out.fill_zero();
+        let dst = out.elements_mut();
+        let mut values = [Bf16::ZERO; TILE_ELEMS];
         let mut bubbles = 0u32;
-        let vops = (TILE_ELEMS / self.w) as u32;
-
-        for vop in 0..vops as usize {
-            let window_start = vop * self.w;
-            let window_end = window_start + self.w;
-            // POPCNT: determine this vOp's window in the sparse quantized
-            // queue.
-            let (code_start, code_end) = match &prefix {
-                Some(p) => (p[window_start], p[window_end]),
-                None => (window_start, window_end),
-            };
-            let window_codes = &codes[code_start..code_end];
+        // Exclusive prefix sum of the window popcounts: where the current
+        // window starts in the sparse quantized queue.
+        let mut code_start = 0usize;
+        for start in (0..TILE_ELEMS).step_by(self.w) {
+            // POPCNT: this vOp's window in the sparse quantized queue.
+            let count = words.map_or(self.w, |words| {
+                window_words(words, start, self.w)
+                    .map(|(_, bits)| bits.count_ones() as usize)
+                    .sum()
+            });
+            let window_codes = &codes[code_start..code_start + count];
+            code_start += count;
 
             // Dequantization stage (with bubbles for oversized windows).
-            let (values, cycles) = self.lut_array.dequantize(window_codes);
-            bubbles += cycles - 1;
+            bubbles += self.lut_array.dequantize(window_codes, &mut values) - 1;
 
             // Expansion stage: scatter values to their dense positions.
             // Scaling stage: apply the per-group scale factors.
-            match &prefix {
-                Some(p) => {
-                    for pos in window_start..window_end {
-                        if p[pos + 1] > p[pos] {
-                            let value = values[p[pos] - code_start];
-                            let scaled = apply_scale(value, scales, pos, group);
-                            out.set(pos / TILE_COLS, pos % TILE_COLS, scaled);
+            match words {
+                Some(words) => {
+                    let mut next = values.iter();
+                    for (base, mut bits) in window_words(words, start, self.w) {
+                        while bits != 0 {
+                            let pos = base + bits.trailing_zeros() as usize;
+                            let value = *next.next().expect("one value per set bit");
+                            dst[pos] = scale(value, pos);
+                            bits &= bits - 1;
                         }
                     }
                 }
                 None => {
-                    for (offset, value) in values.iter().enumerate() {
-                        let pos = window_start + offset;
-                        let scaled = apply_scale(*value, scales, pos, group);
-                        out.set(pos / TILE_COLS, pos % TILE_COLS, scaled);
+                    for (pos, &value) in (start..start + self.w).zip(&values) {
+                        dst[pos] = scale(value, pos);
                     }
                 }
             }
         }
 
+        let vops = (TILE_ELEMS / self.w) as u32;
         Ok(PipelineTiming {
             vops,
             bubbles,
@@ -184,23 +183,23 @@ impl VopPipeline {
     }
 }
 
-fn apply_scale(
-    value: Bf16,
-    scales: &[deca_numerics::mx::ScaleE8M0],
-    dense_pos: usize,
-    group: usize,
-) -> Bf16 {
-    if scales.is_empty() {
-        value
-    } else {
-        value * scales[dense_pos / group].to_bf16()
-    }
+/// The bitmask bits of the vOp window `[start, start + w)` as
+/// `(first position, bits)` pairs, one per 64-bit word the window touches.
+/// `w` divides the 512-element tile, so it is a power of two: a window of
+/// at most 64 positions lies inside one word, and a wider one covers whole
+/// words.
+fn window_words(words: &[u64], start: usize, w: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let span = if w >= 64 { u64::MAX } else { (1 << w) - 1 };
+    let shift = start % 64;
+    (start / 64..(start + w).div_ceil(64)).map(move |i| (i * 64, words[i] & (span << shift)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deca_compress::{generator::WeightGenerator, CompressionScheme, Compressor, Decompressor};
+    use deca_compress::{
+        generator::WeightGenerator, CompressedMatrix, CompressionScheme, Compressor, Decompressor,
+    };
 
     fn compress_sample(scheme: CompressionScheme, seed: u64) -> CompressedTile {
         let tile = WeightGenerator::new(seed).dense_matrix(16, 32).tile(0, 0);
@@ -350,6 +349,237 @@ mod tests {
         assert_eq!(t_small.vops, 64);
         assert_eq!(t_base.vops, 16);
         assert!(t_small.pipeline_cycles > t_base.pipeline_cycles);
+    }
+
+    /// Folds `bytes` into an FNV-1a 64-bit hash.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        hash
+    }
+
+    /// A 64×256 matrix whose magnitudes come from four values, with every
+    /// 7th element zero: rounding ties for the element formats and
+    /// repeated magnitudes at every pruning threshold.
+    fn tie_heavy_matrix() -> deca_compress::WeightMatrix {
+        const MAGNITUDES: [f32; 4] = [1.125, 0.625, 1.0625, 2.5];
+        let data = (0..64 * 256)
+            .map(|i: usize| {
+                let magnitude = MAGNITUDES[(i * 5 + i / 3) % 4];
+                if i.is_multiple_of(7) {
+                    0.0
+                } else if (i / 2).is_multiple_of(3) {
+                    -magnitude
+                } else {
+                    magnitude
+                }
+            })
+            .collect();
+        deca_compress::WeightMatrix::from_data(64, 256, data).expect("64x256 values")
+    }
+
+    /// The pipeline's output digests: one row per pinned scheme, one column
+    /// per PE sizing (baseline W=32, under-provisioned W=8, over-provisioned
+    /// W=64).
+    const PIPELINE_DIGESTS: [[u64; 3]; 19] = [
+        [
+            0xF66A_FFEF_9068_A63F,
+            0xF240_EA07_7CD6_683F,
+            0x5983_F3A1_3E41_043F,
+        ],
+        [
+            0x24E3_2178_ED4F_FCD7,
+            0x09C6_EAA3_EF04_6B57,
+            0x229C_BFB5_667E_0857,
+        ],
+        [
+            0xED2D_33FF_32CC_389A,
+            0x9C6E_4E13_65A5_A21A,
+            0x5ACE_7810_A31A_B49A,
+        ],
+        [
+            0xFCB2_7AB3_CD1C_E3D1,
+            0x1694_629C_C442_8525,
+            0xD776_ACC0_54F4_071D,
+        ],
+        [
+            0x2044_F5F8_A564_03EC,
+            0x4581_1BB8_4014_5B6C,
+            0x7638_3CD5_9612_57EC,
+        ],
+        [
+            0x50F5_16DE_DA08_EE0E,
+            0x674E_8D5F_3512_190E,
+            0xDE4F_0B9F_29DD_8A0E,
+        ],
+        [
+            0x4458_0E2F_5E76_DE4A,
+            0x4167_8727_4617_CF86,
+            0x01AF_8082_6124_9612,
+        ],
+        [
+            0x3F7E_D4ED_5AE6_F92C,
+            0xFB46_5B25_81A0_8C2C,
+            0xAF85_00D1_70CA_212C,
+        ],
+        [
+            0x2A16_4B65_536B_3B66,
+            0x41AA_BDCB_768E_9116,
+            0xCFA5_5D8F_184C_A0B2,
+        ],
+        [
+            0x33E6_F34B_C2A6_C814,
+            0xC1DE_B0A9_FCB7_5714,
+            0x057D_60CD_031F_8214,
+        ],
+        [
+            0xF68B_83FF_00E5_5AA5,
+            0x5B9C_8293_DEE2_44F5,
+            0x9E22_8E11_4642_64B5,
+        ],
+        [
+            0x1505_D378_B061_2825,
+            0xB056_DB44_5219_10A5,
+            0xCE17_4974_9D1A_C325,
+        ],
+        [
+            0x3957_779B_8B4A_0AB5,
+            0x7972_FDC7_3583_FA35,
+            0xF8CB_5B66_C642_ACB5,
+        ],
+        [
+            0xEEF0_743D_6BB4_88D8,
+            0x12CF_86FF_BCE9_C1D8,
+            0x2356_E8FC_E655_BED8,
+        ],
+        [
+            0x2433_3758_7005_DA09,
+            0xDC30_C898_E56E_73FD,
+            0x510E_1AA2_8C41_3D79,
+        ],
+        [
+            0xD0B9_572C_6B13_7580,
+            0xF238_874C_FB1B_0760,
+            0x3798_9EAA_F07B_CAE0,
+        ],
+        [
+            0x7796_D01B_9A68_039E,
+            0x3A59_7384_AC9F_311E,
+            0x31B5_9FD3_C28E_939E,
+        ],
+        [
+            0x455F_8371_21E1_D52A,
+            0x852B_82B2_58B8_EC2A,
+            0xC43C_74BA_FA2B_0D2A,
+        ],
+        [
+            0xA411_2FA5_109F_2BC6,
+            0xA9D8_D847_FC65_88C6,
+            0x3AA7_D71B_9ED3_95C6,
+        ],
+    ];
+
+    #[test]
+    fn pipeline_outputs_match_pinned_digests() {
+        // Pins every output BF16 bit and every timing field the pipeline
+        // produces: a change that moves one element, one bubble or one
+        // cycle under any scheme and any PE sizing changes that digest.
+        let new_scheme = |format, density, group| {
+            CompressionScheme::new(format, density, group).expect("valid scheme")
+        };
+        let mut schemes = deca_compress::SchemeSet::paper_evaluation();
+        schemes.extend([
+            CompressionScheme::mxfp4_sparse(0.5),
+            CompressionScheme::bf16_dense(),
+            new_scheme(QuantFormat::E4m3, 0.3, None),
+            new_scheme(QuantFormat::Int8, 1.0, Some(32)),
+            new_scheme(QuantFormat::Int4, 0.5, Some(16)),
+            new_scheme(
+                QuantFormat::Custom {
+                    exp_bits: 3,
+                    man_bits: 2,
+                },
+                0.2,
+                None,
+            ),
+            new_scheme(QuantFormat::Fp4, 1.0, Some(48)),
+        ]);
+        let inputs = [
+            WeightGenerator::new(1).dense_matrix(64, 256),
+            WeightGenerator::new(9173).dense_matrix(64, 256),
+            tie_heavy_matrix(),
+        ];
+        let configs = [
+            DecaConfig::baseline(),
+            DecaConfig::underprovisioned(),
+            DecaConfig::overprovisioned(),
+        ];
+        let mut out = DenseTile::zero();
+        let mut scratch = DecompressScratch::new();
+        let digests: Vec<[u64; 3]> = schemes
+            .iter()
+            .map(|scheme| {
+                let compressor = Compressor::new(*scheme);
+                let matrices: Vec<_> = inputs
+                    .iter()
+                    .map(|m| compressor.compress_matrix(m).expect("compress"))
+                    .collect();
+                configs.map(|config| {
+                    let mut pipeline = pipeline_for(scheme, config);
+                    let tiles = matrices.iter().flat_map(CompressedMatrix::tiles);
+                    tiles.fold(0xCBF2_9CE4_8422_2325, |hash, tile| {
+                        let timing = pipeline
+                            .process_into(tile, &mut scratch, &mut out)
+                            .expect("pipeline");
+                        let mut hash = out.elements().iter().fold(hash, |hash, value| {
+                            fnv1a(hash, &value.to_bits().to_le_bytes())
+                        });
+                        for field in [timing.vops, timing.bubbles, timing.pipeline_cycles] {
+                            hash = fnv1a(hash, &field.to_le_bytes());
+                        }
+                        hash
+                    })
+                })
+            })
+            .collect();
+        for ((scheme, digest), want) in schemes.iter().zip(&digests).zip(PIPELINE_DIGESTS) {
+            assert_eq!(*digest, want, "{scheme:?}: digests {digest:#018x?}");
+        }
+    }
+
+    #[test]
+    fn every_window_width_expands_and_counts_exactly() {
+        // Windows narrower than a mask word, one word wide, and spanning
+        // several words: the output matches the reference decompressor and
+        // the bubbles match window popcounts counted bit by bit.
+        let scheme = CompressionScheme::bf8_sparse(0.3);
+        let tile = compress_sample(scheme, 25);
+        let mask = tile.bitmask().expect("sparse");
+        let reference = Decompressor::new()
+            .decompress_tile(&tile)
+            .expect("reference");
+        for w in [1, 2, 16, 64, 128, 512] {
+            let config = DecaConfig {
+                w,
+                ..DecaConfig::baseline()
+            };
+            let (out, timing) = pipeline_for(&scheme, config)
+                .process(&tile)
+                .expect("pipeline");
+            assert_eq!(out, reference, "W={w}");
+            let lq = config.l; // one lookup per LUT per cycle for 8-bit codes
+            let bubbles: usize = (0..TILE_ELEMS)
+                .step_by(w)
+                .map(|start| {
+                    let count = (start..start + w).filter(|&i| mask.get(i)).count();
+                    count.div_ceil(lq).max(1) - 1
+                })
+                .sum();
+            assert_eq!(timing.vops as usize, TILE_ELEMS / w, "W={w}");
+            assert_eq!(timing.bubbles as usize, bubbles, "W={w}");
+        }
     }
 
     #[test]

@@ -94,10 +94,10 @@ impl QuantFormat {
     /// Returns `None` for [`QuantFormat::Bf16`] (which is not re-encoded) and
     /// for the integer formats.
     ///
-    /// This is not an accessor: every call constructs a fresh [`Minifloat`],
-    /// decoding and sorting the format's whole code space. Hot loops must
-    /// build it once and hold the result, as `deca_compress::Compressor`
-    /// does per compressor rather than per weight.
+    /// This is not an accessor: every call constructs a fresh [`Minifloat`]
+    /// and derives its rounding constants. Hot loops build it once and hold
+    /// the result, as `deca_compress::Compressor` does per compressor rather
+    /// than per weight.
     #[must_use]
     pub fn minifloat(self) -> Option<Minifloat> {
         match self {

@@ -5,12 +5,16 @@
 //! mirrored here: a [`Minifloat`] describes an arbitrary 1-sign / E-exponent /
 //! M-mantissa split and provides exact decode plus round-to-nearest encode.
 //!
-//! Encoding is implemented by nearest-value search over the (small) code
-//! space, pre-sorted at construction time. This is exactly correct for every
-//! geometry, including ones without IEEE semantics. A search costs about
-//! 40 ns per value (perfbench's `numerics.minifloat_encode_ns`, E5M2), but
-//! construction decodes and sorts every code, so build a codec once and
-//! hold it across values, as `deca_compress::Compressor` does.
+//! Encoding rounds on the `f32` bits: normal magnitudes round the mantissa
+//! to nearest-even with integer adds, subnormal ones with one `f32` add, so
+//! no per-value search, division or branch on the data remains. The result
+//! equals a nearest-value search over every finite code (ties to the even
+//! code, saturating at the maximum), which the tests keep as the reference
+//! and check on every geometry. Construction derives the rounding constants
+//! once; build a codec once and hold it across values, as
+//! `deca_compress::Compressor` does.
+
+use std::hint::select_unpredictable;
 
 use crate::{Bf16, FormatError};
 
@@ -34,9 +38,20 @@ pub struct Minifloat {
     man_bits: u8,
     bias: i32,
     has_inf_nan: bool,
-    /// (value, code) pairs sorted by value, excluding NaN codes, used for
-    /// nearest-value encoding.
-    sorted: Vec<(f32, u8)>,
+    /// `f32` bits of the largest finite magnitude, where encoding saturates.
+    max_bits: u32,
+    /// The code a NaN encodes to: E5M2's NaN, or the maximum code in
+    /// formats without NaN.
+    nan_code: u8,
+    /// `f32` bits of the smallest normal magnitude: below it encoding
+    /// rounds on the subnormal grid.
+    min_normal_bits: u32,
+    /// `23 - man_bits`: the `f32` mantissa bits that rounding drops.
+    shift: u32,
+    /// `(127 - bias) << man_bits`: the `f32` exponent rebias, in code units.
+    rebias: u32,
+    /// `2^(man_bits + bias - 1)`: one over the subnormal step.
+    inv_subnormal_step: f32,
 }
 
 impl Minifloat {
@@ -61,15 +76,26 @@ impl Minifloat {
             man_bits,
             bias,
             has_inf_nan,
-            sorted: Vec::new(),
+            max_bits: 0,
+            nan_code: 0,
+            min_normal_bits: 2f32.powi(1 - bias).to_bits(),
+            shift: 23 - u32::from(man_bits),
+            rebias: (127 - bias).cast_unsigned() << man_bits,
+            inv_subnormal_step: 2f32.powi(i32::from(man_bits) + bias - 1),
         };
-        let n_codes = 1u16 << total;
-        let mut sorted: Vec<(f32, u8)> = (0..n_codes)
-            .map(|c| (mf.decode_raw(c as u8), c as u8))
-            .filter(|(v, _)| v.is_finite())
-            .collect();
-        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
-        mf.sorted = sorted;
+        // The largest finite code sits just below the sign bit, or below the
+        // Inf/NaN codes of the top exponent.
+        let max_code = (0..(1u8 << (total - 1)))
+            .rev()
+            .find(|&code| mf.decode_raw(code).is_finite())
+            .expect("code 0 is finite");
+        mf.max_bits = mf.decode_raw(max_code).to_bits();
+        // E5M2 NaN: exponent all ones, mantissa nonzero.
+        mf.nan_code = if has_inf_nan {
+            (((1u8 << exp_bits) - 1) << man_bits) | 1
+        } else {
+            max_code
+        };
         Ok(mf)
     }
 
@@ -100,10 +126,7 @@ impl Minifloat {
     /// The largest finite magnitude representable in this format.
     #[must_use]
     pub fn max_value(&self) -> f32 {
-        self.sorted
-            .last()
-            .map(|(v, _)| *v)
-            .expect("format has at least one finite code")
+        f32::from_bits(self.max_bits)
     }
 
     /// The smallest positive normal magnitude.
@@ -165,47 +188,58 @@ impl Minifloat {
     /// Encodes an `f32` into the nearest representable code
     /// (round-to-nearest, ties-to-even-code), saturating at the format's
     /// maximum finite magnitude.
+    ///
+    /// The rounding works on the bits of `|value|`, clamped to the maximum.
+    /// At or above the smallest normal, the dropped mantissa bits round to
+    /// nearest-even by an integer add, and a carry moves into the exponent
+    /// as it should; the rebiased result is the code's magnitude index.
+    /// Below it, `|value|` is scaled onto the subnormal grid and added to
+    /// `2^23`, where an `f32` add rounds to the nearest integer, ties to
+    /// even. Code parity is index parity, since the sign is the top bit.
+    ///
+    /// Zero rule: a value whose magnitude rounds to index 0 takes the
+    /// sign-bit ("negative zero") code when it is positive and code 0
+    /// otherwise, so `+0.01` becomes `-0` in E2M1 while `-0.01`, `0.0` and
+    /// `-0.0` become code 0. Every other index takes the sign bit exactly
+    /// when `value < 0`. A NaN encodes as E5M2's NaN code, or as the
+    /// maximum code in formats without NaN.
     #[must_use]
+    #[inline]
     pub fn encode(&self, value: f32) -> u8 {
+        // Which side of the maximum and of the smallest normal a weight
+        // falls on is data, and after group scaling an unpredictable one:
+        // both selects must stay conditional moves. A NaN runs the same
+        // arithmetic (clamped to the maximum) and is replaced at the end.
+        let bits = value.to_bits();
+        let magnitude = bits & 0x7FFF_FFFF;
+        let magnitude = select_unpredictable(magnitude > self.max_bits, self.max_bits, magnitude);
+        let odd = (magnitude >> self.shift) & 1;
+        let rounded = magnitude + (1 << (self.shift - 1)) - 1 + odd;
+        let normal = (rounded >> self.shift).wrapping_sub(self.rebias);
+        let grid = f32::from_bits(magnitude) * self.inv_subnormal_step + 8_388_608.0;
+        let subnormal = grid.to_bits().wrapping_sub(8_388_608f32.to_bits());
+        let index = select_unpredictable(magnitude < self.min_normal_bits, subnormal, normal);
+        // The zero rule: index 0 flips the sign bit of every value except
+        // +0.0, so positive values take the sign-bit code and negative ones
+        // and -0.0 take code 0.
+        let signed = (bits >> 31) ^ (u32::from(index == 0) & u32::from(bits != 0));
+        let code = (index | (signed << (self.bits() - 1))) as u8;
         if value.is_nan() {
-            // Any NaN encoding; formats without NaN store the max code.
-            return if self.has_inf_nan {
-                // E5M2 NaN: exponent all ones, mantissa nonzero.
-                let exp_all = ((1u16 << self.exp_bits) - 1) as u8;
-                (exp_all << self.man_bits) | 1
-            } else {
-                self.sorted.last().expect("nonempty").1
-            };
-        }
-        let v = value.clamp(-self.max_value(), self.max_value());
-        // Binary search for insertion point in the sorted finite values.
-        let idx = self.sorted.partition_point(|(cand, _)| *cand < v);
-        let lower = idx.checked_sub(1).map(|i| self.sorted[i]);
-        let upper = self.sorted.get(idx).copied();
-        match (lower, upper) {
-            (Some(lo), Some(hi)) => {
-                let dl = (v - lo.0).abs();
-                let dh = (hi.0 - v).abs();
-                if dl < dh {
-                    lo.1
-                } else if dh < dl {
-                    hi.1
-                } else if lo.1 % 2 == 0 {
-                    lo.1
-                } else {
-                    hi.1
-                }
-            }
-            (Some(lo), None) => lo.1,
-            (None, Some(hi)) => hi.1,
-            (None, None) => 0,
+            self.nan_code
+        } else {
+            code
         }
     }
 
     /// Iterates over all finite `(value, code)` pairs in ascending value
-    /// order. Useful for building dequantization LUT content.
+    /// order; equal values (the two zeros) keep code order.
     pub fn finite_codes(&self) -> impl Iterator<Item = (f32, u8)> + '_ {
-        self.sorted.iter().copied()
+        let mut sorted: Vec<(f32, u8)> = (0..1u16 << self.bits())
+            .map(|c| (self.decode_raw(c as u8), c as u8))
+            .filter(|(v, _)| v.is_finite())
+            .collect();
+        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
+        sorted.into_iter()
     }
 
     /// Quantizes a value and returns the dequantized result, i.e. the value
@@ -314,6 +348,158 @@ mod tests {
             assert_eq!(fmt.decode(fmt.encode(0.0)), 0.0);
             assert_eq!(fmt.decode(fmt.encode(-0.0)), 0.0);
         }
+    }
+
+    /// Nearest-value search over the sorted finite codes, ties to the even
+    /// code: the reference `encode`'s bit rounding must equal.
+    fn search_encode(mf: &Minifloat, sorted: &[(f32, u8)], value: f32) -> u8 {
+        if value.is_nan() {
+            return if mf.has_inf_nan {
+                let exp_all = ((1u16 << mf.exp_bits) - 1) as u8;
+                (exp_all << mf.man_bits) | 1
+            } else {
+                sorted.last().expect("nonempty").1
+            };
+        }
+        let max = sorted.last().expect("nonempty").0;
+        let v = value.clamp(-max, max);
+        let idx = sorted.partition_point(|(cand, _)| *cand < v);
+        let lower = idx.checked_sub(1).map(|i| sorted[i]);
+        let upper = sorted.get(idx).copied();
+        match (lower, upper) {
+            (Some(lo), Some(hi)) => {
+                let dl = (v - lo.0).abs();
+                let dh = (hi.0 - v).abs();
+                if dl < dh {
+                    lo.1
+                } else if dh < dl {
+                    hi.1
+                } else if lo.1 % 2 == 0 {
+                    lo.1
+                } else {
+                    hi.1
+                }
+            }
+            (Some(lo), None) => lo.1,
+            (None, Some(hi)) => hi.1,
+            (None, None) => 0,
+        }
+    }
+
+    /// Every geometry [`Minifloat::new`] accepts.
+    fn all_geometries() -> Vec<Minifloat> {
+        let geometries: Vec<Minifloat> = (1..=7u8)
+            .flat_map(|exp_bits| (0..=7 - exp_bits).map(move |man_bits| (exp_bits, man_bits)))
+            .map(|(exp_bits, man_bits)| Minifloat::new(exp_bits, man_bits).expect("valid"))
+            .collect();
+        assert_eq!(geometries.len(), 28);
+        geometries
+    }
+
+    /// `value` and the patterns one and two ulps either side of it.
+    fn with_neighbours(value: f32) -> impl Iterator<Item = f32> {
+        let bits = value.to_bits();
+        [0u32, 1, 2]
+            .into_iter()
+            .flat_map(move |k| [bits.wrapping_add(k), bits.wrapping_sub(k)])
+            .map(f32::from_bits)
+    }
+
+    #[test]
+    fn encode_matches_the_search_on_every_geometry() {
+        for mf in all_geometries() {
+            let sorted: Vec<(f32, u8)> = mf.finite_codes().collect();
+            assert_eq!(mf.max_value(), sorted.last().expect("nonempty").0);
+            let codes = (0..1u16 << mf.bits()).map(|c| mf.decode_raw(c as u8));
+            let midpoints = sorted.windows(2).map(|pair| pair[0].0.midpoint(pair[1].0));
+            let max = mf.max_value();
+            let edges = [
+                0.0,
+                -0.0,
+                f32::from_bits(1),
+                f32::from_bits(0x007F_FFFF),
+                f32::MIN_POSITIVE,
+                max,
+                -max,
+                f32::MAX,
+                f32::INFINITY,
+                f32::NAN,
+            ];
+            let bf16_patterns = (0..=u16::MAX).map(|b| f32::from_bits(u32::from(b) << 16));
+            let inputs = codes
+                .chain(midpoints)
+                .chain(edges)
+                .flat_map(|v| with_neighbours(v).chain(with_neighbours(-v)))
+                .chain(bf16_patterns);
+            for value in inputs {
+                assert_eq!(
+                    mf.encode(value),
+                    search_encode(&mf, &sorted, value),
+                    "E{}M{} at input bits {:#010x}",
+                    mf.exp_bits,
+                    mf.man_bits,
+                    value.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 patterns per format: run in release with --ignored"]
+    fn encode_matches_the_search_on_every_f32_pattern() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+        for mf in [Minifloat::bf8(), Minifloat::e4m3(), Minifloat::e2m1()] {
+            let sorted: Vec<(f32, u8)> = mf.finite_codes().collect();
+            let span = (1u64 << 32).div_ceil(threads as u64);
+            let first_mismatches: Vec<u32> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads as u64)
+                    .map(|t| {
+                        let (mf, sorted) = (&mf, &sorted);
+                        scope.spawn(move || {
+                            let end = ((t + 1) * span).min(1 << 32);
+                            (t * span..end).map(|b| b as u32).find(|&bits| {
+                                let value = f32::from_bits(bits);
+                                mf.encode(value) != search_encode(mf, sorted, value)
+                            })
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .filter_map(|w| w.join().expect("sweep worker"))
+                    .collect()
+            });
+            assert!(
+                first_mismatches.is_empty(),
+                "E{}M{}: encode differs from the search at input bits {first_mismatches:#010x?}",
+                mf.exp_bits,
+                mf.man_bits
+            );
+        }
+    }
+
+    #[test]
+    fn positive_values_that_round_to_zero_take_the_negative_zero_code() {
+        // The search's sorted table holds +0's code before -0's, so a
+        // positive value nearer zero than the smallest subnormal (ties
+        // included) lands on -0's code, while a negative one lands on +0's.
+        for (mf, negative_zero) in [
+            (Minifloat::bf8(), 0x80),
+            (Minifloat::e4m3(), 0x80),
+            (Minifloat::e2m1(), 0x8),
+        ] {
+            let half_step = mf.min_subnormal() / 2.0;
+            for magnitude in [half_step / 8.0, half_step] {
+                assert_eq!(mf.encode(magnitude), negative_zero, "{mf:?} {magnitude}");
+                assert_eq!(mf.encode(-magnitude), 0, "{mf:?} -{magnitude}");
+            }
+            assert_eq!(mf.encode(0.0), 0);
+            assert_eq!(mf.encode(-0.0), 0);
+            let decoded = mf.decode(negative_zero);
+            assert!(decoded == 0.0 && decoded.is_sign_negative());
+        }
+        // As MXFP4 stores it: +0.01 in a group whose max is 6.0 (scale 1).
+        assert_eq!(Minifloat::e2m1().encode(0.01), 0x8);
     }
 
     #[test]

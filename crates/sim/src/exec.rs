@@ -197,12 +197,8 @@ impl GemmSimulation {
         // off the critical path anyway (the channel's busy time dominates),
         // and keeping the latency independent of the measured utilization
         // keeps the model monotone across configurations.
-        let mut memory = MemoryController::fair_share(
-            self.socket_bytes_per_cycle(),
-            self.machine.cores,
-            0.0,
-            0.0,
-        );
+        let mut memory =
+            MemoryController::fair_share(self.socket_bytes_per_cycle(), self.machine.cores);
         let miss_latency = self.cache.demand_miss_latency();
         let hit_latency = self.cache.l2_hit_latency();
         let fetch_latency =

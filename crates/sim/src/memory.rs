@@ -6,9 +6,7 @@
 //! channel frees up, occupies it for `bytes / bytes_per_cycle` cycles and
 //! completes `latency` cycles after its transfer finishes. Under symmetric
 //! load the channel can equivalently be partitioned into fair per-core
-//! shares; [`MemoryController::fair_share`] builds that per-core view, with
-//! a queueing-delay inflation applied when the socket-level utilization is
-//! high.
+//! shares; [`MemoryController::fair_share`] builds that per-core view.
 
 /// A bandwidth-limited, latency-bearing memory channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,34 +39,16 @@ impl MemoryController {
     }
 
     /// Builds the per-core fair-share view of a socket-level channel:
-    /// `total_bytes_per_cycle / cores` of bandwidth, with the unloaded
-    /// latency inflated by an M/M/1-style queueing factor at the given
-    /// expected socket utilization.
+    /// `total_bytes_per_cycle / cores` of bandwidth and no intrinsic
+    /// latency (callers add latency where prefetching can hide it).
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or `expected_utilization` is not in
-    /// `[0, 1)`… utilizations ≥ 0.98 are clamped.
+    /// Panics if `cores` is zero.
     #[must_use]
-    pub fn fair_share(
-        total_bytes_per_cycle: f64,
-        cores: usize,
-        latency_cycles: f64,
-        expected_utilization: f64,
-    ) -> Self {
+    pub fn fair_share(total_bytes_per_cycle: f64, cores: usize) -> Self {
         assert!(cores > 0, "at least one core required");
-        assert!(
-            (0.0..=1.0).contains(&expected_utilization),
-            "utilization must be in [0, 1]"
-        );
-        let u = expected_utilization.min(0.98);
-        // Queueing delay grows as u/(1-u); scale by half the transfer time
-        // of a cache line so the inflation stays modest until saturation.
-        let queue_factor = 1.0 + 0.3 * u / (1.0 - u);
-        MemoryController::new(
-            total_bytes_per_cycle / cores as f64,
-            latency_cycles * queue_factor.min(4.0),
-        )
+        MemoryController::new(total_bytes_per_cycle / cores as f64, 0.0)
     }
 
     /// Channel capacity in bytes per cycle.
@@ -156,15 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_divides_bandwidth_and_inflates_latency() {
-        let per_core = MemoryController::fair_share(340.0, 56, 280.0, 0.0);
+    fn fair_share_divides_bandwidth() {
+        let per_core = MemoryController::fair_share(340.0, 56);
         assert!((per_core.bytes_per_cycle() - 340.0 / 56.0).abs() < 1e-12);
-        assert_eq!(per_core.latency_cycles(), 280.0);
-        let loaded = MemoryController::fair_share(340.0, 56, 280.0, 0.9);
-        assert!(loaded.latency_cycles() > 280.0);
-        // The inflation is capped at 4x.
-        let saturated = MemoryController::fair_share(340.0, 56, 280.0, 1.0);
-        assert!(saturated.latency_cycles() <= 4.0 * 280.0 + 1e-9);
+        assert_eq!(per_core.latency_cycles(), 0.0);
     }
 
     #[test]
