@@ -9,6 +9,11 @@
 //! regeneration leaves every unmoved record byte-identical, and a diff of
 //! the committed artifact shows exactly which modeled quantities a change
 //! moved. Host time is measured by `perfbench/`, not here.
+//!
+//! Tier-1 pins the file too: every record but `bench_simspeed` runs the
+//! same workload in both build profiles, and `cargo test` diffs each one
+//! against its committed record. Only `bench_simspeed` shrinks in a debug
+//! build (`SIMSPEED_SESSIONS`); CI's regeneration pins its full rows.
 
 use deca_compress::{CompressionScheme, SchemeSet};
 use deca_kernels::{avx_model::software_signature, CompressedGemmExecutor, Engine};
@@ -159,14 +164,12 @@ pub fn paper_results() -> Json {
     Json::obj(vec![("artifacts", Json::Arr(artifacts))])
 }
 
-/// Requests per probed rate of the serving capacity search (shrunk in
-/// debug builds so plain `cargo test` stays fast; the committed baseline is
-/// regenerated in release mode).
-const SERVING_SEARCH_REQUESTS: usize = if cfg!(debug_assertions) { 32 } else { 128 };
+/// Requests per probed rate of the serving capacity search.
+const SERVING_SEARCH_REQUESTS: usize = 128;
 /// Bisection refinements of the capacity search.
-const SERVING_SEARCH_ITERATIONS: usize = if cfg!(debug_assertions) { 3 } else { 6 };
+const SERVING_SEARCH_ITERATIONS: usize = 6;
 /// Requests on the bursty continuous-vs-static trace.
-const SERVING_BURSTY_REQUESTS: usize = if cfg!(debug_assertions) { 48 } else { 160 };
+const SERVING_BURSTY_REQUESTS: usize = 160;
 /// Decode batch limit of the simulated replica.
 const SERVING_MAX_BATCH: usize = 16;
 
@@ -339,10 +342,8 @@ pub fn serving_results() -> Json {
     ])
 }
 
-/// Requests per simulated sharding-plan probe (shrunk in debug builds so
-/// plain `cargo test` stays fast; the committed baseline is regenerated in
-/// release mode).
-const SHARDING_REQUESTS: usize = if cfg!(debug_assertions) { 12 } else { 40 };
+/// Requests per simulated sharding-plan probe.
+const SHARDING_REQUESTS: usize = 40;
 /// Decode batch limit of the sharded replica.
 const SHARDING_MAX_BATCH: usize = 16;
 /// The KV working set a production deployment must hold: 16 concurrent
@@ -585,16 +586,14 @@ pub fn sharding_results() -> Json {
     ])
 }
 
-/// Sessions of the shared-prefix capacity trace (shrunk in debug builds so
-/// plain `cargo test` stays fast; the committed baseline is regenerated in
-/// release mode).
-const PAGED_SESSIONS: usize = if cfg!(debug_assertions) { 10 } else { 24 };
+/// Sessions of the shared-prefix capacity trace.
+const PAGED_SESSIONS: usize = 24;
 /// Turns per conversation of the shared-prefix trace.
 const PAGED_TURNS: usize = 3;
 /// Tokens per KV block of the paged policies.
 const PAGED_BLOCK_SIZE: usize = 32;
 /// Bisection refinements of the paged capacity searches.
-const PAGED_SEARCH_ITERATIONS: usize = if cfg!(debug_assertions) { 3 } else { 6 };
+const PAGED_SEARCH_ITERATIONS: usize = 6;
 /// Decode batch limit of the paged experiment's replica.
 const PAGED_MAX_BATCH: usize = 16;
 /// Session rate of the fixed-load policy comparison (sessions/sec).
@@ -868,12 +867,10 @@ pub fn paged_results() -> Json {
     ])
 }
 
-/// Sessions of the cold-return swap-vs-recompute trace (shrunk in debug
-/// builds so plain `cargo test` stays fast; the committed baseline is
-/// regenerated in release mode).
-const DISAGG_COLD_SESSIONS: usize = if cfg!(debug_assertions) { 10 } else { 32 };
+/// Sessions of the cold-return swap-vs-recompute trace.
+const DISAGG_COLD_SESSIONS: usize = 32;
 /// Bisection refinements of the disagg experiment's capacity searches.
-const DISAGG_SEARCH_ITERATIONS: usize = if cfg!(debug_assertions) { 3 } else { 5 };
+const DISAGG_SEARCH_ITERATIONS: usize = 5;
 /// KV pool (tokens) of the swap scenario — deliberately tight so a
 /// returning session finds its prefix demoted (tiered) or evicted
 /// (recompute), and concurrent bursts force preemptions.
@@ -889,7 +886,7 @@ const DISAGG_DDR_BLOCKS: usize = 4_096;
 /// colocated baseline fleet).
 const DISAGG_SOCKETS: usize = 4;
 /// Requests per probed rate of the pool-split capacity searches.
-const DISAGG_DOC_REQUESTS: usize = if cfg!(debug_assertions) { 24 } else { 64 };
+const DISAGG_DOC_REQUESTS: usize = 64;
 /// Fixed session rate of the swap mechanism detail row (sessions/sec).
 const DISAGG_DETAIL_RATE: f64 = 0.2;
 /// p99 TTFT bound of the swap half's cold-return SLO. Re-prefilling a
@@ -1221,10 +1218,8 @@ pub fn disagg_results() -> Json {
     ])
 }
 
-/// Chat requests of the chunked-prefill experiment's mixed trace (shrunk
-/// in debug builds so plain `cargo test` stays fast; the committed
-/// baseline is regenerated in release mode).
-const CHUNKED_CHAT_REQUESTS: usize = if cfg!(debug_assertions) { 24 } else { 96 };
+/// Chat requests of the chunked-prefill experiment's mixed trace.
+const CHUNKED_CHAT_REQUESTS: usize = 96;
 /// Fixed chat arrival rate of the TPOT-isolation comparison (the document
 /// lane rides at an eighth of it, per [`deca_serve::DocChatMixSpec`]).
 const CHUNKED_CHAT_RATE: f64 = 0.25;
@@ -1439,7 +1434,7 @@ pub fn chunked_results() -> Json {
         seed: CHUNKED_SEED,
         min_rate: 0.05,
         max_rate: 1.0,
-        iterations: if cfg!(debug_assertions) { 3 } else { 5 },
+        iterations: 5,
     };
     let mut sweep_cost = EstimatorCostModel::new(
         machine.clone(),
@@ -1516,12 +1511,10 @@ pub fn chunked_results() -> Json {
     ])
 }
 
-/// Interactive requests of the multi-tenant experiment's headline trace
-/// (shrunk in debug builds so plain `cargo test` stays fast; the
-/// committed baseline is regenerated in release mode).
-const TENANT_INTERACTIVE_REQUESTS: usize = if cfg!(debug_assertions) { 16 } else { 48 };
+/// Interactive requests of the multi-tenant experiment's headline trace.
+const TENANT_INTERACTIVE_REQUESTS: usize = 48;
 /// Bisection refinements of the per-class capacity search.
-const TENANT_SEARCH_ITERATIONS: usize = if cfg!(debug_assertions) { 3 } else { 5 };
+const TENANT_SEARCH_ITERATIONS: usize = 5;
 /// Tokens per KV block of the multi-tenant replicas.
 const TENANT_BLOCK_SIZE: usize = 32;
 /// Decode batch limit of the multi-tenant replicas.
@@ -1547,9 +1540,9 @@ const TENANT_BATCH_TTFT_S: f64 = 120.0;
 /// p99 TPOT bound of the Batch lane's relaxed SLO (seconds).
 const TENANT_BATCH_TPOT_S: f64 = 1.0;
 /// Documents of the RAG prefix-reuse corpus (eight sessions each).
-const TENANT_RAG_DOCUMENTS: usize = if cfg!(debug_assertions) { 4 } else { 8 };
+const TENANT_RAG_DOCUMENTS: usize = 8;
 /// Agent runs of the agentic prefix-reuse trace.
-const TENANT_AGENT_SESSIONS: usize = if cfg!(debug_assertions) { 6 } else { 12 };
+const TENANT_AGENT_SESSIONS: usize = 12;
 /// Arrival rate of the prefix-reuse rows (requests or sessions per sec).
 const TENANT_PREFIX_RATE: f64 = 0.25;
 /// Trace seed of the multi-tenant experiment.
@@ -1856,11 +1849,13 @@ pub fn multitenant_results() -> Json {
     ])
 }
 
-/// Sessions in the sim-speed trace: a million in release — the ROADMAP's
-/// "millions of users" scale, run once in CI by the baseline regeneration
-/// — shrunk in debug builds so `cargo test` exercises the same code in
-/// moments.
-pub const SIMSPEED_SESSIONS: usize = if cfg!(debug_assertions) {
+/// Sessions in the sim-speed trace: a million in release, the "millions
+/// of users" scale, run once in CI by the baseline regeneration. The one
+/// workload a debug build shrinks: there `PrefixCache::evict_lru_demoting`'s
+/// `debug_assert_eq!` reruns an O(resident) victim scan on every eviction,
+/// so on a shared 2-vCPU host the paged+prefix row took 88 s at 50k
+/// sessions, while 2,000 sessions run all three rows in about 2.5 s.
+const SIMSPEED_SESSIONS: usize = if cfg!(debug_assertions) {
     2_000
 } else {
     1_000_000
@@ -1939,9 +1934,9 @@ pub fn simspeed_results() -> Json {
     ])
 }
 
-/// Runs one experiment, wrapping its results with the name — the record
-/// shape `collect` assembles.
-fn experiment_record(name: &str, run: fn() -> Json) -> Json {
+/// Runs one registered experiment, wrapping its results with the name —
+/// the record shape `collect` assembles.
+fn experiment_record((name, run): (&str, ExperimentFn)) -> Json {
     Json::obj(vec![("name", Json::str(name)), ("results", run())])
 }
 
@@ -1970,10 +1965,12 @@ pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
 /// Runs every baseline experiment and assembles the full document.
 #[must_use]
 pub fn collect() -> Json {
-    let records = experiments()
-        .into_iter()
-        .map(|(name, run)| experiment_record(name, run))
-        .collect();
+    document(experiments().into_iter().map(experiment_record).collect())
+}
+
+/// The document around experiment records: the schema version, the
+/// regeneration command, then the records in order.
+fn document(records: Vec<Json>) -> Json {
     Json::obj(vec![
         ("schema_version", num(f64::from(SCHEMA_VERSION))),
         ("command", Json::str(REGENERATE_COMMAND)),
@@ -2013,7 +2010,12 @@ pub fn write_artifact(path: &std::path::Path, doc: &Json) -> std::io::Result<()>
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    /// The one record whose workload depends on the build profile.
+    const PROFILE_DEPENDENT: &str = "bench_simspeed";
 
     fn find<'a>(obj: &'a Json, key: &str) -> &'a Json {
         match obj {
@@ -2028,77 +2030,136 @@ mod tests {
         }
     }
 
+    /// The record of the registered experiment `name`, computed at most
+    /// once per test binary: the first test that asks runs the
+    /// experiment, and every other test, concurrent or later, reads
+    /// that record.
+    fn record(name: &str) -> &'static Json {
+        type Entry = (&'static str, ExperimentFn, OnceLock<Json>);
+        static REGISTRY: OnceLock<Vec<Entry>> = OnceLock::new();
+        let (name, run, cell) = REGISTRY
+            .get_or_init(|| {
+                experiments()
+                    .into_iter()
+                    .map(|(name, run)| (name, run, OnceLock::new()))
+                    .collect()
+            })
+            .iter()
+            .find(|(registered, _, _)| *registered == name)
+            .unwrap_or_else(|| panic!("{name} is not a registered experiment"));
+        cell.get_or_init(|| experiment_record((name, *run)))
+    }
+
+    /// The results of the registered experiment `name`.
+    fn results(name: &str) -> &'static Json {
+        find(record(name), "results")
+    }
+
+    /// The document `collect` assembles, from the shared records.
+    fn assembled() -> Json {
+        document(
+            experiments()
+                .iter()
+                .map(|(name, _)| record(name).clone())
+                .collect(),
+        )
+    }
+
+    fn committed() -> Json {
+        crate::drift::parse(include_str!("../../../BENCH_baseline.json"))
+            .expect("the committed baseline must parse")
+    }
+
+    /// The committed file and the assembled document both hold the
+    /// current schema version and command, then one `{name, results}`
+    /// record per registered experiment, in registry order.
     #[test]
     fn document_has_all_experiments() {
-        let doc = collect();
-        let Json::Arr(experiments) = find(&doc, "experiments") else {
-            panic!("experiments must be an array");
-        };
-        let names: Vec<String> = experiments
-            .iter()
-            .map(|e| match find(e, "name") {
-                Json::Str(s) => s.clone(),
-                other => panic!("name must be a string, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            names,
-            [
-                "roofsurface",
-                "pipeline",
-                "llm_latency",
-                "bench_serving",
-                "bench_sharding",
-                "bench_paged",
-                "bench_disagg",
-                "bench_simspeed",
-                "bench_chunked",
-                "bench_multitenant",
-                "paper"
-            ]
-        );
-        for experiment in experiments {
-            let Json::Obj(fields) = experiment else {
-                panic!("an experiment record must be an object");
+        let registered: Vec<&str> = experiments().iter().map(|(name, _)| *name).collect();
+        for (which, doc) in [("committed", committed()), ("assembled", assembled())] {
+            let Json::Obj(fields) = &doc else {
+                panic!("the {which} document must be an object");
             };
             let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(keys, ["name", "results"]);
+            assert_eq!(
+                keys,
+                ["schema_version", "command", "experiments"],
+                "{which}"
+            );
+            assert_eq!(
+                find(&doc, "schema_version"),
+                &num(f64::from(SCHEMA_VERSION)),
+                "{which}"
+            );
+            assert_eq!(
+                find(&doc, "command"),
+                &Json::str(REGENERATE_COMMAND),
+                "{which}"
+            );
+            let Json::Arr(records) = find(&doc, "experiments") else {
+                panic!("the {which} experiments must be an array");
+            };
+            let names: Vec<&str> = records
+                .iter()
+                .map(|record| {
+                    let Json::Obj(fields) = record else {
+                        panic!("a {which} record must be an object");
+                    };
+                    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(keys, ["name", "results"], "{which}");
+                    match find(record, "name") {
+                        Json::Str(s) => s.as_str(),
+                        other => panic!("a {which} name must be a string, got {other:?}"),
+                    }
+                })
+                .collect();
+            assert_eq!(
+                names, registered,
+                "the {which} records must follow the registry"
+            );
         }
     }
 
-    /// Pins the single-socket modeled numbers inside `cargo test`: the
-    /// Roof-Surface, pipeline and Table 4 LLM experiments and the printed
-    /// paper artifacts must reproduce their committed
-    /// `BENCH_baseline.json` records exactly. None of them depends on the
-    /// build profile, so a one-ulp drift in the estimator, or a printed
-    /// digit moving in any table, fails here, not only in CI's baseline
-    /// drift job.
+    /// Pins the baseline inside `cargo test`: every registered
+    /// experiment but the profile-dependent `bench_simspeed` runs its
+    /// committed workload in a debug build too, so each must reproduce
+    /// its committed `BENCH_baseline.json` record exactly. A one-ulp
+    /// drift in any modeled number, or a printed digit moving in any
+    /// paper table, fails here with the record and path, not only in
+    /// CI's regeneration. A newly registered experiment fails here until
+    /// its record is committed.
     #[test]
-    fn single_socket_experiments_match_the_committed_baseline() {
-        let committed = crate::drift::parse(include_str!("../../../BENCH_baseline.json"))
-            .expect("the committed baseline must parse");
+    fn every_record_but_simspeed_matches_the_committed_baseline() {
+        let committed = committed();
         let Json::Arr(records) = find(&committed, "experiments") else {
             panic!("experiments must be an array");
         };
-        let pinned: [(&str, ExperimentFn); 4] = [
-            ("roofsurface", roofsurface_results),
-            ("pipeline", pipeline_results),
-            ("llm_latency", llm_latency_results),
-            ("paper", paper_results),
-        ];
-        for (name, run) in pinned {
-            let named: Vec<&Json> = records
+        let mut failures = Vec::new();
+        for (name, _) in experiments() {
+            if name == PROFILE_DEPENDENT {
+                continue;
+            }
+            let Some(pinned) = records
                 .iter()
-                .filter(|record| matches!(find(record, "name"), Json::Str(s) if s == name))
-                .collect();
-            assert_eq!(named.len(), 1, "{name} must be committed once");
+                .find(|record| matches!(find(record, "name"), Json::Str(s) if s == name))
+            else {
+                failures.push(format!("{name} is not committed"));
+                continue;
+            };
             // Through the file's own text, so a non-finite number compares
             // as the `null` the artifact stores.
-            let fresh = crate::drift::parse(&experiment_record(name, run).render())
-                .expect("a rendered record must parse");
-            let lines = crate::drift::diff(named[0], &fresh);
-            assert!(lines.is_empty(), "{name} drifted: {lines:?}");
+            let fresh =
+                crate::drift::parse(&record(name).render()).expect("a rendered record must parse");
+            let lines = crate::drift::diff(pinned, &fresh);
+            if !lines.is_empty() {
+                failures.push(format!("{name} drifted:\n  {}", lines.join("\n  ")));
+            }
         }
+        assert!(
+            failures.is_empty(),
+            "{}\n(if intentional, regenerate with: {REGENERATE_COMMAND})",
+            failures.join("\n")
+        );
     }
 
     #[test]
@@ -2107,26 +2168,19 @@ mod tests {
             "deca_bench_write_roundtrip_{}.json",
             std::process::id()
         ));
-        let records = || {
-            vec![
-                experiment_record("roofsurface", roofsurface_results),
-                experiment_record("pipeline", pipeline_results),
-            ]
-        };
-        let document = Json::obj(vec![
-            ("schema_version", num(f64::from(SCHEMA_VERSION))),
-            ("command", Json::str(REGENERATE_COMMAND)),
-            ("experiments", Json::Arr(records())),
-        ]);
+        let document = assembled();
         write_artifact(&path, &document).expect("artifact must be writable");
         let text = std::fs::read_to_string(&path).expect("artifact must read back");
         std::fs::remove_file(&path).ok();
         assert!(text.ends_with('\n'), "artifact must end with a newline");
         // One line opens the document, one closes it, and each record
         // sits on a line of its own in between.
+        let Json::Arr(records) = find(&document, "experiments") else {
+            panic!("experiments must be an array");
+        };
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), records().len() + 2, "{text}");
-        for (line, record) in lines[1..].iter().zip(records()) {
+        assert_eq!(lines.len(), records.len() + 2);
+        for (line, record) in lines[1..].iter().zip(records) {
             assert_eq!(line.trim_end_matches(','), record.render());
         }
         let reparsed = crate::drift::parse(&text).expect("artifact must reparse");
@@ -2134,10 +2188,40 @@ mod tests {
         assert!(lines.is_empty(), "write-then-check drifted: {lines:?}");
     }
 
+    /// `bench_simspeed`'s rows at this build's session count: the three
+    /// policies in order, each conserving the trace and keeping its batch
+    /// within the limit.
+    #[test]
+    fn simspeed_results_show_every_policy_conserving_the_trace() {
+        let simspeed = results(PROFILE_DEPENDENT);
+        let Json::Arr(rows) = find(simspeed, "rows") else {
+            panic!("rows must be an array");
+        };
+        let policies: Vec<&Json> = rows.iter().map(|row| find(row, "policy")).collect();
+        assert_eq!(
+            policies,
+            [
+                &Json::str("continuous"),
+                &Json::str("paged"),
+                &Json::str("paged+prefix")
+            ]
+        );
+        for row in rows {
+            let count = |key: &str| match find(row, key) {
+                Json::Num(v) => *v,
+                other => panic!("{key} must be a number, got {other:?}"),
+            };
+            assert_eq!(count("sessions"), SIMSPEED_SESSIONS as f64);
+            assert!(count("completed") > 0.0, "{row:?}");
+            assert_eq!(count("completed") + count("rejected"), count("requests"));
+            assert_eq!(count("admitted"), count("completed"));
+            assert!(count("peak_batch") <= SIMSPEED_MAX_BATCH as f64, "{row:?}");
+        }
+    }
+
     #[test]
     fn pipeline_results_report_deca_speedups() {
-        let pipeline = pipeline_results();
-        let Json::Arr(kernels) = find(&pipeline, "kernels") else {
+        let Json::Arr(kernels) = find(results("pipeline"), "kernels") else {
             panic!("kernels must be an array");
         };
         assert!(!kernels.is_empty());
@@ -2166,8 +2250,8 @@ mod tests {
 
     #[test]
     fn serving_results_show_deca_capacity_advantage() {
-        let serving = serving_results();
-        let Json::Arr(rows) = find(&serving, "capacity") else {
+        let serving = results("bench_serving");
+        let Json::Arr(rows) = find(serving, "capacity") else {
             panic!("capacity must be an array");
         };
         assert_eq!(rows.len(), 3);
@@ -2193,13 +2277,13 @@ mod tests {
                 }
             }
         }
-        match find(&serving, "headline") {
+        match find(serving, "headline") {
             Json::Str(s) => assert!(s.contains("DECA sustains"), "{s}"),
             other => panic!("headline must be a string, got {other:?}"),
         }
         // Continuous batching beats static batching on goodput for the
         // bursty workload.
-        match find(&serving, "continuous_vs_static_goodput") {
+        match find(serving, "continuous_vs_static_goodput") {
             Json::Num(ratio) => assert!(*ratio > 1.0, "continuous vs static goodput {ratio}"),
             other => panic!("goodput ratio must be a number, got {other:?}"),
         }
@@ -2210,8 +2294,8 @@ mod tests {
     /// meets the interactive p99 SLO at TP ≥ 2 with DECA.
     #[test]
     fn sharding_results_show_a_scheme_served_only_by_sharding() {
-        let sharding = sharding_results();
-        let Json::Arr(schemes) = find(&sharding, "schemes") else {
+        let sharding = results("bench_sharding");
+        let Json::Arr(schemes) = find(sharding, "schemes") else {
             panic!("schemes must be an array");
         };
         assert_eq!(schemes.len(), 3);
@@ -2242,7 +2326,7 @@ mod tests {
             criterion_met,
             "some Table 4 scheme must fail one socket but serve at TP >= 2 with DECA"
         );
-        match find(&sharding, "headline") {
+        match find(sharding, "headline") {
             Json::Str(s) => assert!(s.contains("sockets"), "{s}"),
             other => panic!("headline must be a string, got {other:?}"),
         }
@@ -2255,8 +2339,8 @@ mod tests {
     /// preemption counters while conserving the trace.
     #[test]
     fn paged_results_show_the_paged_prefix_capacity_win() {
-        let paged = paged_results();
-        let Json::Arr(shards) = find(&paged, "capacity") else {
+        let paged = results("bench_paged");
+        let Json::Arr(shards) = find(paged, "capacity") else {
             panic!("capacity must be an array");
         };
         assert_eq!(shards.len(), 2, "TP1 and TP2");
@@ -2299,13 +2383,13 @@ mod tests {
                 }
             }
         }
-        match find(&paged, "headline") {
+        match find(paged, "headline") {
             Json::Str(s) => assert!(s.contains("paged+prefix"), "{s}"),
             other => panic!("headline must be a string, got {other:?}"),
         }
         // The fixed-load detail reports a positive hit rate for the
         // prefix-sharing policy (and only for it).
-        let Json::Arr(detail) = find(&paged, "detail") else {
+        let Json::Arr(detail) = find(paged, "detail") else {
             panic!("detail must be an array");
         };
         assert_eq!(detail.len(), 3);
@@ -2318,7 +2402,7 @@ mod tests {
             other => panic!("prefix_hit_rate must be a number, got {other:?}"),
         }
         // Overload: preemptions fired and the trace is conserved.
-        let overload = find(&paged, "overload");
+        let overload = find(paged, "overload");
         match find(overload, "preemptions") {
             Json::Num(n) => assert!(*n > 0.0, "preemptions {n}"),
             other => panic!("preemptions must be a number, got {other:?}"),
@@ -2338,13 +2422,13 @@ mod tests {
     /// proving the swap path actually fired.
     #[test]
     fn disagg_results_show_the_swap_and_pool_split_wins() {
-        let disagg = disagg_results();
+        let disagg = results("bench_disagg");
         let rate = |row: &Json, key: &str| match find(row, key) {
             Json::Num(v) => *v,
             other => panic!("{key} must be a number, got {other:?}"),
         };
 
-        let swap = find(&disagg, "swap");
+        let swap = find(disagg, "swap");
         let Json::Arr(swap_engines) = find(swap, "engines") else {
             panic!("swap engines must be an array");
         };
@@ -2378,7 +2462,7 @@ mod tests {
             other => panic!("headline must be a string, got {other:?}"),
         }
 
-        let pools = find(&disagg, "pools");
+        let pools = find(disagg, "pools");
         let Json::Arr(pool_engines) = find(pools, "engines") else {
             panic!("pool engines must be an array");
         };
@@ -2408,13 +2492,13 @@ mod tests {
     /// cannot.
     #[test]
     fn multitenant_results_show_per_class_service() {
-        let mt = multitenant_results();
+        let mt = results("bench_multitenant");
         let rate = |row: &Json, key: &str| match find(row, key) {
             Json::Num(v) => *v,
             other => panic!("{key} must be a number, got {other:?}"),
         };
 
-        let capacity = find(&mt, "capacity");
+        let capacity = find(mt, "capacity");
         let Json::Arr(engines) = find(capacity, "engines") else {
             panic!("capacity engines must be an array");
         };
@@ -2435,7 +2519,7 @@ mod tests {
 
         // Adapter cache: no adapters → no loads; thrash evicts and
         // re-loads what the roomy cache keeps resident.
-        let cache = find(&mt, "adapter_cache");
+        let cache = find(mt, "adapter_cache");
         let Json::Arr(rows) = find(cache, "rows") else {
             panic!("adapter rows must be an array");
         };
@@ -2462,7 +2546,7 @@ mod tests {
         );
 
         // Prefix reuse: chat shares nothing; RAG and agents share a lot.
-        let prefix = find(&mt, "prefix_reuse");
+        let prefix = find(mt, "prefix_reuse");
         let Json::Arr(workloads) = find(prefix, "rows") else {
             panic!("prefix rows must be an array");
         };
@@ -2480,8 +2564,7 @@ mod tests {
 
     #[test]
     fn llm_results_cover_both_models_and_render() {
-        let llm = llm_latency_results();
-        let rendered = llm.render();
+        let rendered = results("llm_latency").render();
         assert!(rendered.contains("Llama2-70B"));
         assert!(rendered.contains("OPT-66B"));
         assert!(rendered.contains("deca_speedup"));
