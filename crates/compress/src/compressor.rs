@@ -189,8 +189,15 @@ impl Compressor {
     pub fn compress_tile(&self, tile: &DenseTile) -> Result<CompressedTile, CompressError> {
         let weights = tile.elements();
         // Pruning, scale selection and quantization all assume finite
-        // weights; reject the others once, up front, under every scheme.
-        if let Some(position) = weights.iter().position(|w| !w.to_f32().is_finite()) {
+        // weights; reject the others once, up front, under every scheme. A
+        // branch-free fold over the BF16 exponent bits says whether there
+        // is an Inf or NaN at all; only then is the first one looked for.
+        let non_finite = |w: &Bf16| w.to_bits() & 0x7F80 == 0x7F80;
+        if weights.iter().fold(false, |any, w| any | non_finite(w)) {
+            let position = weights
+                .iter()
+                .position(non_finite)
+                .expect("the fold saw a non-finite weight");
             return Err(CompressError::NonFiniteWeight { position });
         }
         let (threshold, keep) = self.keep_rule(weights);
@@ -385,21 +392,37 @@ mod tests {
     fn non_finite_weights_are_an_error_under_every_scheme_kind() {
         // One scheme per code path that assumes finite input: the plain
         // encoder, the magnitude selection and the group-scale search.
-        for scheme in [
+        let schemes = [
             CompressionScheme::bf8_dense(),
             CompressionScheme::bf8_sparse(0.5),
             CompressionScheme::mxfp4(),
-        ] {
-            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                let mut values = vec![0.5f32; TILE_ELEMS];
-                values[137] = bad;
-                let err = Compressor::new(scheme)
-                    .compress_tile(&DenseTile::from_f32(&values))
-                    .expect_err("non-finite weights must be rejected");
+        ];
+        // ±Inf and NaNs of either sign, from the smallest payload to all
+        // ones, as BF16 bit patterns.
+        let non_finite = [
+            0x7F80u16, 0xFF80, 0x7F81, 0x7FC0, 0x7FFF, 0xFF81, 0xFFC0, 0xFFFF,
+        ];
+        let compress = |scheme, bad: &[(usize, u16)]| {
+            let mut tile = DenseTile::from_f32(&[0.5f32; TILE_ELEMS]);
+            for &(position, bits) in bad {
+                tile.elements_mut()[position] = Bf16::from_bits(bits);
+            }
+            Compressor::new(scheme).compress_tile(&tile)
+        };
+        for scheme in schemes {
+            for bits in non_finite {
+                for position in [0, 137, TILE_ELEMS - 1] {
+                    assert_eq!(
+                        compress(scheme, &[(position, bits)]),
+                        Err(CompressError::NonFiniteWeight { position }),
+                        "{scheme} with {bits:#06x} at {position}"
+                    );
+                }
+                // With two non-finite weights, the first is reported.
                 assert_eq!(
-                    err,
-                    CompressError::NonFiniteWeight { position: 137 },
-                    "{scheme} with {bad}"
+                    compress(scheme, &[(400, 0x7F80), (23, bits)]),
+                    Err(CompressError::NonFiniteWeight { position: 23 }),
+                    "{scheme} with {bits:#06x} at 23 and +inf at 400"
                 );
             }
         }
@@ -435,11 +458,15 @@ mod tests {
         crate::WeightMatrix::from_data(64, 256, data).expect("64x256 values")
     }
 
-    #[test]
-    fn compressed_bytes_match_pinned_digests() {
-        // Pins every byte the compressor emits: a change that moves one
-        // payload byte, bitmask bit, scale code or nonzero count under any
-        // of these schemes changes that scheme's digest.
+    /// Checks one digest per pinned scheme: `fold_tile` folded, from the
+    /// FNV-1a offset basis, over every tile the compressor emits for two
+    /// seeded matrices and the tie-heavy one. The schemes are the paper's
+    /// evaluation set plus sparse MXFP4, dense BF16, E4M3, the integer
+    /// formats, a custom minifloat and a 48-weight scale group.
+    fn assert_pinned_digests(
+        expected: &[u64; 19],
+        fold_tile: impl Fn(u64, &CompressedTile) -> u64,
+    ) {
         let new_scheme = |format, density, group| {
             CompressionScheme::new(format, density, group).expect("valid scheme")
         };
@@ -465,6 +492,21 @@ mod tests {
             WeightGenerator::new(9173).dense_matrix(64, 256),
             tie_heavy_matrix(),
         ];
+        for (scheme, want) in schemes.into_iter().zip(expected) {
+            let compressor = Compressor::new(scheme);
+            let digest = inputs.iter().fold(0xCBF2_9CE4_8422_2325, |hash, matrix| {
+                let compressed = compressor.compress_matrix(matrix).expect("compress");
+                compressed.tiles().iter().fold(hash, &fold_tile)
+            });
+            assert_eq!(digest, *want, "{scheme:?}: digest {digest:#018x}");
+        }
+    }
+
+    #[test]
+    fn compressed_bytes_match_pinned_digests() {
+        // Pins every byte the compressor emits: a change that moves one
+        // payload byte, bitmask bit, scale code or nonzero count under any
+        // of these schemes changes that scheme's digest.
         let expected: [u64; 19] = [
             0x61B4_D5BC_98EC_A2AC,
             0x97CB_E083_B483_1B24,
@@ -486,28 +528,55 @@ mod tests {
             0x284C_023D_897A_1FF1,
             0x41E4_1137_B28F_5C2F,
         ];
-        let digests: Vec<u64> = schemes
-            .iter()
-            .map(|&scheme| {
-                let compressor = Compressor::new(scheme);
-                inputs.iter().fold(0xCBF2_9CE4_8422_2325, |hash, matrix| {
-                    let compressed = compressor.compress_matrix(matrix).expect("compress");
-                    compressed.tiles().iter().fold(hash, |hash, tile| {
-                        let mut hash = fnv1a(hash, tile.nonzero_bytes());
-                        for word in tile.bitmask().map_or(&[][..], Bitmask::words) {
-                            hash = fnv1a(hash, &word.to_le_bytes());
-                        }
-                        for scale in tile.scales() {
-                            hash = fnv1a(hash, &[scale.code()]);
-                        }
-                        fnv1a(hash, &(tile.nonzero_count() as u64).to_le_bytes())
-                    })
-                })
+        assert_pinned_digests(&expected, |hash, tile| {
+            let mut hash = fnv1a(hash, tile.nonzero_bytes());
+            for word in tile.bitmask().map_or(&[][..], Bitmask::words) {
+                hash = fnv1a(hash, &word.to_le_bytes());
+            }
+            for scale in tile.scales() {
+                hash = fnv1a(hash, &[scale.code()]);
+            }
+            fnv1a(hash, &(tile.nonzero_count() as u64).to_le_bytes())
+        });
+    }
+
+    #[test]
+    fn decompressed_bits_match_pinned_digests() {
+        // Pins the decode side on its own: the BF16 bits of every tile the
+        // reference `Decompressor` restores from the pinned compressions.
+        // Every engine is checked against that reference, so a slip they
+        // share (in the code unpacking, a LUT or a scale) shows only here.
+        // The constants came from the per-nibble unpack and the `powi`
+        // scale values, which the byte-wide unpack and the bit-built
+        // scales must equal.
+        let expected: [u64; 19] = [
+            0xDEAE_44F8_2C7B_8A9B,
+            0xC856_652F_E978_B5AF,
+            0x7153_D396_2EA1_CDD2,
+            0xBBB3_8903_12C3_DE3D,
+            0x0F66_B0E5_0912_1AA0,
+            0xFA46_6A56_FD88_ABAA,
+            0xA1A4_6632_0112_5BC2,
+            0x82DB_BDEC_7C91_1224,
+            0x5791_E21B_BA33_E02A,
+            0x70E0_2A1C_7555_9EA4,
+            0xA3A9_DFB8_32B3_52B5,
+            0xA936_2DE1_ED36_C3E5,
+            0x2C3F_A969_C93B_757D,
+            0x93CF_6A9D_3618_E038,
+            0x74FD_B1E4_97A6_25BD,
+            0x9F0D_B350_6249_88E4,
+            0x2ECF_D4DC_2F36_8622,
+            0x3793_A703_154D_98CE,
+            0xAA27_8E7F_55B6_515E,
+        ];
+        let decompressor = crate::Decompressor::new();
+        assert_pinned_digests(&expected, |hash, tile| {
+            let dense = decompressor.decompress_tile(tile).expect("decompress");
+            dense.elements().iter().fold(hash, |hash, value| {
+                fnv1a(hash, &value.to_bits().to_le_bytes())
             })
-            .collect();
-        for ((scheme, &digest), want) in schemes.iter().zip(&digests).zip(expected) {
-            assert_eq!(digest, want, "{scheme:?}: digest {digest:#018x}");
-        }
+        });
     }
 
     #[test]

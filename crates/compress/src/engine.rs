@@ -175,12 +175,6 @@ impl DecompressScratch {
         DecompressScratch::default()
     }
 
-    /// The codes unpacked by the most recent tile decompression.
-    #[must_use]
-    pub fn codes(&self) -> &[u16] {
-        &self.codes
-    }
-
     /// Unpacks a tile's nonzero codes into this scratch's code buffer and
     /// returns them — the entry point for external streaming consumers
     /// (e.g. the vOp pipeline) that share the zero-copy contract.

@@ -99,20 +99,23 @@ impl Default for DenseTile {
 /// LSB-first within each byte; code bits above the width are dropped.
 /// Byte-aligned widths (16, 8 and 4 bits — every format the paper
 /// evaluates) take a direct byte path; other widths fall back to the
-/// bit-serial loop.
+/// bit-serial loop. At 4 bits each byte is one pair of codes, the first
+/// in the low nibble; an odd count's last code fills the low nibble of
+/// one more byte, once, after the pair loop.
 #[must_use]
 pub fn pack_codes(codes: &[u16], bits: u32) -> Vec<u8> {
     assert!((1..=16).contains(&bits), "bit width must be 1..=16");
     match bits {
         16 => codes.iter().flat_map(|code| code.to_le_bytes()).collect(),
         8 => codes.iter().map(|&code| code as u8).collect(),
-        4 => codes
-            .chunks(2)
-            .map(|pair| {
-                let high = pair.get(1).map_or(0, |&code| code as u8 & 0x0F);
-                (pair[0] as u8 & 0x0F) | (high << 4)
-            })
-            .collect(),
+        4 => {
+            let (pairs, last) = codes.as_chunks::<2>();
+            pairs
+                .iter()
+                .map(|&[low, high]| (low as u8 & 0x0F) | ((high as u8) << 4))
+                .chain(last.iter().map(|&code| code as u8 & 0x0F))
+                .collect()
+        }
         _ => pack_bits(codes, bits),
     }
 }
@@ -139,7 +142,9 @@ fn pack_bits(codes: &[u16], bits: u32) -> Vec<u8> {
 /// streaming decompression engines reuse one buffer across tiles.
 /// Byte-aligned widths (16, 8 and 4 bits — every format the paper
 /// evaluates) take a direct byte path; other widths fall back to the
-/// bit-serial loop.
+/// bit-serial loop. At 4 bits each whole byte yields two codes, low nibble
+/// first, and an odd count's last code is read from the low nibble of the
+/// next byte, once, after the byte loop.
 ///
 /// # Panics
 ///
@@ -161,10 +166,16 @@ pub fn unpack_codes_into(bytes: &[u8], bits: u32, count: usize, out: &mut Vec<u1
                 .map(|pair| u16::from_le_bytes([pair[0], pair[1]])),
         ),
         8 => out.extend(bytes.iter().take(count).map(|&b| u16::from(b))),
-        4 => out.extend((0..count).map(|i| {
-            let byte = bytes[i / 2];
-            u16::from(if i % 2 == 0 { byte & 0x0F } else { byte >> 4 })
-        })),
+        4 => {
+            out.resize(count, 0);
+            let (pairs, last) = out.as_chunks_mut::<2>();
+            for (pair, &byte) in pairs.iter_mut().zip(bytes) {
+                *pair = [u16::from(byte & 0x0F), u16::from(byte >> 4)];
+            }
+            if let [code] = last {
+                *code = u16::from(bytes[count / 2] & 0x0F);
+            }
+        }
         _ => {
             let mut bit_pos = 0usize;
             for _ in 0..count {
@@ -412,23 +423,48 @@ mod tests {
         let _ = DenseTile::from_f32(&[0.0; 100]);
     }
 
+    /// The bit-serial unpacking loop, the twin of [`pack_bits`]: the
+    /// reference every width of [`unpack_codes_into`] must equal.
+    fn unpack_bits(bytes: &[u8], bits: u32, count: usize) -> Vec<u16> {
+        (0..count * bits as usize)
+            .step_by(bits as usize)
+            .map(|bit_pos| {
+                (0..bits as usize).fold(0u16, |code, b| {
+                    let bit = (bytes[(bit_pos + b) / 8] >> ((bit_pos + b) % 8)) & 1;
+                    code | (u16::from(bit) << b)
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn pack_unpack_roundtrip_various_widths() {
         for bits in 1u32..=16 {
             let max = u16::MAX >> (16 - bits);
-            // An odd count leaves a lone trailing nibble at 4 bits; the
-            // multiplier sets bits above every width below 16.
-            for count in [100u16, 37] {
+            // Every count a tile can hold: odd counts leave a lone trailing
+            // nibble at 4 bits, and the multiplier sets bits above every
+            // width below 16.
+            for count in 0u16..=512 {
                 let codes: Vec<u16> = (0..count)
                     .map(|i| i.wrapping_mul(40_503).wrapping_add(0x5A5A))
                     .collect();
                 let packed = pack_codes(&codes, bits);
-                assert_eq!(packed, pack_bits(&codes, bits), "bit width {bits}");
+                assert_eq!(
+                    packed,
+                    pack_bits(&codes, bits),
+                    "{count} codes of {bits} bits"
+                );
                 assert_eq!(packed.len(), (codes.len() * bits as usize).div_ceil(8));
-                let mut unpacked = Vec::new();
+                // Stale contents must not survive: the buffer is cleared.
+                let mut unpacked = vec![0xFFFF; 7];
                 unpack_codes_into(&packed, bits, codes.len(), &mut unpacked);
                 let expected: Vec<u16> = codes.iter().map(|code| code & max).collect();
-                assert_eq!(unpacked, expected, "bit width {bits}");
+                assert_eq!(unpacked, expected, "{count} codes of {bits} bits");
+                assert_eq!(
+                    unpacked,
+                    unpack_bits(&packed, bits, codes.len()),
+                    "{count} codes of {bits} bits"
+                );
             }
         }
     }

@@ -33,10 +33,16 @@ impl ScaleE8M0 {
         self.0
     }
 
-    /// The scale value `2^(code-127)`.
+    /// The scale value `2^(code-127)`, built from its `f32` bits: the code
+    /// is the exponent field, except that code 0 is the subnormal 2^-127
+    /// (`0x0040_0000`) and code 255 is +inf. That is bit for bit what
+    /// `2f32.powi(code - 127)` returns.
     #[must_use]
     pub fn value(self) -> f32 {
-        2f32.powi(i32::from(self.0) - 127)
+        f32::from_bits(match self.0 {
+            0 => 0x0040_0000,
+            code => u32::from(code) << 23,
+        })
     }
 
     /// The scale as BF16 (exactly representable: it is a power of two within
@@ -71,6 +77,24 @@ mod tests {
         assert_eq!(ScaleE8M0::from_code(126).value(), 0.5);
         assert_eq!(ScaleE8M0::from_code(130).code(), 130);
         assert_eq!(ScaleE8M0::from_code(128).to_bf16().to_f32(), 2.0);
+    }
+
+    #[test]
+    fn values_equal_powi_bit_for_bit_on_every_code() {
+        for code in 0..=u8::MAX {
+            let scale = ScaleE8M0::from_code(code);
+            let want = 2f32.powi(i32::from(code) - 127);
+            assert_eq!(scale.value().to_bits(), want.to_bits(), "code {code}");
+            assert_eq!(scale.to_bf16(), Bf16::from_f32(want), "code {code}");
+        }
+        // Code 0 is the f32 subnormal 2^-127, the one code whose value
+        // has no exponent field of its own.
+        assert_eq!(ScaleE8M0::from_code(0).value().to_bits(), 0x0040_0000);
+        assert_eq!(ScaleE8M0::from_code(0).to_bf16().to_bits(), 0x0040);
+        // Code 255 is +inf: the engines route a forged 255 to their
+        // portable path because of it.
+        assert_eq!(ScaleE8M0::from_code(255).value(), f32::INFINITY);
+        assert_eq!(ScaleE8M0::from_code(255).to_bf16().to_bits(), 0x7F80);
     }
 
     #[test]
